@@ -4,11 +4,11 @@
 //! graph, differing only in projection. This bin sweeps the catalog size
 //! N and maintains the same delta stream two ways:
 //!
-//! - **independent**: N plain AR views, `maintain_all` — the route →
+//! - **independent**: N plain AR views, `maintain` with no catalog — the route →
 //!   probe → ship chain runs once *per view*, so per-delta SEARCH and
 //!   SEND grow linearly with N;
 //! - **shared**: the same N views bound to one [`SharedCatalog`] pool,
-//!   `maintain_catalog` — one signature group, the chain runs **once**,
+//!   `maintain` with the catalog — one signature group, the chain runs **once**,
 //!   and the group ship stage multicasts each joined partial to the
 //!   union of member home nodes (bounded by L, not N).
 //!
@@ -120,8 +120,8 @@ fn deltas() -> Vec<(&'static str, Delta)> {
 /// Sum probe SEARCHes and ship SENDs — the compute phase, which is what
 /// probe-once shares. (The base, structure, and view-apply phases are
 /// excluded: writing N physical view tables is inherently linear in N on
-/// both paths, and base/pool updates are already shared by
-/// `maintain_all`.)
+/// both paths, and base/pool updates are shared by `maintain` either
+/// way.)
 fn probe_ship(outs: &[MaintenanceOutcome]) -> (u64, u64) {
     let (mut searches, mut sends) = (0, 0);
     for o in outs {
@@ -158,7 +158,7 @@ fn measure(n: usize) -> Point {
     let (mut ind_searches, mut ind_sends) = (0, 0);
     for (rel, delta) in deltas() {
         let mut refs: Vec<&mut MaintainedView> = ivs.iter_mut().collect();
-        let outs = maintain_all(&mut ind, &mut refs, rel, &delta).unwrap();
+        let outs = maintain(&mut ind, None, &mut refs, rel, &delta).unwrap();
         let (s, d) = probe_ship(&outs);
         ind_searches += s;
         ind_sends += d;
@@ -171,7 +171,10 @@ fn measure(n: usize) -> Point {
     }
     let mut svs: Vec<MaintainedView> = defs(n)
         .into_iter()
-        .map(|d| MaintainedView::create_with_pool(&mut shared, d, &catalog.ars).unwrap())
+        .map(|d| {
+            let method = MaintenanceMethod::AuxiliaryRelation;
+            MaintainedView::create_pooled(&mut shared, d, method, &catalog).unwrap()
+        })
         .collect();
     {
         let refs: Vec<&mut MaintainedView> = svs.iter_mut().collect();
@@ -182,7 +185,7 @@ fn measure(n: usize) -> Point {
     let (mut shared_searches, mut shared_sends) = (0, 0);
     for (rel, delta) in deltas() {
         let mut refs: Vec<&mut MaintainedView> = svs.iter_mut().collect();
-        let outs = maintain_catalog(&mut shared, &catalog, &mut refs, rel, &delta).unwrap();
+        let outs = maintain(&mut shared, Some(&catalog), &mut refs, rel, &delta).unwrap();
         let (s, d) = probe_ship(&outs);
         shared_searches += s;
         shared_sends += d;

@@ -12,7 +12,7 @@
 //!
 //! for uniform vs. Zipf(1.0) vs. Zipf(1.5) deltas. The `+hl` rows rerun
 //! AR and GI with heavy-light skew handling enabled
-//! ([`MaintainedView::create_skewed`]): the traffic sketch classifies the
+//! ([`MaintainedView::enable_skew_handling`]): the traffic sketch classifies the
 //! hot values, [`MaintainedView::rebalance`] spreads them (salted AR
 //! rows, replicated GI entries), and the same delta is applied.
 //!
@@ -73,7 +73,8 @@ fn measure(
     let mut view = match skew {
         None => MaintainedView::create(&mut cluster, def, method).unwrap(),
         Some(config) => {
-            let mut v = MaintainedView::create_skewed(&mut cluster, def, method, config).unwrap();
+            let mut v = MaintainedView::create(&mut cluster, def, method).unwrap();
+            v.enable_skew_handling(&mut cluster, config).unwrap();
             // Train the sketch on the delta itself (the stream is what is
             // skewed here), freeze the heavy set, and migrate.
             v.train_skew(0, rows).unwrap();

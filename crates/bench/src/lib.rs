@@ -157,9 +157,9 @@ pub fn capture_trace(path: &Path, l: usize, threaded: bool) {
             RuntimeConfig::default()
         };
         let mut backend = ThreadedCluster::with_runtime(cluster, config);
-        maintain_all(&mut backend, &mut view_refs, "a", &delta).unwrap();
+        maintain(&mut backend, None, &mut view_refs, "a", &delta).unwrap();
     } else {
-        maintain_all(&mut cluster, &mut view_refs, "a", &delta).unwrap();
+        maintain(&mut cluster, None, &mut view_refs, "a", &delta).unwrap();
     }
 
     let events = sink.events();

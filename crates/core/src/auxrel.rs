@@ -33,11 +33,10 @@ use pvm_engine::{Backend, Cluster, NetPayload, TableDef, TableId};
 use pvm_obs::{MethodTag, Phase};
 use pvm_types::{PvmError, Result, Row};
 
-use crate::chain::{self, BatchPolicy, ChainMode, JoinPolicy, PartialGates, ProbeTarget};
-use crate::layout::Layout;
+use crate::chain::{self, BatchPolicy, PartialGates, ProbeTarget};
 use crate::minimize;
-use crate::planner::plan_chain;
-use crate::view::{MaintenanceOutcome, ViewHandle};
+use crate::planner::PlanStep;
+use crate::view::ViewHandle;
 
 /// One auxiliary relation: which table stores it, which base columns it
 /// keeps (sorted), and where its partitioning attribute sits in the kept
@@ -49,17 +48,6 @@ pub struct ArInfo {
     pub keep_cols: Vec<usize>,
     /// Position of the partitioning join attribute within `keep_cols`.
     pub key_pos: usize,
-}
-
-/// All auxiliary relations of one maintained view, keyed by
-/// `(relation index, base join-attribute column)`.
-#[derive(Debug, Clone, Default)]
-pub struct AuxState {
-    pub ars: HashMap<(usize, usize), ArInfo>,
-    /// True when the ARs belong to a shared [`crate::minimize::ArPool`]:
-    /// the pool updates them once per base delta, so this view skips its
-    /// aux phase.
-    pub shared: bool,
 }
 
 /// Route each placed delta row to the home node of every AR in `ars`
@@ -80,12 +68,12 @@ pub(crate) fn update_ars<B: Backend>(
     placed: &[(Row, pvm_types::GlobalRid)],
     insert: bool,
     batch: BatchPolicy,
-    method: MethodTag,
     gates: Option<&PartialGates>,
 ) -> Result<()> {
     if ars.is_empty() {
         return Ok(());
     }
+    let method = MethodTag::AuxRel;
     let l = backend.node_count();
     let mut program = pvm_engine::StepProgram::new();
     for info in ars {
@@ -203,8 +191,12 @@ pub(crate) fn ar_name(view: &str, base: &str, col: usize) -> String {
 }
 
 /// Create (and populate from current base contents) the auxiliary
-/// relations the view needs.
-pub(crate) fn install(cluster: &mut Cluster, handle: &ViewHandle) -> Result<AuxState> {
+/// relations the view needs, keyed by `(relation index, base
+/// join-attribute column)`.
+pub(crate) fn install(
+    cluster: &mut Cluster,
+    handle: &ViewHandle,
+) -> Result<HashMap<(usize, usize), ArInfo>> {
     let mut ars = HashMap::new();
     for (rel, &table) in handle.base.iter().enumerate() {
         let def = cluster.def(table)?.clone();
@@ -244,139 +236,25 @@ pub(crate) fn install(cluster: &mut Cluster, handle: &ViewHandle) -> Result<AuxS
             );
         }
     }
-    Ok(AuxState { ars, shared: false })
+    Ok(ars)
 }
 
-/// Probe target for `rel` on `probe_col`: the AR if one exists, else the
-/// base relation (which install() guaranteed is partitioned on the
-/// attribute and probeable).
+/// Probe target for one chain step: the AR if one exists, else the base
+/// relation (which install() guaranteed is partitioned on the attribute
+/// and probeable).
 pub(crate) fn probe_target(
     cluster: &Cluster,
     handle: &ViewHandle,
-    state: &AuxState,
-    rel: usize,
-    probe_col: usize,
+    ars: &HashMap<(usize, usize), ArInfo>,
+    step: &PlanStep,
 ) -> Result<ProbeTarget> {
-    if let Some(info) = state.ars.get(&(rel, probe_col)) {
-        return Ok(ProbeTarget {
+    match ars.get(&(step.rel, step.probe_col)) {
+        Some(info) => Ok(ProbeTarget {
             table: info.table,
             carried: info.keep_cols.clone(),
             key: vec![info.key_pos],
             routing: Some(cluster.def(info.table)?.partitioning.clone()),
-        });
+        }),
+        None => ProbeTarget::routed_base(cluster, handle, step, "auxiliary relation"),
     }
-    let table = handle.base[rel];
-    let def = cluster.def(table)?;
-    if !def.partitioning.is_on(probe_col) {
-        return Err(PvmError::InvalidOperation(format!(
-            "no auxiliary relation for ({rel}, {probe_col}) and base not partitioned on it"
-        )));
-    }
-    Ok(ProbeTarget {
-        table,
-        carried: (0..def.schema.arity()).collect(),
-        key: vec![probe_col],
-        routing: Some(def.partitioning.clone()),
-    })
-}
-
-/// Propagate an already-applied base update (`placed` rows on relation
-/// `rel`) to the view, updating this view's ARs along the way.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn apply<B: Backend>(
-    backend: &mut B,
-    handle: &ViewHandle,
-    state: &AuxState,
-    rel: usize,
-    placed: &[(Row, pvm_types::GlobalRid)],
-    insert: bool,
-    policy: JoinPolicy,
-    batch: BatchPolicy,
-    capture: bool,
-    gates: Option<&PartialGates>,
-) -> Result<MaintenanceOutcome> {
-    let table = handle.base[rel];
-    let arity = backend.engine().def(table)?.schema.arity();
-
-    // Base phase performed by the caller.
-    let g = backend.start_meter();
-    let base = backend.finish_meter(&g);
-
-    // Phase: update the auxiliary relations of the updated relation —
-    // unless a shared pool owns them (then the pool's single update
-    // already happened and this view charges nothing).
-    let guard = backend.start_meter();
-    let mark = chain::phase_mark(backend);
-    if !state.shared {
-        let my_ars: Vec<ArInfo> = state
-            .ars
-            .iter()
-            .filter(|((r, _), _)| *r == rel)
-            .map(|(_, info)| info.clone())
-            .collect();
-        update_ars(
-            backend,
-            &my_ars,
-            placed,
-            insert,
-            batch,
-            MethodTag::AuxRel,
-            gates,
-        )?;
-    }
-    chain::coord_phase(backend, Phase::Aux, MethodTag::AuxRel, mark);
-    let aux = backend.finish_meter(&guard);
-
-    // Phase: compute the view changes by chaining through the ARs — one
-    // stage program for every hop plus the ship, pipelined when the
-    // backend supports it.
-    let guard = backend.start_meter();
-    let mark = chain::phase_mark(backend);
-    let l = backend.node_count();
-    let fanout = crate::view_stats_fanout(backend.engine(), handle)?;
-    let plan = plan_chain(&handle.def, rel, fanout)?;
-    let staged = chain::stage_delta(l, placed)?;
-    let mut layout = Layout::single(rel, (0..arity).collect());
-    let mut program = pvm_engine::StepProgram::new();
-    for step in &plan {
-        let target = probe_target(backend.engine(), handle, state, step.rel, step.probe_col)?;
-        let carried = target.carried.clone();
-        program = chain::push_probe_step(
-            program,
-            &layout,
-            step,
-            target,
-            policy,
-            batch,
-            MethodTag::AuxRel,
-            l,
-        )?;
-        layout.push(step.rel, carried);
-    }
-    program = chain::push_ship_stage(backend, program, handle, &layout, MethodTag::AuxRel)?;
-    backend.run_stages(staged, &program)?;
-    chain::coord_phase(backend, Phase::Compute, MethodTag::AuxRel, mark);
-    let compute = backend.finish_meter(&guard);
-
-    // Phase: apply the changes to the view.
-    let guard = backend.start_meter();
-    let mark = chain::phase_mark(backend);
-    let mode = if insert {
-        ChainMode::Insert
-    } else {
-        ChainMode::Delete
-    };
-    let (view_rows, view_changes) =
-        chain::apply_at_view(backend, handle, mode, MethodTag::AuxRel, capture, gates)?;
-    chain::coord_phase(backend, Phase::View, MethodTag::AuxRel, mark);
-    let view = backend.finish_meter(&guard);
-
-    Ok(MaintenanceOutcome {
-        base,
-        aux,
-        compute,
-        view,
-        view_rows,
-        view_changes,
-    })
 }

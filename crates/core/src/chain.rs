@@ -10,21 +10,100 @@
 //! per node per stage, sends delivered at the next stage — so the same
 //! driver code runs on the sequential cluster (lockstep, one barrier per
 //! stage) and on the threaded runtime's watermark-pipelined scheduler
-//! with identical counted costs. Builders (`push_probe_step`,
-//! `push_ship_stage`) append stages to a phase's program; the driver runs
-//! the whole program with one [`Backend::run_stages`] call, letting fast
-//! nodes run ahead of slow ones across every hop of the chain.
+//! with identical counted costs. [`push_chain`] is the one place the
+//! planner's steps become probe stages (resolved against the view's
+//! [`Probes`]); `push_ship_stage` appends the single-view ship. The driver
+//! runs the whole program with one [`Backend::run_stages`] call, letting
+//! fast nodes run ahead of slow ones across every hop of the chain.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Mutex;
 
 use pvm_engine::{Backend, Cluster, NetPayload, NodeState, StepProgram, TableId};
 use pvm_obs::{metric, MethodTag, Phase, TraceEvent, COORD};
-use pvm_types::{NodeId, Result, Row, Value};
+use pvm_types::{GlobalRid, NodeId, PvmError, Result, Row, Value};
 
+use crate::auxrel::{self, ArInfo};
+use crate::globalindex::{self, GiInfo};
 use crate::layout::Layout;
-use crate::planner::PlanStep;
-use crate::view::ViewHandle;
+use crate::naive;
+use crate::planner::{plan_chain, PlanStep};
+use crate::view::{MaintenanceMethod, ViewHandle};
+
+/// The probe structures of one maintained view, keyed by `(relation
+/// index, base join-attribute column)` — what distinguishes the three
+/// methods. A join attribute its base relation is partitioned on has no
+/// entry: the base relation itself serves those probes.
+#[derive(Debug, Clone)]
+pub(crate) enum Probes {
+    /// Naive: the base relations and their join-attribute indices.
+    Base,
+    /// One auxiliary relation per entry.
+    Ars(HashMap<(usize, usize), ArInfo>),
+    /// One global index per entry.
+    Gis(HashMap<(usize, usize), GiInfo>),
+}
+
+impl Probes {
+    /// Create (and populate) the private structures `method` needs.
+    pub fn install(
+        cluster: &mut Cluster,
+        handle: &ViewHandle,
+        method: MaintenanceMethod,
+    ) -> Result<Probes> {
+        Ok(match method {
+            MaintenanceMethod::Naive => {
+                naive::install(cluster, handle)?;
+                Probes::Base
+            }
+            MaintenanceMethod::AuxiliaryRelation => Probes::Ars(auxrel::install(cluster, handle)?),
+            MaintenanceMethod::GlobalIndex => Probes::Gis(globalindex::install(cluster, handle)?),
+        })
+    }
+
+    /// The structure tables (AR tables, GI tables), sorted.
+    pub fn tables(&self) -> Vec<TableId> {
+        let mut out: Vec<TableId> = match self {
+            Probes::Base => Vec::new(),
+            Probes::Ars(ars) => ars.values().map(|info| info.table).collect(),
+            Probes::Gis(gis) => gis.values().map(|info| info.table).collect(),
+        };
+        out.sort();
+        out
+    }
+
+    /// Propagate an already-applied base update on relation `rel` into
+    /// that relation's structures (the *aux* phase).
+    pub fn update<B: Backend>(
+        &self,
+        backend: &mut B,
+        rel: usize,
+        placed: &[(Row, GlobalRid)],
+        insert: bool,
+        batch: BatchPolicy,
+        gates: Option<&PartialGates>,
+    ) -> Result<()> {
+        match self {
+            Probes::Base => Ok(()),
+            Probes::Ars(ars) => {
+                let mine: Vec<ArInfo> = ars
+                    .iter()
+                    .filter(|((r, _), _)| *r == rel)
+                    .map(|(_, info)| info.clone())
+                    .collect();
+                auxrel::update_ars(backend, &mine, placed, insert, batch, gates)
+            }
+            Probes::Gis(gis) => {
+                let mine: Vec<(usize, TableId)> = gis
+                    .iter()
+                    .filter(|((r, _), _)| *r == rel)
+                    .map(|(&(_, c), info)| (c, info.table))
+                    .collect();
+                globalindex::update_gis(backend, &mine, placed, insert, batch, gates)
+            }
+        }
+    }
+}
 
 /// Hole sets a partial view threads into its maintenance programs.
 ///
@@ -132,7 +211,7 @@ pub(crate) fn empty_staged(l: usize) -> Staged {
 
 /// Place the delta rows at the base-relation nodes where the base update
 /// put (or found) them. No SENDs: the rows are already there.
-pub(crate) fn stage_delta(l: usize, placed: &[(Row, pvm_types::GlobalRid)]) -> Result<Staged> {
+pub(crate) fn stage_delta(l: usize, placed: &[(Row, GlobalRid)]) -> Result<Staged> {
     let mut staged = empty_staged(l);
     for (row, grid) in placed {
         staged[grid.node.index()].push(row.clone());
@@ -184,6 +263,87 @@ pub(crate) struct ProbeTarget {
     /// [`probe_nodes`](pvm_engine::PartitionSpec::probe_nodes); `None`:
     /// broadcast.
     pub routing: Option<pvm_engine::PartitionSpec>,
+}
+
+impl ProbeTarget {
+    /// Probe base relation `table` itself on `col`: routed when the
+    /// relation is partitioned on the attribute, broadcast otherwise.
+    pub fn base(cluster: &Cluster, table: TableId, col: usize) -> Result<ProbeTarget> {
+        let def = cluster.def(table)?;
+        Ok(ProbeTarget {
+            table,
+            carried: (0..def.schema.arity()).collect(),
+            key: vec![col],
+            routing: def
+                .partitioning
+                .is_on(col)
+                .then(|| def.partitioning.clone()),
+        })
+    }
+
+    /// [`ProbeTarget::base`] for the AR / GI methods, which never
+    /// broadcast: a step with no `structure` must find its base relation
+    /// partitioned on the attribute (install guaranteed it).
+    pub fn routed_base(
+        cluster: &Cluster,
+        handle: &ViewHandle,
+        step: &PlanStep,
+        structure: &str,
+    ) -> Result<ProbeTarget> {
+        let target = ProbeTarget::base(cluster, handle.base[step.rel], step.probe_col)?;
+        if target.routing.is_none() {
+            return Err(PvmError::InvalidOperation(format!(
+                "no {structure} for ({}, {}) and base not partitioned on it",
+                step.rel, step.probe_col
+            )));
+        }
+        Ok(target)
+    }
+}
+
+/// Append the join chain for a delta on relation `rel` to `program`: the
+/// planner's steps, each resolved to a probe step against the view's
+/// `probes`. `program`'s carry on entry must be `rel`'s full rows; on
+/// return it is the completed join partials, laid out as the returned
+/// [`Layout`] describes — ready for a ship stage.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn push_chain<'p, B: Backend>(
+    backend: &B,
+    mut program: StepProgram<'p>,
+    handle: &ViewHandle,
+    probes: &Probes,
+    rel: usize,
+    policy: JoinPolicy,
+    batch: BatchPolicy,
+    method: MethodTag,
+) -> Result<(StepProgram<'p>, Layout)> {
+    let l = backend.node_count();
+    let cluster = backend.engine();
+    let arity = cluster.def(handle.base[rel])?.schema.arity();
+    let fanout = crate::view_stats_fanout(cluster, handle)?;
+    let mut layout = Layout::single(rel, (0..arity).collect());
+    for step in &plan_chain(&handle.def, rel, fanout)? {
+        let target = match probes {
+            Probes::Base => ProbeTarget::base(cluster, handle.base[step.rel], step.probe_col)?,
+            Probes::Ars(ars) => auxrel::probe_target(cluster, handle, ars, step)?,
+            Probes::Gis(gis) => match gis.get(&(step.rel, step.probe_col)) {
+                Some(info) => {
+                    let base_table = handle.base[step.rel];
+                    program = globalindex::push_gi_probe_step(
+                        backend, program, &layout, step, info.table, base_table, batch,
+                    )?;
+                    let base_arity = cluster.def(base_table)?.schema.arity();
+                    layout.push(step.rel, (0..base_arity).collect());
+                    continue;
+                }
+                None => ProbeTarget::routed_base(cluster, handle, step, "global index")?,
+            },
+        };
+        let carried = target.carried.clone();
+        program = push_probe_step(program, &layout, step, target, policy, batch, method, l)?;
+        layout.push(step.rel, carried);
+    }
+    Ok((program, layout))
 }
 
 /// How a node joins its received delta share with the local fragment of
@@ -368,7 +528,7 @@ pub(crate) fn push_probe_step<'p>(
         let mut partials = Vec::new();
         for env in ctx.drain() {
             let NetPayload::DeltaRows { rows, .. } = env.payload else {
-                return Err(pvm_types::PvmError::InvalidOperation(
+                return Err(PvmError::InvalidOperation(
                     "unexpected payload during probe step".into(),
                 ));
             };

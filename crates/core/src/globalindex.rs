@@ -34,26 +34,15 @@ use pvm_engine::{Backend, Cluster, NetPayload, TableDef, TableId};
 use pvm_obs::{metric, MethodTag, Phase};
 use pvm_types::{Column, CostKind, GlobalRid, NodeId, PvmError, Result, Rid, Row, Schema, Value};
 
-use crate::chain::{self, BatchPolicy, ChainMode, JoinPolicy, ProbeTarget};
+use crate::chain::{self, BatchPolicy};
 use crate::layout::Layout;
-use crate::planner::{plan_chain, PlanStep};
-use crate::view::{MaintenanceOutcome, ViewHandle};
+use crate::planner::PlanStep;
+use crate::view::ViewHandle;
 
 /// One global index.
 #[derive(Debug, Clone)]
 pub struct GiInfo {
     pub table: TableId,
-}
-
-/// All global indices of one maintained view, keyed by
-/// `(relation index, base join-attribute column)`.
-#[derive(Debug, Clone, Default)]
-pub struct GiState {
-    pub gis: HashMap<(usize, usize), GiInfo>,
-    /// True when the GIs belong to a shared [`crate::minimize::GiPool`]:
-    /// the pool updates them once per base delta, so this view skips its
-    /// index-update phase (and never drops them on destroy).
-    pub shared: bool,
 }
 
 /// Deterministic GI table name.
@@ -120,8 +109,12 @@ pub(crate) fn create_gi(
     Ok(gi_table)
 }
 
-/// Create (and populate) the global indices the view needs.
-pub(crate) fn install(cluster: &mut Cluster, handle: &ViewHandle) -> Result<GiState> {
+/// Create (and populate) the global indices the view needs, keyed by
+/// `(relation index, base join-attribute column)`.
+pub(crate) fn install(
+    cluster: &mut Cluster,
+    handle: &ViewHandle,
+) -> Result<HashMap<(usize, usize), GiInfo>> {
     let mut gis = HashMap::new();
     for (rel, &table) in handle.base.iter().enumerate() {
         let def = cluster.def(table)?.clone();
@@ -139,10 +132,7 @@ pub(crate) fn install(cluster: &mut Cluster, handle: &ViewHandle) -> Result<GiSt
             gis.insert((rel, c), GiInfo { table: gi_table });
         }
     }
-    Ok(GiState {
-        gis,
-        shared: false,
-    })
+    Ok(gis)
 }
 
 /// Append one two-hop GI probe step to a phase program: route partials to
@@ -151,7 +141,6 @@ pub(crate) fn install(cluster: &mut Cluster, handle: &ViewHandle) -> Result<GiSt
 /// hop is one program stage, so the two hops never interleave at a node —
 /// a stage's sends are not consumed until the receiver's next stage — but
 /// a pipelined backend overlaps different nodes' hops freely.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn push_gi_probe_step<'p>(
     backend: &impl Backend,
     program: pvm_engine::StepProgram<'p>,
@@ -159,10 +148,10 @@ pub(crate) fn push_gi_probe_step<'p>(
     step: &PlanStep,
     gi_table: TableId,
     base_table: TableId,
-    base_arity: usize,
     batch: BatchPolicy,
 ) -> Result<pvm_engine::StepProgram<'p>> {
     let l = backend.node_count();
+    let base_arity = backend.engine().def(base_table)?.schema.arity();
     let anchor_pos = layout.position(step.anchor)?;
     let gi_spec = backend.engine().def(gi_table)?.partitioning.clone();
 
@@ -507,132 +496,4 @@ pub(crate) fn update_gis<B: Backend>(
     }
     backend.run_stages(vec![Vec::new(); l], &program)?;
     Ok(())
-}
-
-/// Propagate an already-applied base update (`placed` rows with their
-/// global rids, on relation `rel`) to the view, updating this view's GIs.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn apply<B: Backend>(
-    backend: &mut B,
-    handle: &ViewHandle,
-    state: &GiState,
-    rel: usize,
-    placed: &[(Row, GlobalRid)],
-    insert: bool,
-    policy: JoinPolicy,
-    batch: BatchPolicy,
-    capture: bool,
-    gates: Option<&chain::PartialGates>,
-) -> Result<MaintenanceOutcome> {
-    let table = handle.base[rel];
-    let arity = backend.engine().def(table)?.schema.arity();
-    let l = backend.node_count();
-
-    // Base phase performed by the caller (which captured the rids).
-    let g = backend.start_meter();
-    let base = backend.finish_meter(&g);
-
-    // Phase: update the global indices of the updated relation — unless
-    // a shared pool owns them (then the pool's single update already
-    // happened and this view charges nothing).
-    let guard = backend.start_meter();
-    let mark = chain::phase_mark(backend);
-    if !state.shared {
-        let my_gis: Vec<(usize, TableId)> = state
-            .gis
-            .iter()
-            .filter(|((r, _), _)| *r == rel)
-            .map(|(&(_, c), info)| (c, info.table))
-            .collect();
-        update_gis(backend, &my_gis, placed, insert, batch, gates)?;
-    }
-    chain::coord_phase(backend, Phase::Aux, MethodTag::GlobalIndex, mark);
-    let aux = backend.finish_meter(&guard);
-
-    // Phase: compute the view changes — one stage program covering every
-    // probe hop (two stages per GI hop, plus the final ship), so a
-    // pipelined backend overlaps the hops instead of barriering between
-    // them.
-    let guard = backend.start_meter();
-    let mark = chain::phase_mark(backend);
-    let fanout = crate::view_stats_fanout(backend.engine(), handle)?;
-    let plan = plan_chain(&handle.def, rel, fanout)?;
-    let staged = chain::stage_delta(l, placed)?;
-    let mut layout = Layout::single(rel, (0..arity).collect());
-    let mut program = pvm_engine::StepProgram::new();
-    for step in &plan {
-        let target_table = handle.base[step.rel];
-        let target_arity = backend.engine().def(target_table)?.schema.arity();
-        if let Some(info) = state.gis.get(&(step.rel, step.probe_col)) {
-            program = push_gi_probe_step(
-                backend,
-                program,
-                &layout,
-                step,
-                info.table,
-                target_table,
-                target_arity,
-                batch,
-            )?;
-        } else {
-            // Base relation partitioned on the attribute: direct routed
-            // probe, as in the other methods.
-            let def = backend.engine().def(target_table)?;
-            if !def.partitioning.is_on(step.probe_col) {
-                return Err(PvmError::InvalidOperation(format!(
-                    "no global index for ({}, {}) and base not partitioned on it",
-                    step.rel, step.probe_col
-                )));
-            }
-            let target = ProbeTarget {
-                table: target_table,
-                carried: (0..target_arity).collect(),
-                key: vec![step.probe_col],
-                routing: Some(def.partitioning.clone()),
-            };
-            program = chain::push_probe_step(
-                program,
-                &layout,
-                step,
-                target,
-                policy,
-                batch,
-                MethodTag::GlobalIndex,
-                l,
-            )?;
-        }
-        layout.push(step.rel, (0..target_arity).collect());
-    }
-    program = chain::push_ship_stage(backend, program, handle, &layout, MethodTag::GlobalIndex)?;
-    backend.run_stages(staged, &program)?;
-    chain::coord_phase(backend, Phase::Compute, MethodTag::GlobalIndex, mark);
-    let compute = backend.finish_meter(&guard);
-
-    // Phase: apply the changes to the view.
-    let guard = backend.start_meter();
-    let mark = chain::phase_mark(backend);
-    let mode = if insert {
-        ChainMode::Insert
-    } else {
-        ChainMode::Delete
-    };
-    let (view_rows, view_changes) = chain::apply_at_view(
-        backend,
-        handle,
-        mode,
-        MethodTag::GlobalIndex,
-        capture,
-        gates,
-    )?;
-    chain::coord_phase(backend, Phase::View, MethodTag::GlobalIndex, mark);
-    let view = backend.finish_meter(&guard);
-
-    Ok(MaintenanceOutcome {
-        base,
-        aux,
-        compute,
-        view,
-        view_rows,
-        view_changes,
-    })
 }

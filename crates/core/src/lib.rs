@@ -85,10 +85,7 @@ pub use layout::Layout;
 pub use minimize::{ArPool, GiPool};
 pub use planner::{plan_chain, PlanStep};
 pub use pvm_model::Recommendation;
-pub use share::{maintain_catalog, plan_groups, GroupSignature, SharedCatalog};
+pub use share::{plan_groups, GroupSignature, SharedCatalog};
 pub use skew::{RebalanceReport, SkewConfig, SkewState};
-pub use view::{
-    maintain_all, maintain_all_pooled, BatchCostRecord, MaintainedView, MaintenanceMethod,
-    MaintenanceOutcome,
-};
+pub use view::{maintain, BatchCostRecord, MaintainedView, MaintenanceMethod, MaintenanceOutcome};
 pub use viewdef::{JoinViewDef, ViewColumn, ViewEdge};

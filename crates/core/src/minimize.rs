@@ -96,20 +96,19 @@ use crate::auxrel::{self, ArInfo};
 /// §2.1.2's "keep only one auxiliary relation `AR_A` for all the views
 /// that use the same attribute `A.c`", executed.
 ///
-/// Lifecycle:
+/// Lifecycle — the pool is the `ars` half of a
+/// [`crate::SharedCatalog`]:
 ///
 /// 1. [`ArPool::plan`] each view definition (requirements accumulate and
 ///    merge);
 /// 2. [`ArPool::materialize`] once (creates and bulk-loads the merged
-///    ARs);
-/// 3. create each view with
-///    [`crate::MaintainedView::create_with_pool`];
-/// 4. on every base update, call [`crate::maintain_all_pooled`] (or
-///    [`ArPool::apply_base_delta`] directly) so each shared AR is updated
-///    **once**, not once per view.
+///    ARs) — or [`ArPool::enroll`] definitions one at a time;
+/// 3. create each view with [`crate::MaintainedView::create_pooled`];
+/// 4. on every base update, call [`crate::maintain`] with the catalog, so
+///    each shared AR is updated **once**, not once per view.
 ///
 /// ```
-/// use pvm_core::{ArPool, JoinViewDef, MaintainedView};
+/// use pvm_core::{maintain, Delta, JoinViewDef, MaintainedView, MaintenanceMethod, SharedCatalog};
 /// use pvm_engine::{Cluster, ClusterConfig, TableDef};
 /// use pvm_types::{row, Column, Schema};
 ///
@@ -122,14 +121,19 @@ use crate::auxrel::{self, ArInfo};
 ///
 /// let v1 = JoinViewDef::two_way("v1", "a", "b", 1, 1, 2, 2);
 /// let v2 = JoinViewDef::two_way("v2", "a", "b", 1, 1, 2, 2);
-/// let mut pool = ArPool::new();
-/// pool.plan(&cluster, &v1).unwrap();
-/// pool.plan(&cluster, &v2).unwrap();
-/// pool.materialize(&mut cluster).unwrap();
+/// let mut catalog = SharedCatalog::new();
+/// catalog.ars.plan(&cluster, &v1).unwrap();
+/// catalog.ars.plan(&cluster, &v2).unwrap();
+/// catalog.ars.materialize(&mut cluster).unwrap();
 /// // Both views bind to the SAME two merged ARs.
-/// let _va = MaintainedView::create_with_pool(&mut cluster, v1, &pool).unwrap();
-/// let _vb = MaintainedView::create_with_pool(&mut cluster, v2, &pool).unwrap();
-/// assert_eq!(pool.requirements().len(), 2);
+/// let ar = MaintenanceMethod::AuxiliaryRelation;
+/// let mut va = MaintainedView::create_pooled(&mut cluster, v1, ar, &catalog).unwrap();
+/// let mut vb = MaintainedView::create_pooled(&mut cluster, v2, ar, &catalog).unwrap();
+/// assert_eq!(catalog.ars.requirements().len(), 2);
+/// // One base update, one update per shared AR, both views maintained.
+/// let delta = Delta::insert_one(row![1, 7]);
+/// let outs = maintain(&mut cluster, Some(&catalog), &mut [&mut va, &mut vb], "b", &delta).unwrap();
+/// assert_eq!(outs.iter().map(|o| o.view_rows).sum::<u64>(), 2);
 /// ```
 #[derive(Debug, Default)]
 pub struct ArPool {
@@ -193,9 +197,8 @@ impl ArPool {
     ///
     /// Returns the `(base, attr)` keys whose AR table changed (created or
     /// rebuilt), in sorted order: every view already bound to the pool
-    /// must rebind those keys
-    /// ([`crate::MaintainedView::rebind_ar_pool`]) before its next
-    /// maintenance.
+    /// must rebind those keys before its next maintenance —
+    /// [`crate::SharedCatalog::enroll_group`] is the caller that does.
     pub fn enroll(
         &mut self,
         cluster: &mut Cluster,
@@ -269,15 +272,8 @@ impl ArPool {
             .filter(|((base, _), _)| base == relation)
             .map(|(_, info)| info.clone())
             .collect();
-        auxrel::update_ars(
-            backend,
-            &mine,
-            placed,
-            insert,
-            batch,
-            pvm_obs::MethodTag::AuxRel,
-            None, // pooled ARs are shared across views and never partial
-        )
+        // Pooled ARs are shared across views and never partial: no gates.
+        auxrel::update_ars(backend, &mine, placed, insert, batch, None)
     }
 
     /// Total pages occupied by the pool's ARs.
@@ -368,10 +364,11 @@ pub fn gi_requirements(
 /// `(base, attr)`, sharing is exact: no union/widening step exists, and
 /// [`GiPool::enroll`] never invalidates an existing member's binding.
 ///
-/// Lifecycle mirrors [`ArPool`]: [`GiPool::plan`] +
-/// [`GiPool::materialize`] (or [`GiPool::enroll`] incrementally), bind
-/// views with [`crate::MaintainedView::create_with_gi_pool`], and call
-/// [`GiPool::apply_base_delta`] once per base delta.
+/// Lifecycle mirrors [`ArPool`] (this pool is the `gis` half of a
+/// [`crate::SharedCatalog`]): [`GiPool::plan`] + [`GiPool::materialize`]
+/// (or [`GiPool::enroll`] incrementally), bind views with
+/// [`crate::MaintainedView::create_pooled`], and maintain them through
+/// [`crate::maintain`] with the catalog.
 #[derive(Debug, Default)]
 pub struct GiPool {
     reqs: Vec<GiRequirement>,

@@ -20,14 +20,11 @@
 //! layer (`pvm_net::reliable`, driven by `pvm-faults`), so the chain
 //! logic itself stays delivery-oblivious.
 
-use pvm_engine::{Backend, Cluster};
-use pvm_obs::{MethodTag, Phase};
-use pvm_types::{Result, Row};
+use pvm_engine::Cluster;
+use pvm_types::Result;
 
-use crate::chain::{self, BatchPolicy, ChainMode, JoinPolicy, PartialGates, ProbeTarget};
-use crate::layout::Layout;
-use crate::planner::plan_chain;
-use crate::view::{MaintenanceOutcome, ViewHandle};
+use crate::chain;
+use crate::view::ViewHandle;
 
 /// Ensure every base relation has an index on each of its join attributes
 /// (the paper's `J_A` / `J_B`). Relations clustered on the attribute keep
@@ -39,91 +36,4 @@ pub(crate) fn install(cluster: &mut Cluster, handle: &ViewHandle) -> Result<()> 
         }
     }
     Ok(())
-}
-
-/// Propagate an already-applied base update (`placed` rows on relation
-/// `rel`) to the view.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn apply<B: Backend>(
-    backend: &mut B,
-    handle: &ViewHandle,
-    rel: usize,
-    placed: &[(Row, pvm_types::GlobalRid)],
-    insert: bool,
-    policy: JoinPolicy,
-    batch: BatchPolicy,
-    capture: bool,
-    gates: Option<&PartialGates>,
-) -> Result<MaintenanceOutcome> {
-    let table = handle.base[rel];
-    let arity = backend.engine().def(table)?.schema.arity();
-
-    // Base phase is performed by the caller; naive maintains no auxiliary
-    // structures either.
-    let g = backend.start_meter();
-    let base = backend.finish_meter(&g);
-    let aux = backend.finish_meter(&g);
-
-    // Phase: compute the view changes — one stage program covering every
-    // probe hop plus the final ship, so a pipelined backend overlaps the
-    // hops instead of barriering between them.
-    let guard = backend.start_meter();
-    let mark = chain::phase_mark(backend);
-    let l = backend.node_count();
-    let fanout = crate::view_stats_fanout(backend.engine(), handle)?;
-    let plan = plan_chain(&handle.def, rel, fanout)?;
-    let staged = chain::stage_delta(l, placed)?;
-    let mut layout = Layout::single(rel, (0..arity).collect());
-    let mut program = pvm_engine::StepProgram::new();
-    for step in &plan {
-        let target_table = handle.base[step.rel];
-        let def = backend.engine().def(target_table)?;
-        let target = ProbeTarget {
-            table: target_table,
-            carried: (0..def.schema.arity()).collect(),
-            key: vec![step.probe_col],
-            routing: def
-                .partitioning
-                .is_on(step.probe_col)
-                .then(|| def.partitioning.clone()),
-        };
-        let carried = target.carried.clone();
-        program = chain::push_probe_step(
-            program,
-            &layout,
-            step,
-            target,
-            policy,
-            batch,
-            MethodTag::Naive,
-            l,
-        )?;
-        layout.push(step.rel, carried);
-    }
-    program = chain::push_ship_stage(backend, program, handle, &layout, MethodTag::Naive)?;
-    backend.run_stages(staged, &program)?;
-    chain::coord_phase(backend, Phase::Compute, MethodTag::Naive, mark);
-    let compute = backend.finish_meter(&guard);
-
-    // Phase: apply the changes to the view.
-    let guard = backend.start_meter();
-    let mark = chain::phase_mark(backend);
-    let mode = if insert {
-        ChainMode::Insert
-    } else {
-        ChainMode::Delete
-    };
-    let (view_rows, view_changes) =
-        chain::apply_at_view(backend, handle, mode, MethodTag::Naive, capture, gates)?;
-    chain::coord_phase(backend, Phase::View, MethodTag::Naive, mark);
-    let view = backend.finish_meter(&guard);
-
-    Ok(MaintenanceOutcome {
-        base,
-        aux,
-        compute,
-        view,
-        view_rows,
-        view_changes,
-    })
 }

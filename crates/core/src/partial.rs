@@ -11,13 +11,14 @@
 //!
 //! Division of labour:
 //!
-//! * [`PartialState`] (here) owns the hole sets, the per-entry byte
+//! * `PartialState` (here) owns the hole sets, the per-entry byte
 //!   accounting ([`PartialBudget`]), the admission sketch, and the
 //!   `dropped_at` epoch map that keeps pinned-snapshot reads exact.
 //! * The stage programs that touch storage — upquery, structure refill,
 //!   eviction deletes, point reads — are free functions here, invoked by
-//!   `MaintainedView` (which owns the batch lifecycle).
-//! * [`crate::chain::PartialGates`] carries an immutable snapshot of the
+//!   the partial-state half of `MaintainedView` at the bottom of this
+//!   file (the batch lifecycle itself lives in [`crate::view`]).
+//! * `crate::chain::PartialGates` carries an immutable snapshot of the
 //!   hole sets into one batch's stage closures; dropped keys flow back
 //!   and become `dropped_at` entries at commit.
 //!
@@ -50,12 +51,11 @@ use pvm_engine::{
 use pvm_obs::MethodTag;
 use pvm_types::{NodeId, PvmError, Result, Row, Value};
 
-use crate::auxrel::AuxState;
-use crate::chain::{self, BatchPolicy, ChainMode, JoinPolicy, PartialGates, ProbeTarget};
-use crate::globalindex::{gi_entry, GiState};
-use crate::layout::Layout;
-use crate::planner::plan_chain;
-use crate::view::ViewHandle;
+use pvm_storage::Organization;
+
+use crate::chain::{self, BatchPolicy, ChainMode, JoinPolicy, PartialGates, Probes};
+use crate::globalindex::gi_entry;
+use crate::view::{MaintainedView, ViewHandle};
 
 /// How one maintenance structure stores its entries.
 #[derive(Debug, Clone)]
@@ -295,11 +295,9 @@ impl PartialState {
 pub(crate) fn collect_structs(
     cluster: &Cluster,
     handle: &ViewHandle,
-    aux: Option<&AuxState>,
-    gi: Option<&GiState>,
+    probes: &Probes,
 ) -> Result<Vec<StructInfo>> {
     debug_assert_eq!(handle.def.relation_count(), 2);
-    let mut out = Vec::new();
     let other_col = |rel: usize, col: usize| -> Result<usize> {
         handle
             .def
@@ -310,34 +308,34 @@ pub(crate) fn collect_structs(
             .map(|vc| vc.col)
             .ok_or_else(|| PvmError::InvalidReference(format!("no join edge on ({rel}, {col})")))
     };
-    if let Some(aux) = aux {
-        for (&(rel, col), info) in &aux.ars {
-            out.push(StructInfo {
-                table: info.table,
-                source_rel: rel,
-                source_table: handle.base[rel],
-                join_col: col,
-                probe_col_other: other_col(rel, col)?,
-                kind: StructKind::Ar {
+    let entries: Vec<((usize, usize), TableId, StructKind)> = match probes {
+        Probes::Base => Vec::new(),
+        Probes::Ars(ars) => ars
+            .iter()
+            .map(|(&key, info)| {
+                let kind = StructKind::Ar {
                     keep_cols: info.keep_cols.clone(),
                     key_pos: info.key_pos,
-                },
-                spec: cluster.def(info.table)?.partitioning.clone(),
-            });
-        }
-    }
-    if let Some(gi) = gi {
-        for (&(rel, col), info) in &gi.gis {
-            out.push(StructInfo {
-                table: info.table,
-                source_rel: rel,
-                source_table: handle.base[rel],
-                join_col: col,
-                probe_col_other: other_col(rel, col)?,
-                kind: StructKind::Gi,
-                spec: cluster.def(info.table)?.partitioning.clone(),
-            });
-        }
+                };
+                (key, info.table, kind)
+            })
+            .collect(),
+        Probes::Gis(gis) => gis
+            .iter()
+            .map(|(&key, info)| (key, info.table, StructKind::Gi))
+            .collect(),
+    };
+    let mut out = Vec::new();
+    for ((rel, col), table, kind) in entries {
+        out.push(StructInfo {
+            table,
+            source_rel: rel,
+            source_table: handle.base[rel],
+            join_col: col,
+            probe_col_other: other_col(rel, col)?,
+            kind,
+            spec: cluster.def(table)?.partitioning.clone(),
+        });
     }
     // HashMap iteration order is arbitrary; fix it so every backend (and
     // every run) accounts and refills in the same order.
@@ -368,7 +366,6 @@ pub(crate) fn run_upquery<B: Backend>(
     let anchor = handle.def.partition_attr();
     let atable = handle.base[anchor.rel];
     let adef = backend.engine().def(atable)?;
-    let arity = adef.schema.arity();
     // When the anchor relation is partitioned on the anchor column, only
     // its probe nodes can hold matches — skip the search elsewhere.
     let probe_set: Option<Vec<NodeId>> = if adef.partitioning.is_on(anchor.col) {
@@ -376,36 +373,26 @@ pub(crate) fn run_upquery<B: Backend>(
     } else {
         None
     };
-    let fanout = crate::view_stats_fanout(backend.engine(), handle)?;
-    let plan = plan_chain(&handle.def, anchor.rel, fanout)?;
-    let mut layout = Layout::single(anchor.rel, (0..arity).collect());
-    let mut program = pvm_engine::StepProgram::new();
     let acol = anchor.col;
     let k = key.clone();
-    program = program.local_stage(move |ctx, _| {
+    let program = pvm_engine::StepProgram::new().local_stage(move |ctx, _| {
         if probe_set.as_ref().is_some_and(|s| !s.contains(&ctx.id())) {
             return Ok(Vec::new());
         }
         ctx.node
             .index_search(atable, &[acol], &Row::new(vec![k.clone()]))
     });
-    for step in &plan {
-        let target_table = handle.base[step.rel];
-        let def = backend.engine().def(target_table)?;
-        let target = ProbeTarget {
-            table: target_table,
-            carried: (0..def.schema.arity()).collect(),
-            key: vec![step.probe_col],
-            routing: def
-                .partitioning
-                .is_on(step.probe_col)
-                .then(|| def.partitioning.clone()),
-        };
-        let carried = target.carried.clone();
-        program = chain::push_probe_step(program, &layout, step, target, policy, batch, method, l)?;
-        layout.push(step.rel, carried);
-    }
-    program = chain::push_ship_stage(backend, program, handle, &layout, method)?;
+    let (program, layout) = chain::push_chain(
+        backend,
+        program,
+        handle,
+        &Probes::Base,
+        anchor.rel,
+        policy,
+        batch,
+        method,
+    )?;
+    let program = chain::push_ship_stage(backend, program, handle, &layout, method)?;
     backend.run_stages(chain::empty_staged(l), &program)?;
     let (_, changes) =
         chain::apply_at_view(backend, handle, ChainMode::Insert, method, true, None)?;
@@ -533,4 +520,396 @@ pub(crate) fn read_stored_key<B: Backend>(
             .index_search(table, &[col], &Row::new(vec![k.clone()]))
     })?;
     Ok(per_node.into_iter().flatten().collect())
+}
+
+impl MaintainedView {
+    /// Put this view under a per-node memory budget
+    /// ([`PartialPolicy::budget_bytes`]): cold view partitions — and, for
+    /// two-relation views, cold AR / GI entries — are evicted as *holes*
+    /// under size-aware LRU, and a read that hits a hole recomputes just
+    /// that key from the base relations ([`MaintainedView::read_key`]).
+    ///
+    /// Rejected for aggregate views (a group's fold state cannot be
+    /// recomputed from one key's base rows alone), pool-shared ARs / GIs
+    /// (other views read them eagerly), and skew-handled views (a
+    /// rebalance rewrites the structures the accounting tracks).
+    pub fn enable_partial<B: Backend>(
+        &mut self,
+        backend: &mut B,
+        policy: PartialPolicy,
+    ) -> Result<()> {
+        if self.partial.is_some() {
+            return Err(PvmError::InvalidOperation(format!(
+                "view '{}' is already partial",
+                self.handle.def.name
+            )));
+        }
+        if self.handle.agg.is_some() {
+            return Err(PvmError::InvalidOperation(
+                "aggregate views cannot be partial: group state is not recomputable per key".into(),
+            ));
+        }
+        if self.is_pool_shared() {
+            return Err(PvmError::InvalidOperation(
+                "views on pool-shared structures cannot be partial: their peers read them eagerly"
+                    .into(),
+            ));
+        }
+        if self.skew.is_some() {
+            return Err(PvmError::InvalidOperation(
+                "skew-handled views cannot be partial: rebalance invalidates the accounting".into(),
+            ));
+        }
+        if self.has_open_batch() || backend.in_txn() {
+            return Err(PvmError::InvalidOperation(
+                "cannot enable partial state while a maintenance batch or transaction is open"
+                    .into(),
+            ));
+        }
+        let cluster = backend.engine_mut();
+        // Upqueries probe the base relations naive-style regardless of
+        // the view's method, so every join attribute — and the anchor
+        // (partitioning) attribute — must be indexed.
+        crate::naive::install(cluster, &self.handle)?;
+        let anchor = self.handle.def.partition_attr();
+        crate::chain::ensure_join_index(cluster, self.handle.base[anchor.rel], anchor.col)?;
+        let structs = if self.handle.def.relation_count() == 2 {
+            collect_structs(cluster, &self.handle, &self.probes)?
+        } else {
+            // Wider views keep their structures eager; only the view
+            // partitions are partial.
+            Vec::new()
+        };
+        // GI refill captures rids, which only a *secondary* index search
+        // yields; a source relation clustered on the join attribute
+        // satisfies `ensure_join_index` without one.
+        for s in &structs {
+            if let StructKind::Gi = s.kind {
+                let def = cluster.def(s.source_table)?;
+                let clustered = matches!(
+                    &def.organization,
+                    Organization::Clustered { key } if key.as_slice() == [s.join_col]
+                );
+                if clustered {
+                    let name = format!("{}_pq{}", def.name, s.join_col);
+                    cluster.create_secondary_index(s.source_table, name, vec![s.join_col])?;
+                }
+            }
+        }
+        let l = cluster.node_count();
+        let mut state = PartialState::new(policy, l, structs);
+        // Everything currently materialized is resident: charge it where
+        // it is stored.
+        let pcol = self.handle.view_pcol;
+        let seeds: Vec<(TableId, usize)> = state
+            .structs
+            .iter()
+            .map(|s| (s.table, s.key_col()))
+            .collect();
+        for n in cluster.nodes() {
+            let node = n.id().index();
+            for (_, row) in n.storage(self.handle.view_table)?.scan()? {
+                state.budget.charge(
+                    (self.handle.view_table, row[pcol].clone()),
+                    node,
+                    row.byte_size() as u64,
+                );
+            }
+            for &(table, key_col) in &seeds {
+                for (_, row) in n.storage(table)?.scan()? {
+                    state.budget.charge(
+                        (table, row[key_col].clone()),
+                        node,
+                        row.byte_size() as u64,
+                    );
+                }
+            }
+        }
+        self.partial = Some(state);
+        // Evict straight down to the budget.
+        self.enforce_partial_budget(backend)?;
+        Ok(())
+    }
+
+    /// Partial-state counters, when enabled.
+    pub fn partial_stats(&self) -> Option<PartialStats> {
+        self.partial.as_ref().map(|p| p.stats())
+    }
+
+    /// View keys currently evicted, sorted — the scan path upqueries
+    /// these before reading ([`MaintainedView::ensure_all_resident`]).
+    pub fn partial_holes(&self) -> Vec<Value> {
+        match &self.partial {
+            Some(p) => {
+                let mut keys: Vec<Value> = p.holes.iter().cloned().collect();
+                keys.sort();
+                keys
+            }
+            None => Vec::new(),
+        }
+    }
+
+    /// Refuse a full-scan read at `epoch` when any key's eviction fence
+    /// sits above it: eviction purged that key's chain history from the
+    /// serve tier, so the snapshot is no longer reconstructible. A no-op
+    /// for non-partial views and current-epoch reads.
+    pub fn verify_scan_epoch(&self, epoch: u64) -> Result<()> {
+        let Some(p) = &self.partial else {
+            return Ok(());
+        };
+        if let Some((k, &d)) = p.dropped_at.iter().find(|(_, &d)| d > epoch) {
+            return Err(PvmError::InvalidOperation(format!(
+                "snapshot too old: key {k} of partial view '{}' was evicted at epoch {d} \
+                 (reading at {epoch}); retry at the current epoch",
+                self.handle.def.name
+            )));
+        }
+        Ok(())
+    }
+
+    /// Make `key` readable at `epoch`: refuse reads below the key's
+    /// `dropped_at` floor (eviction purged that history everywhere — the
+    /// reader must retry at the current epoch), upquery if the key is a
+    /// hole, and record the hit / miss. A no-op for non-partial views.
+    /// Budget enforcement is left to the caller so a freshly installed
+    /// result cannot be evicted before it is read.
+    pub fn ensure_key_resident<B: Backend>(
+        &mut self,
+        backend: &mut B,
+        key: &Value,
+        epoch: u64,
+    ) -> Result<()> {
+        let view_table = self.handle.view_table;
+        let batch_open = self.has_open_batch();
+        let Some(p) = &mut self.partial else {
+            return Ok(());
+        };
+        if let Some(&d) = p.dropped_at.get(key) {
+            if d > epoch {
+                return Err(PvmError::InvalidOperation(format!(
+                    "snapshot too old: key {key} of partial view '{}' was evicted at epoch {d} \
+                     (reading at {epoch}); retry at the current epoch",
+                    self.handle.def.name
+                )));
+            }
+        }
+        if !p.holes.contains(key) {
+            p.hits += 1;
+            p.sketch.observe(key);
+            p.budget.touch(&(view_table, key.clone()));
+            let obs = backend.engine().obs_handle();
+            if obs.enabled() {
+                obs.metrics().counter(pvm_obs::metric::PARTIAL_HITS).inc();
+                obs.metrics()
+                    .histogram(pvm_obs::metric::PARTIAL_HIT_RATE)
+                    .observe(1000);
+            }
+            return Ok(());
+        }
+        // Miss: recompute the key from the base relations. Exact because
+        // every delta for the key since `dropped_at[key]` was dropped —
+        // its join result has not moved since `epoch` (see the module
+        // docs of `crate::partial`).
+        if backend.in_txn() || batch_open {
+            return Err(PvmError::InvalidOperation(
+                "cannot upquery a partial view while a transaction or maintenance batch is open"
+                    .into(),
+            ));
+        }
+        p.misses += 1;
+        p.sketch.observe(key);
+        let t0 = std::time::Instant::now();
+        let changes = run_upquery(
+            backend,
+            &self.handle,
+            self.policy,
+            self.batch,
+            self.method_tag(),
+            key,
+        )?;
+        let rows: Vec<Row> = changes
+            .into_iter()
+            .filter(|(_, ins)| *ins)
+            .map(|(r, _)| r)
+            .collect();
+        let p = self.partial.as_mut().expect("partial");
+        p.holes.remove(key);
+        let node = p.home(key);
+        let bytes: u64 = rows.iter().map(|r| r.byte_size() as u64).sum();
+        p.budget.charge((view_table, key.clone()), node, bytes);
+        if let Some(serve) = &self.serve {
+            // Fold the result into the serve-tier base — no epoch is
+            // published; `dropped_at` already fences stale readers.
+            serve.install_rows(&rows);
+        }
+        let obs = backend.engine().obs_handle();
+        if obs.enabled() {
+            let m = obs.metrics();
+            m.counter(pvm_obs::metric::PARTIAL_MISSES).inc();
+            m.histogram(pvm_obs::metric::PARTIAL_HIT_RATE).observe(0);
+            m.histogram(pvm_obs::metric::PARTIAL_UPQUERY_US)
+                .observe(t0.elapsed().as_micros() as u64);
+        }
+        Ok(())
+    }
+
+    /// Upquery every hole (in sorted key order, for determinism) so a
+    /// full scan at the current epoch sees the complete view. Returns the
+    /// number of upqueries issued. The caller should
+    /// [`MaintainedView::enforce_partial_budget`] after its read.
+    pub fn ensure_all_resident<B: Backend>(&mut self, backend: &mut B) -> Result<u64> {
+        let keys = self.partial_holes();
+        let epoch = self.epoch;
+        for k in &keys {
+            self.ensure_key_resident(backend, k, epoch)?;
+        }
+        Ok(keys.len() as u64)
+    }
+
+    /// Point-read the view at its current epoch, upquerying on a miss:
+    /// the partial read path. Serves from the MVCC snapshot tier when
+    /// enabled, else from the stored view table. Works on non-partial
+    /// views too (plain point read).
+    pub fn read_key<B: Backend>(&mut self, backend: &mut B, key: &Value) -> Result<Vec<Row>> {
+        let epoch = self.epoch;
+        self.ensure_key_resident(backend, key, epoch)?;
+        let rows = match &self.serve {
+            Some(serve) => serve.reader().snapshot().lookup(self.handle.view_pcol, key),
+            None => read_stored_key(backend, self.handle.view_table, self.handle.view_pcol, key)?,
+        };
+        self.enforce_partial_budget(backend)?;
+        Ok(rows)
+    }
+
+    /// Evict entries until every node is back under the policy budget:
+    /// delete each victim's stored rows, purge its serve-tier history,
+    /// install the hole, and (for view keys) stamp `dropped_at` with the
+    /// current epoch. Heavy keys per the admission sketch go last.
+    /// Deferred while a transaction or maintenance batch is open — a
+    /// rolled-back delete would corrupt the accounting; the next
+    /// post-commit call catches up. Returns the number of entries
+    /// evicted.
+    pub fn enforce_partial_budget<B: Backend>(&mut self, backend: &mut B) -> Result<u64> {
+        let Some(p) = &self.partial else {
+            return Ok(0);
+        };
+        if backend.in_txn() || self.has_open_batch() {
+            return Ok(0);
+        }
+        let view_table = self.handle.view_table;
+        let pcol = self.handle.view_pcol;
+        let victims = if p.budget.over_budget() {
+            let heavy = p.heavy_keys();
+            p.budget
+                .plan_evictions(|(t, v)| *t == view_table && heavy.contains(v))
+        } else {
+            Vec::new()
+        };
+        let epoch = self.epoch;
+        let mut evicted = 0u64;
+        for key in victims {
+            let (table, v) = &key;
+            if *table == view_table {
+                delete_matching(backend, view_table, pcol, v)?;
+                if let Some(serve) = &self.serve {
+                    serve.purge_matching(pcol, v);
+                }
+                let p = self.partial.as_mut().expect("partial");
+                p.holes.insert(v.clone());
+                p.dropped_at.insert(v.clone(), epoch);
+                p.budget.remove(&key);
+                p.evictions += 1;
+            } else {
+                let Some(col) = self
+                    .partial
+                    .as_ref()
+                    .expect("partial")
+                    .structs
+                    .iter()
+                    .find(|s| s.table == *table)
+                    .map(|s| s.key_col())
+                else {
+                    continue;
+                };
+                delete_matching(backend, *table, col, v)?;
+                let p = self.partial.as_mut().expect("partial");
+                p.struct_holes.entry(*table).or_default().insert(v.clone());
+                p.budget.remove(&key);
+                p.evictions += 1;
+            }
+            evicted += 1;
+        }
+        let p = self.partial.as_ref().expect("partial");
+        let obs = backend.engine().obs_handle();
+        if obs.enabled() {
+            let m = obs.metrics();
+            if evicted > 0 {
+                m.counter(pvm_obs::metric::PARTIAL_EVICTIONS).add(evicted);
+            }
+            m.histogram(pvm_obs::metric::PARTIAL_RESIDENT_BYTES)
+                .observe(p.budget.total_resident());
+        }
+        Ok(evicted)
+    }
+
+    /// Rebuild the structure entries the incoming delta will probe, for
+    /// values that are currently holes — from the *other* relation's base
+    /// fragments, which this delta does not touch, so the refilled
+    /// entries are exact before the compute phase reads them.
+    pub(crate) fn partial_refill<B: Backend>(
+        &mut self,
+        backend: &mut B,
+        rel: usize,
+        placed: &[(Row, pvm_types::GlobalRid)],
+    ) -> Result<()> {
+        let Some(p) = &self.partial else {
+            return Ok(());
+        };
+        if p.structs.is_empty() {
+            return Ok(());
+        }
+        let mut jobs: Vec<(StructInfo, BTreeSet<Value>)> = Vec::new();
+        for s in &p.structs {
+            if s.source_rel == rel {
+                // The delta's own structures are *updated* (hole-gated),
+                // never probed by this delta.
+                continue;
+            }
+            let Some(holes) = p.struct_holes.get(&s.table) else {
+                continue;
+            };
+            if holes.is_empty() {
+                continue;
+            }
+            let mut needed = BTreeSet::new();
+            for (row, _) in placed {
+                let v = &row[s.probe_col_other];
+                if holes.contains(v) {
+                    needed.insert(v.clone());
+                }
+            }
+            if !needed.is_empty() {
+                jobs.push((s.clone(), needed));
+            }
+        }
+        for (s, needed) in jobs {
+            let installed = run_refill(backend, &s, &needed)?;
+            let p = self.partial.as_mut().expect("partial");
+            for (node, rows) in installed.iter().enumerate() {
+                for row in rows {
+                    p.budget.charge(
+                        (s.table, row[s.key_col()].clone()),
+                        node,
+                        row.byte_size() as u64,
+                    );
+                }
+            }
+            if let Some(h) = p.struct_holes.get_mut(&s.table) {
+                for v in &needed {
+                    h.remove(v);
+                }
+            }
+        }
+        Ok(())
+    }
 }

@@ -2,20 +2,21 @@
 //!
 //! §2.1.2 observes that many views commonly join the same base relations
 //! on the same attributes, differing only in which columns they project.
-//! [`crate::view::maintain_all`] already shares the *base update* across
-//! such views, and the [`crate::minimize`] pools share the *structure
-//! updates* — but the route → probe → ship → apply chain still runs once
-//! per view per delta, so the per-delta SEARCH and SEND bill grows
-//! linearly with the number of views.
-//!
-//! This module closes that gap. Views are grouped by **join-graph
-//! signature** ([`GroupSignature`]): same maintenance method, same base
-//! relations, same (normalized) join edges, same policies, and the same
-//! probe structures (pool-shared ARs or GIs — or none, for the naive
-//! method). For each base delta, a group's chain runs **once**:
+//! [`crate::view::maintain`] — the one maintenance loop — shares the
+//! *base update* across such views, and a [`SharedCatalog`]'s
+//! [`crate::minimize`] pools share the *structure updates*. This module
+//! supplies the third saving: views with the same **join-graph
+//! signature** ([`GroupSignature`]: same maintenance method, base
+//! relations, (normalized) join edges, policies, and probe structures —
+//! pool-shared ARs or GIs, or none for the naive method) share the route
+//! → probe → ship → apply chain too, so the per-delta SEARCH and SEND
+//! bill stops growing with the number of views. For each base delta,
+//! `maintain` hands every group of two or more to `run_group`, which
+//! runs the chain **once**:
 //!
 //! 1. the common route/probe hops execute exactly as a single view's
-//!    would, carrying the *full* joined partials;
+//!    would (same `crate::chain::push_chain`), carrying the *full*
+//!    joined partials;
 //! 2. a group **ship** stage routes each joined partial to the union of
 //!    every member's home node (each member hashes its own partition
 //!    attribute out of the partial) — one multicast per destination set,
@@ -24,6 +25,10 @@
 //!    member's home node and installs it, capturing per-member changes
 //!    for serving views.
 //!
+//! A group of one — and every view when `maintain` is given no catalog —
+//! takes the per-view driver instead: sender-side projection and ship,
+//! strictly cheaper when nobody shares the partials.
+//!
 //! Member view rows are bit-identical to independent maintenance: each
 //! member's projection is applied at the same home node an independent
 //! ship would have chosen (the signature requires plain hash-partitioned
@@ -31,22 +36,25 @@
 //! apply order follows drained payload order, making contents equal as
 //! multisets. Cost accounting stays honest — every logical destination of
 //! a multicast is a charged SEND, and the shared chain's reports land on
-//! the group's first member (the same convention `maintain_all` uses for
-//! the shared base phase), so totals across members equal real work done.
+//! the group's first member (the same convention `maintain` uses for the
+//! shared base phase), so totals across members equal real work done.
+//!
+//! [`SharedCatalog`] also owns **pool binding**: the constructor
+//! [`MaintainedView::create_pooled`] and the migration of a whole group of
+//! private views onto the pools ([`SharedCatalog::enroll_group`]) both go
+//! through `SharedCatalog::resolve`, so the "every bound view rebinds
+//! after a pool table is rebuilt" invariant is enforced in this module.
 
 use std::collections::HashMap;
 
-use pvm_engine::{Backend, Cluster, MeterReport, NetPayload, PartitionSpec, TableId};
-use pvm_obs::{metric, MethodTag, Phase};
+use pvm_engine::{Backend, Cluster, NetPayload, PartitionSpec, TableId};
+use pvm_obs::{metric, Phase};
 use pvm_types::{GlobalRid, NodeId, PvmError, Result, Row};
 
-use crate::chain::{self, BatchPolicy, ChainMode, JoinPolicy};
-use crate::delta::Delta;
-use crate::layout::Layout;
+use crate::chain::{self, BatchPolicy, ChainMode, JoinPolicy, Probes};
 use crate::minimize::{ArPool, GiPool};
-use crate::planner::plan_chain;
 use crate::view::{self, MaintainedView, MaintenanceMethod, MaintenanceOutcome};
-use crate::viewdef::ViewColumn;
+use crate::viewdef::{JoinViewDef, ViewColumn};
 
 /// Everything that must match for two views to ride one maintenance
 /// chain. Projections (and therefore view partition attributes) may
@@ -75,18 +83,8 @@ impl GroupSignature {
     pub fn of(cluster: &Cluster, view: &MaintainedView) -> Result<Option<GroupSignature>> {
         // AR / GI members must probe the *same* structures; only
         // pool-shared structures can be identical across views.
-        match view.method() {
-            MaintenanceMethod::Naive => {}
-            MaintenanceMethod::AuxiliaryRelation => {
-                if !view.aux_state().is_some_and(|a| a.shared) {
-                    return Ok(None);
-                }
-            }
-            MaintenanceMethod::GlobalIndex => {
-                if !view.gi_state().is_some_and(|g| g.shared) {
-                    return Ok(None);
-                }
-            }
+        if view.method() != MaintenanceMethod::Naive && !view.is_pool_shared() {
+            return Ok(None);
         }
         GroupSignature::build(cluster, view, view.method_tables())
     }
@@ -105,8 +103,8 @@ impl GroupSignature {
         view: &MaintainedView,
         structures: Vec<TableId>,
     ) -> Result<Option<GroupSignature>> {
-        let handle = view.view_handle();
-        if handle.agg.is_some() || view.is_partial() || view.has_skew() {
+        let handle = &view.handle;
+        if handle.agg.is_some() || view.partial.is_some() || view.skew.is_some() {
             return Ok(None);
         }
         // The group ship stage routes by hashing each member's partition
@@ -151,7 +149,7 @@ pub fn plan_groups(
 ) -> Result<Vec<Vec<usize>>> {
     let mut groups: Vec<(GroupSignature, Vec<usize>)> = Vec::new();
     for (i, view) in views.iter().enumerate() {
-        if view.view_handle().def.relation_index(relation).is_err() {
+        if view.handle.def.relation_index(relation).is_err() {
             continue;
         }
         let Some(sig) = GroupSignature::of(cluster, view)? else {
@@ -186,7 +184,7 @@ impl SharedCatalog {
     /// Propagate one already-applied base delta into every pool structure
     /// over `relation` — each AR and GI exactly once. `batch` is the
     /// pool-bound member views' common policy
-    /// ([`pool_batch_policy`]), so per-row parity runs keep per-row
+    /// (`pool_batch_policy`), so per-row parity runs keep per-row
     /// messaging through the structure-update phase too.
     pub fn apply_base_delta<B: Backend>(
         &self,
@@ -213,6 +211,113 @@ impl SharedCatalog {
         self.ars.release(cluster)?;
         self.gis.release(cluster)
     }
+
+    /// The pool structures a view of `def` (over base tables `base`)
+    /// probes under `method`: one per join attribute its base relation is
+    /// not partitioned on. Read-only — fails without touching anything
+    /// when the pool lacks one.
+    pub(crate) fn resolve(
+        &self,
+        cluster: &Cluster,
+        method: MaintenanceMethod,
+        def: &JoinViewDef,
+        base: &[TableId],
+    ) -> Result<Probes> {
+        // (relation, attribute, base name) of every structure needed.
+        let mut needs = Vec::new();
+        for (rel, &table) in base.iter().enumerate() {
+            let tdef = cluster.def(table)?;
+            for c in def.join_attrs_of(rel) {
+                if !tdef.partitioning.is_on(c) {
+                    needs.push((rel, c, tdef.name.as_str()));
+                }
+            }
+        }
+        fn bind<'a, T: Clone + 'a>(
+            needs: &[(usize, usize, &str)],
+            what: &str,
+            view: &str,
+            lookup: impl Fn(&str, usize) -> Option<&'a T>,
+        ) -> Result<HashMap<(usize, usize), T>> {
+            needs
+                .iter()
+                .map(|&(rel, c, base)| {
+                    let info = lookup(base, c).ok_or_else(|| {
+                        PvmError::NotFound(format!(
+                            "pool {what} for ({base}, {c}) — plan/enroll view '{view}' (and \
+                             materialize the pool) first"
+                        ))
+                    })?;
+                    Ok(((rel, c), info.clone()))
+                })
+                .collect()
+        }
+        Ok(match method {
+            MaintenanceMethod::Naive => Probes::Base,
+            MaintenanceMethod::AuxiliaryRelation => {
+                Probes::Ars(bind(&needs, "AR", &def.name, |b, c| self.ars.ar_for(b, c))?)
+            }
+            MaintenanceMethod::GlobalIndex => {
+                Probes::Gis(bind(&needs, "GI", &def.name, |b, c| self.gis.gi_for(b, c))?)
+            }
+        })
+    }
+
+    /// Move a signature group — `members` indexes into `views`, all of
+    /// one method — onto this catalog's pools, so the group probes
+    /// identical structures and can run its chain once. `views` must hold
+    /// **every** view bound to this catalog, members or not. In order:
+    ///
+    /// 1. enroll every member's definition (creating pool structures, or
+    ///    widening pool ARs whose keep-set grows);
+    /// 2. if any pool table was created or rebuilt, rebind every
+    ///    pool-bound view of the method — a widened AR lives under a new
+    ///    table id, and the one pool spans every group, so other groups'
+    ///    bindings would otherwise dangle;
+    /// 3. resolve every member's bindings before any member drops its
+    ///    private structures, so a failure cannot leave the group
+    ///    half-migrated;
+    /// 4. bind every member.
+    ///
+    /// A no-op for the naive method (no structures to pool).
+    pub fn enroll_group(
+        &mut self,
+        cluster: &mut Cluster,
+        views: &mut [&mut MaintainedView],
+        members: &[usize],
+    ) -> Result<()> {
+        let Some(&first) = members.first() else {
+            return Ok(());
+        };
+        let method = views[first].method();
+        let mut changed = false;
+        for &i in members {
+            let def = views[i].def();
+            changed |= match method {
+                MaintenanceMethod::Naive => return Ok(()),
+                MaintenanceMethod::AuxiliaryRelation => !self.ars.enroll(cluster, def)?.is_empty(),
+                // GIs never widen (contents depend solely on (base, attr)),
+                // so `changed` here only ever reports creations.
+                MaintenanceMethod::GlobalIndex => !self.gis.enroll(cluster, def)?.is_empty(),
+            };
+        }
+        if changed {
+            for v in views.iter_mut() {
+                if v.method() == method && v.is_pool_shared() {
+                    let bindings = v.pool_bindings(cluster, self)?;
+                    v.bind_pool(cluster, bindings)?;
+                }
+            }
+        }
+        let bindings: Vec<Probes> = members
+            .iter()
+            .map(|&i| views[i].pool_bindings(cluster, self))
+            .collect::<Result<_>>()?;
+        for (&i, bindings) in members.iter().zip(bindings) {
+            views[i].bind_pool(cluster, bindings)?;
+        }
+        Ok(())
+    }
 }
 
 /// The batch policy pool structure updates should run under: the uniform
@@ -220,10 +325,10 @@ impl SharedCatalog {
 /// once for all of them, so when members disagree (or none are bound)
 /// there is no single honest granularity and the coalescing default
 /// applies.
-pub fn pool_batch_policy(views: &[&mut MaintainedView], relation: &str) -> BatchPolicy {
+pub(crate) fn pool_batch_policy(views: &[&mut MaintainedView], relation: &str) -> BatchPolicy {
     let mut policies = views
         .iter()
-        .filter(|v| v.is_pool_shared() && v.view_handle().def.relation_index(relation).is_ok())
+        .filter(|v| v.is_pool_shared() && v.handle.def.relation_index(relation).is_ok())
         .map(|v| v.batch_policy());
     match policies.next() {
         Some(first) if policies.all(|p| p == first) => first,
@@ -249,7 +354,7 @@ struct Member {
 /// one outcome per member (in `members` order); the chain's compute and
 /// view reports land on the first member, the rest get empty reports, so
 /// summed costs equal work actually done.
-fn run_group<B: Backend>(
+pub(crate) fn run_group<B: Backend>(
     backend: &mut B,
     views: &mut [&mut MaintainedView],
     members: &[usize],
@@ -258,107 +363,32 @@ fn run_group<B: Backend>(
     insert: bool,
 ) -> Result<Vec<MaintenanceOutcome>> {
     let l = backend.node_count();
-    let first: &MaintainedView = &views[members[0]];
-    let handle = first.view_handle();
-    let method = first.method();
-    let tag = match method {
-        MaintenanceMethod::Naive => MethodTag::Naive,
-        MaintenanceMethod::AuxiliaryRelation => MethodTag::AuxRel,
-        MaintenanceMethod::GlobalIndex => MethodTag::GlobalIndex,
-    };
-    let policy = first.join_policy();
-    let batch = first.batch_policy();
-    let table = handle.base[rel];
-    let arity = backend.engine().def(table)?.schema.arity();
+    let first: &MaintainedView = views[members[0]];
+    let tag = first.method_tag();
 
-    // Phase: compute — the one shared chain. Identical hop construction
-    // to the per-view drivers (`naive::apply`, `auxrel::apply`,
-    // `globalindex::apply`); only the final ship differs.
+    // Phase: compute — the one shared chain, built exactly as the
+    // per-view driver builds it; only the final ship differs.
     let guard = backend.start_meter();
     let mark = chain::phase_mark(backend);
-    let fanout = crate::view_stats_fanout(backend.engine(), handle)?;
-    let plan = plan_chain(&handle.def, rel, fanout)?;
     let staged = chain::stage_delta(l, placed)?;
-    let mut layout = Layout::single(rel, (0..arity).collect());
-    let mut program = pvm_engine::StepProgram::new();
-    for step in &plan {
-        match method {
-            MaintenanceMethod::Naive => {
-                let target_table = handle.base[step.rel];
-                let def = backend.engine().def(target_table)?;
-                let target = chain::ProbeTarget {
-                    table: target_table,
-                    carried: (0..def.schema.arity()).collect(),
-                    key: vec![step.probe_col],
-                    routing: def
-                        .partitioning
-                        .is_on(step.probe_col)
-                        .then(|| def.partitioning.clone()),
-                };
-                let carried = target.carried.clone();
-                program =
-                    chain::push_probe_step(program, &layout, step, target, policy, batch, tag, l)?;
-                layout.push(step.rel, carried);
-            }
-            MaintenanceMethod::AuxiliaryRelation => {
-                let state = first.aux_state().expect("aux state installed");
-                let target = crate::auxrel::probe_target(
-                    backend.engine(),
-                    handle,
-                    state,
-                    step.rel,
-                    step.probe_col,
-                )?;
-                let carried = target.carried.clone();
-                program =
-                    chain::push_probe_step(program, &layout, step, target, policy, batch, tag, l)?;
-                layout.push(step.rel, carried);
-            }
-            MaintenanceMethod::GlobalIndex => {
-                let state = first.gi_state().expect("gi state installed");
-                let target_table = handle.base[step.rel];
-                let target_arity = backend.engine().def(target_table)?.schema.arity();
-                if let Some(info) = state.gis.get(&(step.rel, step.probe_col)) {
-                    program = crate::globalindex::push_gi_probe_step(
-                        backend,
-                        program,
-                        &layout,
-                        step,
-                        info.table,
-                        target_table,
-                        target_arity,
-                        batch,
-                    )?;
-                } else {
-                    let def = backend.engine().def(target_table)?;
-                    if !def.partitioning.is_on(step.probe_col) {
-                        return Err(PvmError::InvalidOperation(format!(
-                            "no global index for ({}, {}) and base not partitioned on it",
-                            step.rel, step.probe_col
-                        )));
-                    }
-                    let target = chain::ProbeTarget {
-                        table: target_table,
-                        carried: (0..target_arity).collect(),
-                        key: vec![step.probe_col],
-                        routing: Some(def.partitioning.clone()),
-                    };
-                    program = chain::push_probe_step(
-                        program, &layout, step, target, policy, batch, tag, l,
-                    )?;
-                }
-                layout.push(step.rel, (0..target_arity).collect());
-            }
-        }
-    }
+    let (mut program, layout) = chain::push_chain(
+        backend,
+        pvm_engine::StepProgram::new(),
+        &first.handle,
+        &first.probes,
+        rel,
+        first.join_policy(),
+        first.batch_policy(),
+        tag,
+    )?;
     // Resolve every member's partition-attribute position in the final
     // layout (pool AR keep-sets are merged over all members, so each
     // member's projection columns are present in the carried partials).
     let ship: Vec<Member> = members
         .iter()
         .map(|&i| {
-            let v: &MaintainedView = &views[i];
-            let h = v.view_handle();
+            let v: &MaintainedView = views[i];
+            let h = &v.handle;
             Ok(Member {
                 view_table: h.view_table,
                 view_pcol: h.view_pcol,
@@ -529,145 +559,12 @@ fn run_group<B: Backend>(
     Ok(outcomes)
 }
 
-/// [`crate::view::maintain_all`] for a whole catalog: the base table is
-/// updated once, the catalog's shared structures are each updated once,
-/// and then every shared-signature group runs its chain **once** — only
-/// ungrouped views fall back to per-view maintenance. Returns one outcome
-/// per view in input order; the shared base and pool-structure phases are
-/// reported on the first maintained view. With an empty catalog and no
-/// groups this degenerates to exactly `maintain_all`.
-pub fn maintain_catalog<B: Backend>(
-    backend: &mut B,
-    catalog: &SharedCatalog,
-    views: &mut [&mut MaintainedView],
-    relation: &str,
-    delta: &Delta,
-) -> Result<Vec<MaintenanceOutcome>> {
-    let table = backend.engine().table_id(relation)?;
-    // One round is one batch — and one epoch tick — on every view that
-    // joins the relation, even when the delta splits into phases.
-    for view in views.iter_mut() {
-        if view.view_handle().def.relation_index(relation).is_ok() {
-            view.begin_batch();
-        }
-    }
-    match maintain_catalog_phases(backend, catalog, views, table, relation, delta) {
-        Ok(outcomes) => {
-            let defer = backend.in_txn();
-            for view in views.iter_mut() {
-                if view.has_open_batch() {
-                    view.commit_batch(defer);
-                }
-            }
-            if !defer {
-                for view in views.iter_mut() {
-                    view.enforce_partial_budget(backend)?;
-                }
-            }
-            Ok(outcomes)
-        }
-        Err(e) => {
-            for view in views.iter_mut() {
-                view.abort_batch();
-            }
-            Err(e)
-        }
-    }
-}
-
-fn maintain_catalog_phases<B: Backend>(
-    backend: &mut B,
-    catalog: &SharedCatalog,
-    views: &mut [&mut MaintainedView],
-    table: TableId,
-    relation: &str,
-    delta: &Delta,
-) -> Result<Vec<MaintenanceOutcome>> {
-    // Signatures cannot change mid-delta, so plan the groups once.
-    let groups = plan_groups(backend.engine(), views, relation)?;
-    let mut outcomes: Vec<Option<MaintenanceOutcome>> = views.iter().map(|_| None).collect();
-    let (deletes, inserts) = delta.phases();
-    for (rows, insert) in [(deletes, false), (inserts, true)] {
-        let Some(rows) = rows else { continue };
-        let (base, placed) = view::update_base(backend, table, rows, insert)?;
-        let guard = backend.start_meter();
-        let pool_batch = pool_batch_policy(views, relation);
-        catalog.apply_base_delta(backend, relation, &placed, insert, pool_batch)?;
-        let pool_aux = backend.finish_meter(&guard);
-        let mut shared_phases = Some((base, pool_aux));
-        // Probe-once groups first: one chain per group, results fanned to
-        // every member; per-member batch bookkeeping mirrors the tail of
-        // `apply_prepared`.
-        let mut group_out: HashMap<usize, MaintenanceOutcome> = HashMap::new();
-        for members in &groups {
-            let rel = views[members[0]]
-                .view_handle()
-                .def
-                .relation_index(relation)?;
-            let outs = run_group(backend, views, members, rel, &placed, insert)?;
-            for (&i, mut o) in members.iter().zip(outs) {
-                views[i].note_group_outcome(backend, placed.len() as u64, &mut o);
-                group_out.insert(i, o);
-            }
-        }
-        for (i, view) in views.iter_mut().enumerate() {
-            let Ok(rel) = view.view_handle().def.relation_index(relation) else {
-                continue;
-            };
-            let mut out = match group_out.remove(&i) {
-                Some(o) => o,
-                None => view.apply_prepared(backend, rel, &placed, insert)?,
-            };
-            if let Some((b, a)) = shared_phases.take() {
-                out.base = b;
-                // The pool's structure updates merge *into* (not replace)
-                // the first view's own aux phase: an ungrouped view with
-                // private structures still reports its own aux cost.
-                merge_report(&mut out.aux, &a);
-            }
-            outcomes[i] = Some(match outcomes[i].take() {
-                Some(prev) => prev.merge(out),
-                None => out,
-            });
-        }
-        if let Some((b, _)) = shared_phases {
-            // No view joined the relation; surface the base report anyway
-            // on the first slot if present.
-            if let Some(first) = outcomes.first_mut() {
-                if first.is_none() {
-                    *first = Some(MaintenanceOutcome {
-                        base: b.clone(),
-                        aux: view::empty_report(backend),
-                        compute: view::empty_report(backend),
-                        view: view::empty_report(backend),
-                        view_rows: 0,
-                        view_changes: Vec::new(),
-                    });
-                }
-            }
-        }
-    }
-    Ok(outcomes
-        .into_iter()
-        .map(|o| o.unwrap_or_else(view::untouched_outcome))
-        .collect())
-}
-
-/// Accumulate `other`'s counters into `into` (per-node zip plus net) —
-/// the same fold [`MaintenanceOutcome::merge`] uses per phase.
-fn merge_report(into: &mut MeterReport, other: &MeterReport) {
-    for (x, y) in into.per_node.iter_mut().zip(&other.per_node) {
-        *x += *y;
-    }
-    into.net += other.net;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::delta::Delta;
-    use crate::view::maintain_all;
-    use crate::viewdef::{JoinViewDef, ViewEdge};
+    use crate::view::maintain;
+    use crate::viewdef::ViewEdge;
     use pvm_engine::{ClusterConfig, TableDef};
     use pvm_types::{row, Column, Schema};
 
@@ -750,15 +647,7 @@ mod tests {
         }
         let views = defs()
             .into_iter()
-            .map(|def| match method {
-                MaintenanceMethod::Naive => MaintainedView::create(cluster, def, method).unwrap(),
-                MaintenanceMethod::AuxiliaryRelation => {
-                    MaintainedView::create_with_pool(cluster, def, &catalog.ars).unwrap()
-                }
-                MaintenanceMethod::GlobalIndex => {
-                    MaintainedView::create_with_gi_pool(cluster, def, &catalog.gis).unwrap()
-                }
-            })
+            .map(|def| MaintainedView::create_pooled(cluster, def, method, &catalog).unwrap())
             .collect();
         (catalog, views)
     }
@@ -802,9 +691,9 @@ mod tests {
         let (mut ind_searches, mut shared_searches) = (0u64, 0u64);
         for (rel, delta) in deltas() {
             let mut irefs: Vec<&mut MaintainedView> = ivs.iter_mut().collect();
-            let iouts = maintain_all(&mut ind, &mut irefs, rel, &delta).unwrap();
+            let iouts = maintain(&mut ind, None, &mut irefs, rel, &delta).unwrap();
             let mut srefs: Vec<&mut MaintainedView> = svs.iter_mut().collect();
-            let souts = maintain_catalog(&mut shared, &catalog, &mut srefs, rel, &delta).unwrap();
+            let souts = maintain(&mut shared, Some(&catalog), &mut srefs, rel, &delta).unwrap();
             for (v, (io, so)) in iouts.iter().zip(&souts).enumerate() {
                 assert_eq!(
                     io.view_rows, so.view_rows,
@@ -868,10 +757,11 @@ mod tests {
         let [full, slim, alt] = defs();
         catalog.ars.enroll(&mut shared, &full).unwrap();
         catalog.ars.enroll(&mut shared, &slim).unwrap();
+        let ar = MaintenanceMethod::AuxiliaryRelation;
         let mut svs = vec![
-            MaintainedView::create_with_pool(&mut shared, full, &catalog.ars).unwrap(),
-            MaintainedView::create_with_pool(&mut shared, slim, &catalog.ars).unwrap(),
-            MaintainedView::create(&mut shared, alt, MaintenanceMethod::AuxiliaryRelation).unwrap(),
+            MaintainedView::create_pooled(&mut shared, full, ar, &catalog).unwrap(),
+            MaintainedView::create_pooled(&mut shared, slim, ar, &catalog).unwrap(),
+            MaintainedView::create(&mut shared, alt, ar).unwrap(),
         ];
         {
             let refs: Vec<&mut MaintainedView> = svs.iter_mut().collect();
@@ -879,9 +769,9 @@ mod tests {
         }
         for (rel, delta) in deltas() {
             let mut irefs: Vec<&mut MaintainedView> = ivs.iter_mut().collect();
-            maintain_all(&mut ind, &mut irefs, rel, &delta).unwrap();
+            maintain(&mut ind, None, &mut irefs, rel, &delta).unwrap();
             let mut srefs: Vec<&mut MaintainedView> = svs.iter_mut().collect();
-            maintain_catalog(&mut shared, &catalog, &mut srefs, rel, &delta).unwrap();
+            maintain(&mut shared, Some(&catalog), &mut srefs, rel, &delta).unwrap();
         }
         for (iv, sv) in ivs.iter().zip(&svs) {
             let mut want = iv.contents(&ind).unwrap();
@@ -894,99 +784,74 @@ mod tests {
     }
 
     #[test]
-    fn adopt_ar_pool_drops_private_structures() {
-        let mut cluster = setup(4);
-        let [full, _, _] = defs();
-        let mut v = MaintainedView::create(
-            &mut cluster,
-            full.clone(),
-            MaintenanceMethod::AuxiliaryRelation,
-        )
-        .unwrap();
-        assert!(!v.is_pool_shared());
-        let mut catalog = SharedCatalog::new();
-        catalog.ars.enroll(&mut cluster, &full).unwrap();
-        v.adopt_ar_pool(&mut cluster, &catalog.ars).unwrap();
-        assert!(v.is_pool_shared());
-        // The private σπ copies are gone; probes go to the pool tables.
-        assert!(cluster.table_id("jv_full__ar_a_1").is_err());
-        assert!(cluster.table_id("jv_full__ar_b_1").is_err());
-        let mut refs = vec![&mut v];
-        maintain_catalog(
-            &mut cluster,
-            &catalog,
-            &mut refs,
-            "a",
-            &Delta::Insert(vec![row![200, 4, "x"]]),
-        )
-        .unwrap();
-        v.check_consistent(&cluster).unwrap();
-    }
-
-    #[test]
-    fn adopt_gi_pool_drops_private_structures() {
-        let mut cluster = setup(4);
-        let [full, _, _] = defs();
-        let mut v =
-            MaintainedView::create(&mut cluster, full.clone(), MaintenanceMethod::GlobalIndex)
+    fn enroll_group_drops_private_structures() {
+        for (method, kind) in [
+            (MaintenanceMethod::AuxiliaryRelation, "ar"),
+            (MaintenanceMethod::GlobalIndex, "gi"),
+        ] {
+            let mut cluster = setup(4);
+            let [full, _, _] = defs();
+            let mut v = MaintainedView::create(&mut cluster, full, method).unwrap();
+            assert!(!v.is_pool_shared());
+            let mut catalog = SharedCatalog::new();
+            catalog
+                .enroll_group(&mut cluster, &mut [&mut v], &[0])
                 .unwrap();
-        assert!(!v.is_pool_shared());
-        let mut catalog = SharedCatalog::new();
-        catalog.gis.enroll(&mut cluster, &full).unwrap();
-        v.adopt_gi_pool(&mut cluster, &catalog.gis).unwrap();
-        assert!(v.is_pool_shared());
-        assert!(cluster.table_id("jv_full__gi_a_1").is_err());
-        assert!(cluster.table_id("jv_full__gi_b_1").is_err());
-        let mut refs = vec![&mut v];
-        maintain_catalog(
-            &mut cluster,
-            &catalog,
-            &mut refs,
-            "a",
-            &Delta::Insert(vec![row![200, 4, "x"]]),
-        )
-        .unwrap();
-        v.check_consistent(&cluster).unwrap();
+            assert!(v.is_pool_shared(), "{method:?}");
+            // The private structures are gone; probes go to the pool's.
+            assert!(cluster.table_id(&format!("jv_full__{kind}_a_1")).is_err());
+            assert!(cluster.table_id(&format!("jv_full__{kind}_b_1")).is_err());
+            maintain(
+                &mut cluster,
+                Some(&catalog),
+                &mut [&mut v],
+                "a",
+                &Delta::Insert(vec![row![200, 4, "x"]]),
+            )
+            .unwrap();
+            v.check_consistent(&cluster).unwrap();
+        }
     }
 
     #[test]
-    fn check_pool_rejects_uncovered_pool_without_mutation() {
+    fn enroll_group_is_all_or_nothing() {
+        // A member that cannot move (partial state) fails the group's
+        // enrollment before any member drops its private structures.
         let mut cluster = setup(4);
-        let [full, _, _] = defs();
-        let mut v = MaintainedView::create(
+        let [full, slim, _] = defs();
+        let ar = MaintenanceMethod::AuxiliaryRelation;
+        let mut v = MaintainedView::create(&mut cluster, full, ar).unwrap();
+        let mut p = MaintainedView::create(&mut cluster, slim, ar).unwrap();
+        p.enable_partial(
             &mut cluster,
-            full.clone(),
-            MaintenanceMethod::AuxiliaryRelation,
+            pvm_engine::PartialPolicy::with_budget(1 << 20),
         )
         .unwrap();
         let mut catalog = SharedCatalog::new();
-        // Empty pool: the dry-run check fails and the view keeps its
-        // private structures — nothing was dropped or rebound.
-        assert!(v.check_ar_pool(&cluster, &catalog.ars).is_err());
-        assert!(!v.is_pool_shared());
+        assert!(catalog
+            .enroll_group(&mut cluster, &mut [&mut v, &mut p], &[0, 1])
+            .is_err());
+        assert!(!v.is_pool_shared() && !p.is_pool_shared());
         assert!(cluster.table_id("jv_full__ar_a_1").is_ok());
         assert!(cluster.table_id("jv_full__ar_b_1").is_ok());
-        // Wrong-method check fails too, without touching the view.
-        assert!(v.check_gi_pool(&cluster, &catalog.gis).is_err());
-        // Once the pool covers the definition, check passes and the
-        // adoption it vouched for succeeds.
-        catalog.ars.enroll(&mut cluster, &full).unwrap();
-        v.check_ar_pool(&cluster, &catalog.ars).unwrap();
-        v.adopt_ar_pool(&mut cluster, &catalog.ars).unwrap();
-        assert!(v.is_pool_shared());
+        v.apply(&mut cluster, 0, &Delta::Insert(vec![row![200, 4, "x"]]))
+            .unwrap();
+        v.check_consistent(&cluster).unwrap();
+    }
 
-        let mut g = MaintainedView::create(
-            &mut cluster,
-            defs()[1].clone(),
-            MaintenanceMethod::GlobalIndex,
-        )
-        .unwrap();
-        assert!(g.check_gi_pool(&cluster, &catalog.gis).is_err());
-        assert!(!g.is_pool_shared());
-        catalog.gis.enroll(&mut cluster, &defs()[1]).unwrap();
-        g.check_gi_pool(&cluster, &catalog.gis).unwrap();
-        g.adopt_gi_pool(&mut cluster, &catalog.gis).unwrap();
-        assert!(g.is_pool_shared());
+    #[test]
+    fn resolve_rejects_uncovered_pool_without_mutation() {
+        let mut cluster = setup(4);
+        let [full, _, _] = defs();
+        let ar = MaintenanceMethod::AuxiliaryRelation;
+        let catalog = SharedCatalog::new();
+        // Empty pool: binding fails before the view table is created.
+        assert!(MaintainedView::create_pooled(&mut cluster, full.clone(), ar, &catalog).is_err());
+        assert!(cluster.table_id("jv_full").is_err());
+        let v = MaintainedView::create(&mut cluster, full, ar).unwrap();
+        assert!(v.pool_bindings(&cluster, &catalog).is_err());
+        assert!(!v.is_pool_shared());
+        assert!(cluster.table_id("jv_full__ar_a_1").is_ok());
     }
 
     #[test]

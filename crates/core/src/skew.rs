@@ -28,9 +28,11 @@
 
 use std::collections::HashMap;
 
-use pvm_engine::{SpaceSaving, TableId};
-use pvm_types::{Result, Row, Value};
+use pvm_engine::{Backend, Cluster, PartitionSpec, SpaceSaving, SpreadMode, TableId};
+use pvm_types::{PvmError, Result, Row, Value};
 
+use crate::chain::Probes;
+use crate::view::MaintainedView;
 use crate::viewdef::JoinViewDef;
 
 /// Tuning knobs for heavy-light skew handling.
@@ -243,6 +245,157 @@ impl RebalanceReport {
 
     pub fn heavy_values(&self) -> usize {
         self.tables.iter().map(|t| t.heavy_values).sum()
+    }
+}
+
+impl MaintainedView {
+    /// Turn on heavy-light skew handling (§ "Skew handling" in the
+    /// README): every AR table is re-declared
+    /// `HeavyLight{mode: Salt}` on its partitioning attribute and every
+    /// GI table `HeavyLight{mode: Replicate}` on its key column — with an
+    /// **empty heavy set**, so routing (and all counted costs) stay
+    /// bit-identical to plain hash until [`MaintainedView::rebalance`]
+    /// freezes observed heavy values in. From this call on, every delta
+    /// the view maintains is also fed to the per-join-attribute-class
+    /// frequency sketches.
+    ///
+    /// Only the method's private structures are reorganized — base
+    /// relations keep their partitioning (a base already partitioned on
+    /// the join attribute serves probes as before, un-spread). Errors for
+    /// the naive method (no structures to reorganize) and for pool-shared
+    /// ARs / GIs (other views route by the pool's specs).
+    pub fn enable_skew_handling(
+        &mut self,
+        cluster: &mut Cluster,
+        config: SkewConfig,
+    ) -> Result<()> {
+        if self.partial.is_some() {
+            return Err(PvmError::InvalidOperation(
+                "partial views cannot enable skew handling: rebalance would rewrite the \
+                 structures the partial accounting tracks"
+                    .into(),
+            ));
+        }
+        if self.is_pool_shared() {
+            return Err(PvmError::InvalidOperation(
+                "pool-shared structures cannot be reorganized per-view: their peers route by \
+                 the pool's specs"
+                    .into(),
+            ));
+        }
+        match &self.probes {
+            Probes::Base => {
+                return Err(PvmError::InvalidOperation(
+                    "naive maintenance has no auxiliary structures to spread; \
+                     skew handling applies to AR / GI views"
+                        .into(),
+                ));
+            }
+            Probes::Ars(ars) => {
+                for info in ars.values() {
+                    let spec = PartitionSpec::heavy_light(
+                        info.key_pos,
+                        Vec::new(),
+                        config.spread,
+                        SpreadMode::Salt,
+                    );
+                    cluster.repartition(info.table, spec)?;
+                }
+            }
+            Probes::Gis(gis) => {
+                for info in gis.values() {
+                    // GI entries are (key, node, page, slot): key is column 0.
+                    let spec = PartitionSpec::heavy_light(
+                        0,
+                        Vec::new(),
+                        config.spread,
+                        SpreadMode::Replicate,
+                    );
+                    cluster.repartition(info.table, spec)?;
+                }
+            }
+        }
+        self.skew = Some(SkewState::new(&self.handle.def, config));
+        Ok(())
+    }
+
+    /// Feed the skew sketches with delta traffic on relation `rel`
+    /// without maintaining anything — for pre-training on a known
+    /// workload before the first [`MaintainedView::rebalance`]. No-op
+    /// when skew handling is off.
+    pub fn train_skew(&mut self, rel: usize, rows: &[Row]) -> Result<()> {
+        if let Some(skew) = &mut self.skew {
+            skew.observe(rel, rows)?;
+        }
+        Ok(())
+    }
+
+    /// The live skew state, when skew handling is enabled.
+    pub fn skew_state(&self) -> Option<&SkewState> {
+        self.skew.as_ref()
+    }
+
+    /// Freeze the currently-observed heavy values into the AR / GI
+    /// partitioning specs and migrate rows accordingly (light values keep
+    /// their hash homes; heavy AR rows are salted over their spread set,
+    /// heavy GI entries replicated across it). Not metered — this is a
+    /// reorganization utility, not a maintenance transaction. Returns
+    /// what moved; a no-op (empty report entries, `rows_moved = 0`) when
+    /// the heavy sets are unchanged.
+    pub fn rebalance<B: Backend>(&mut self, backend: &mut B) -> Result<RebalanceReport> {
+        let Some(skew) = &self.skew else {
+            return Err(PvmError::InvalidOperation(
+                "skew handling is not enabled for this view".into(),
+            ));
+        };
+        let config = skew.config;
+        let mut report = RebalanceReport::default();
+        let mut plans: Vec<(TableId, PartitionSpec, usize)> = Vec::new();
+        if let Probes::Ars(ars) = &self.probes {
+            for (&(rel, c), info) in ars {
+                let heavy = skew.heavy_for(rel, c);
+                let n = heavy.len();
+                let spec = PartitionSpec::heavy_light(
+                    info.key_pos,
+                    heavy,
+                    config.spread,
+                    SpreadMode::Salt,
+                );
+                plans.push((info.table, spec, n));
+            }
+        }
+        if let Probes::Gis(gis) = &self.probes {
+            for (&(rel, c), info) in gis {
+                let heavy = skew.heavy_for(rel, c);
+                let n = heavy.len();
+                // A GI is *written* by deltas on its own relation (entry
+                // per delta tuple) and *probed* by deltas on the other
+                // relations of the class. Replicating heavy entries is
+                // right for the probe-dominant side (probes salt to one
+                // replica) but multiplies writes by the spread factor, so
+                // a write-dominant GI salts its heavy entries instead —
+                // writes spread, and the rarer probes fan out over the
+                // spread set and union disjoint entry lists.
+                let (own, cross) = skew.traffic_split(rel, c);
+                let mode = if own > cross {
+                    SpreadMode::Salt
+                } else {
+                    SpreadMode::Replicate
+                };
+                let spec = PartitionSpec::heavy_light(0, heavy, config.spread, mode);
+                plans.push((info.table, spec, n));
+            }
+        }
+        plans.sort_by_key(|(t, _, _)| *t);
+        for (table, spec, heavy_values) in plans {
+            let rows_moved = backend.engine_mut().repartition(table, spec)?;
+            report.tables.push(RebalancedTable {
+                table,
+                heavy_values,
+                rows_moved,
+            });
+        }
+        Ok(report)
     }
 }
 

@@ -1,21 +1,23 @@
 //! [`MaintainedView`]: a materialized join view plus the machinery that
-//! keeps it consistent under one of the three maintenance methods.
+//! keeps it consistent under one of the three maintenance methods, and
+//! [`maintain`] — the one maintenance loop every delta goes through.
+//! (The partial-state and skew-handling parts of `MaintainedView` live in
+//! [`crate::partial`] and [`crate::skew`].)
 
-use pvm_engine::{
-    exec, Backend, Cluster, MeterReport, PartialPolicy, PartitionSpec, SpreadMode, TableDef,
-    TableId,
-};
-use pvm_obs::MethodTag;
+use std::collections::HashMap;
+
+use pvm_engine::{exec, Backend, Cluster, MeterReport, PartitionSpec, TableDef, TableId};
+use pvm_obs::{MethodTag, Phase};
 use pvm_serve::{ServePublisher, ServeReader};
 use pvm_storage::Organization;
-use pvm_types::{PvmError, Result, Row, Value};
+use pvm_types::{GlobalRid, PvmError, Result, Row};
 
-use crate::auxrel::{self, AuxState};
+use crate::aggregate::AggShape;
+use crate::chain::{self, BatchPolicy, ChainMode, JoinPolicy, PartialGates, Probes};
 use crate::delta::Delta;
-use crate::globalindex::{self, GiState};
-use crate::naive;
-use crate::partial::{self, PartialState, PartialStats};
-use crate::skew::{RebalanceReport, RebalancedTable, SkewConfig, SkewState};
+use crate::partial::PartialState;
+use crate::share::{self, SharedCatalog};
+use crate::skew::SkewState;
 use crate::viewdef::JoinViewDef;
 
 /// The three maintenance methods of the paper.
@@ -35,6 +37,17 @@ impl MaintenanceMethod {
             MaintenanceMethod::Naive => "naive",
             MaintenanceMethod::AuxiliaryRelation => "auxiliary relation",
             MaintenanceMethod::GlobalIndex => "global index",
+        }
+    }
+}
+
+/// The advisor's pick ([`crate::advise`]) as the method to create with.
+impl From<pvm_model::Recommendation> for MaintenanceMethod {
+    fn from(r: pvm_model::Recommendation) -> Self {
+        match r {
+            pvm_model::Recommendation::Naive => MaintenanceMethod::Naive,
+            pvm_model::Recommendation::AuxiliaryRelation => MaintenanceMethod::AuxiliaryRelation,
+            pvm_model::Recommendation::GlobalIndex => MaintenanceMethod::GlobalIndex,
         }
     }
 }
@@ -115,12 +128,6 @@ impl MaintenanceOutcome {
     }
 
     pub(crate) fn merge(mut self, other: MaintenanceOutcome) -> MaintenanceOutcome {
-        fn merge_reports(a: &mut MeterReport, b: &MeterReport) {
-            for (x, y) in a.per_node.iter_mut().zip(&b.per_node) {
-                *x += *y;
-            }
-            a.net += b.net;
-        }
         merge_reports(&mut self.base, &other.base);
         merge_reports(&mut self.aux, &other.aux);
         merge_reports(&mut self.compute, &other.compute);
@@ -129,6 +136,14 @@ impl MaintenanceOutcome {
         self.view_changes.extend(other.view_changes);
         self
     }
+}
+
+/// Accumulate `other`'s counters into `into` (per-node zip plus net).
+fn merge_reports(into: &mut MeterReport, other: &MeterReport) {
+    for (x, y) in into.per_node.iter_mut().zip(&other.per_node) {
+        *x += *y;
+    }
+    into.net += other.net;
 }
 
 /// Observed counted costs of one committed maintenance batch, split into
@@ -142,8 +157,9 @@ pub struct BatchCostRecord {
     pub epoch: u64,
     /// Delta rows pushed through maintenance in this batch.
     pub delta_rows: u64,
-    /// I/O charged to updating the base relation (0 when the base update
-    /// was shared across views via [`maintain_all`]).
+    /// I/O charged to updating the base relation (recorded on the first
+    /// joining view of a [`maintain`] round, which shares the base update
+    /// across its views; 0 on the others).
     pub base_io: f64,
     /// I/O charged to auxiliary-structure updates (ARs / GI).
     pub aux_io: f64,
@@ -205,8 +221,7 @@ impl BatchCostRecord {
 }
 
 /// One maintenance batch in flight: everything between a batch-begin and
-/// its commit (one [`MaintainedView::apply`] call, or one
-/// [`maintain_all`] round across its delete+insert phases). The epoch at
+/// its commit (one [`maintain`] round across its delete+insert phases). The epoch at
 /// entry is recorded so commit can assert it never moved mid-batch.
 #[derive(Debug)]
 struct BatchState {
@@ -221,26 +236,31 @@ struct BatchState {
 /// A materialized join view maintained under a fixed method.
 #[derive(Debug)]
 pub struct MaintainedView {
-    handle: ViewHandle,
-    method: MaintenanceMethod,
-    policy: crate::chain::JoinPolicy,
-    batch: crate::chain::BatchPolicy,
-    aux: Option<AuxState>,
-    gi: Option<GiState>,
+    pub(crate) handle: ViewHandle,
+    pub(crate) method: MaintenanceMethod,
+    pub(crate) policy: JoinPolicy,
+    pub(crate) batch: BatchPolicy,
+    /// The structures the chain's steps probe: private to this view, or
+    /// bindings to a [`SharedCatalog`]'s pool when `pooled`.
+    pub(crate) probes: Probes,
+    /// True when `probes` belong to a [`SharedCatalog`] pool: the pool
+    /// updates them once per base delta (so this view skips its aux
+    /// phase) and owns their tables (so [`MaintainedView::destroy`]
+    /// leaves them alone).
+    pub(crate) pooled: bool,
     /// Heavy-light skew handling: per-class traffic sketches, enabled via
-    /// [`MaintainedView::create_skewed`] /
     /// [`MaintainedView::enable_skew_handling`].
-    skew: Option<SkewState>,
+    pub(crate) skew: Option<SkewState>,
     /// Monotonic maintenance epoch: advances exactly once per committed
-    /// batch, regardless of [`crate::chain::BatchPolicy`] and of how many
-    /// delete/insert phases the batch contained.
-    epoch: u64,
+    /// batch, regardless of [`BatchPolicy`] and of how many delete/insert
+    /// phases the batch contained.
+    pub(crate) epoch: u64,
     /// The batch currently being applied, if any.
     open_batch: Option<BatchState>,
     /// Snapshot-serving tier, when enabled
     /// ([`MaintainedView::enable_serving`]): commit publishes each
     /// batch's captured view changes here at the new epoch.
-    serve: Option<ServePublisher>,
+    pub(crate) serve: Option<ServePublisher>,
     /// Batches committed inside a still-open cluster transaction:
     /// `(epoch, changes)` held back from the serving tier until the
     /// transaction's commit point ([`MaintainedView::publish_pending`]) —
@@ -250,7 +270,7 @@ pub struct MaintainedView {
     /// Partial-state bookkeeping, when enabled
     /// ([`MaintainedView::enable_partial`]): hole sets, per-entry byte
     /// accounting, admission sketch, `dropped_at` epochs.
-    partial: Option<PartialState>,
+    pub(crate) partial: Option<PartialState>,
     /// Cached cluster observability handle — captured on first apply so
     /// batch commit (which has no backend in scope) can gate and publish
     /// per-view metrics.
@@ -276,244 +296,120 @@ impl MaintainedView {
         def: JoinViewDef,
         method: MaintenanceMethod,
     ) -> Result<MaintainedView> {
+        MaintainedView::build(cluster, def, None, method, None)
+    }
+
+    /// Create an **aggregate** join view: `SELECT group…, COUNT/SUM …
+    /// FROM join GROUP BY group…`, maintained under `method`. The
+    /// underlying join's delta flows through the same machinery; shipped
+    /// rows are folded into their groups at the group's home node. See
+    /// [`crate::aggregate`].
+    pub fn create_aggregate(
+        cluster: &mut Cluster,
+        def: JoinViewDef,
+        shape: AggShape,
+        method: MaintenanceMethod,
+    ) -> Result<MaintainedView> {
+        MaintainedView::build(cluster, def, Some(shape), method, None)
+    }
+
+    /// Create a view whose ARs / GIs are the shared ones of `catalog`'s
+    /// pools (§2.1.2's one-structure-per-attribute sharing) instead of
+    /// private copies. The pool for `method` must already cover this
+    /// definition — plan + materialize, or enroll, it first. Maintain
+    /// pooled views through [`maintain`] with the same catalog, so each
+    /// shared structure is updated exactly once per base delta. (The
+    /// naive method has no structures to share: this is then
+    /// [`MaintainedView::create`].)
+    pub fn create_pooled(
+        cluster: &mut Cluster,
+        def: JoinViewDef,
+        method: MaintenanceMethod,
+        catalog: &SharedCatalog,
+    ) -> Result<MaintainedView> {
+        MaintainedView::build(cluster, def, None, method, Some(catalog))
+    }
+
+    /// The one constructor body: view table + index + handle + probe
+    /// structures (installed privately, or bound to `catalog`'s pools) +
+    /// initial contents.
+    fn build(
+        cluster: &mut Cluster,
+        def: JoinViewDef,
+        agg: Option<AggShape>,
+        method: MaintenanceMethod,
+        catalog: Option<&SharedCatalog>,
+    ) -> Result<MaintainedView> {
         def.validate(cluster)?;
         let base: Vec<TableId> = def
             .relations
             .iter()
             .map(|r| cluster.table_id(r))
             .collect::<Result<_>>()?;
+        // Pool bindings resolve before anything is created, so a pool
+        // that does not cover the definition fails without side effects.
+        let bindings = match catalog {
+            Some(catalog) if method != MaintenanceMethod::Naive => {
+                Some(catalog.resolve(cluster, method, &def, &base)?)
+            }
+            _ => None,
+        };
 
-        let schema = def.view_schema(cluster)?.into_ref();
-        let view_pcol = def.partition_column;
+        let join_schema = def.view_schema(cluster)?;
+        let (schema, view_pcol, index_name, index_cols) = match &agg {
+            None => {
+                let pcol = def.partition_column;
+                (join_schema, pcol, format!("{}_part", def.name), vec![pcol])
+            }
+            // Stored rows lead with the group columns; partition on the
+            // first so every update of a group lands on one node.
+            Some(shape) => (
+                shape.stored_schema(&def, &join_schema)?,
+                0,
+                format!("{}_groups", def.name),
+                shape.stored_group_positions(),
+            ),
+        };
         let view_table = cluster.create_table(TableDef::new(
             def.name.clone(),
-            schema,
+            schema.into_ref(),
             PartitionSpec::hash(view_pcol),
             Organization::Heap,
         ))?;
-        cluster.create_secondary_index(
-            view_table,
-            format!("{}_part", def.name),
-            vec![view_pcol],
-        )?;
+        cluster.create_secondary_index(view_table, index_name, index_cols)?;
 
         let handle = ViewHandle {
             def,
             base,
             view_table,
             view_pcol,
-            agg: None,
+            agg,
         };
-
-        let (aux, gi) = match method {
-            MaintenanceMethod::Naive => {
-                naive::install(cluster, &handle)?;
-                (None, None)
+        let pooled = bindings.is_some();
+        let probes = match bindings {
+            Some(bindings) => {
+                // A base relation partitioned on a join attribute serves
+                // those probes itself; make it probeable, as the private
+                // installs do.
+                for (rel, &table) in handle.base.iter().enumerate() {
+                    for c in handle.def.join_attrs_of(rel) {
+                        if cluster.def(table)?.partitioning.is_on(c) {
+                            chain::ensure_join_index(cluster, table, c)?;
+                        }
+                    }
+                }
+                bindings
             }
-            MaintenanceMethod::AuxiliaryRelation => {
-                (Some(auxrel::install(cluster, &handle)?), None)
-            }
-            MaintenanceMethod::GlobalIndex => (None, Some(globalindex::install(cluster, &handle)?)),
+            None => Probes::install(cluster, &handle, method)?,
         };
 
         let view = MaintainedView {
             handle,
             method,
-            policy: crate::chain::JoinPolicy::default(),
-            batch: crate::chain::BatchPolicy::default(),
-            aux,
-            gi,
-            skew: None,
-            epoch: 0,
-            open_batch: None,
-            serve: None,
-            pending_publish: Vec::new(),
-            partial: None,
-            obs: None,
-            recent_costs: std::collections::VecDeque::new(),
-            shared_group: None,
-        };
-        view.populate(cluster)?;
-        Ok(view)
-    }
-
-    /// Create a view letting the cost-based advisor pick the maintenance
-    /// method from live statistics, the expected update-transaction size,
-    /// and a storage budget — the conclusion's "choose the best approach
-    /// automatically".
-    pub fn create_auto(
-        cluster: &mut Cluster,
-        def: JoinViewDef,
-        expected_update_tuples: u64,
-        budget_pages: u64,
-    ) -> Result<MaintainedView> {
-        let advice = crate::advisor::advise(cluster, &def, expected_update_tuples, budget_pages)?;
-        let method = match advice.recommendation {
-            pvm_model::Recommendation::Naive => MaintenanceMethod::Naive,
-            pvm_model::Recommendation::AuxiliaryRelation => MaintenanceMethod::AuxiliaryRelation,
-            pvm_model::Recommendation::GlobalIndex => MaintenanceMethod::GlobalIndex,
-        };
-        MaintainedView::create(cluster, def, method)
-    }
-
-    /// Create an auxiliary-relation-maintained view whose ARs come from a
-    /// shared, already-materialized [`crate::minimize::ArPool`] (§2.1.2's
-    /// one-AR-per-attribute sharing). The pool must have been
-    /// [`planned`](crate::minimize::ArPool::plan) with this definition and
-    /// materialized. Use [`maintain_all_pooled`] for updates so each
-    /// shared AR is maintained exactly once per base delta.
-    pub fn create_with_pool(
-        cluster: &mut Cluster,
-        def: JoinViewDef,
-        pool: &crate::minimize::ArPool,
-    ) -> Result<MaintainedView> {
-        if !pool.is_materialized() {
-            return Err(PvmError::InvalidOperation(
-                "ArPool must be materialized before creating views against it".into(),
-            ));
-        }
-        def.validate(cluster)?;
-        let base: Vec<TableId> = def
-            .relations
-            .iter()
-            .map(|r| cluster.table_id(r))
-            .collect::<Result<_>>()?;
-
-        let schema = def.view_schema(cluster)?.into_ref();
-        let view_pcol = def.partition_column;
-        let view_table = cluster.create_table(TableDef::new(
-            def.name.clone(),
-            schema,
-            PartitionSpec::hash(view_pcol),
-            Organization::Heap,
-        ))?;
-        cluster.create_secondary_index(
-            view_table,
-            format!("{}_part", def.name),
-            vec![view_pcol],
-        )?;
-
-        let handle = ViewHandle {
-            def,
-            base,
-            view_table,
-            view_pcol,
-            agg: None,
-        };
-
-        // Bind this view's (relation, attr) pairs to the pool's ARs.
-        let mut ars = std::collections::HashMap::new();
-        for (rel, &table) in handle.base.iter().enumerate() {
-            let tdef = cluster.def(table)?.clone();
-            for c in handle.def.join_attrs_of(rel) {
-                if tdef.partitioning.is_on(c) {
-                    crate::chain::ensure_join_index(cluster, table, c)?;
-                    continue;
-                }
-                let info = pool.ar_for(&tdef.name, c).ok_or_else(|| {
-                    PvmError::NotFound(format!(
-                        "pool AR for ({}, {c}) — did you plan() this view?",
-                        tdef.name
-                    ))
-                })?;
-                ars.insert((rel, c), info.clone());
-            }
-        }
-        let aux = AuxState { ars, shared: true };
-
-        let view = MaintainedView {
-            handle,
-            method: MaintenanceMethod::AuxiliaryRelation,
-            policy: crate::chain::JoinPolicy::default(),
-            batch: crate::chain::BatchPolicy::default(),
-            aux: Some(aux),
-            gi: None,
-            skew: None,
-            epoch: 0,
-            open_batch: None,
-            serve: None,
-            pending_publish: Vec::new(),
-            partial: None,
-            obs: None,
-            recent_costs: std::collections::VecDeque::new(),
-            shared_group: None,
-        };
-        view.populate(cluster)?;
-        Ok(view)
-    }
-
-    /// Create a global-index-maintained view whose GIs come from a
-    /// shared, already-materialized [`crate::minimize::GiPool`] — the GI
-    /// analogue of [`MaintainedView::create_with_pool`]. The pool must
-    /// cover this definition's `(base, attr)` needs (plan/enroll it
-    /// first). Use [`crate::maintain_catalog`] for updates so each shared
-    /// GI is maintained exactly once per base delta.
-    pub fn create_with_gi_pool(
-        cluster: &mut Cluster,
-        def: JoinViewDef,
-        pool: &crate::minimize::GiPool,
-    ) -> Result<MaintainedView> {
-        if !pool.is_materialized() {
-            return Err(PvmError::InvalidOperation(
-                "GiPool must be materialized before creating views against it".into(),
-            ));
-        }
-        def.validate(cluster)?;
-        let base: Vec<TableId> = def
-            .relations
-            .iter()
-            .map(|r| cluster.table_id(r))
-            .collect::<Result<_>>()?;
-
-        let schema = def.view_schema(cluster)?.into_ref();
-        let view_pcol = def.partition_column;
-        let view_table = cluster.create_table(TableDef::new(
-            def.name.clone(),
-            schema,
-            PartitionSpec::hash(view_pcol),
-            Organization::Heap,
-        ))?;
-        cluster.create_secondary_index(
-            view_table,
-            format!("{}_part", def.name),
-            vec![view_pcol],
-        )?;
-
-        let handle = ViewHandle {
-            def,
-            base,
-            view_table,
-            view_pcol,
-            agg: None,
-        };
-
-        // Bind this view's (relation, attr) pairs to the pool's GIs.
-        let mut gis = std::collections::HashMap::new();
-        for (rel, &table) in handle.base.iter().enumerate() {
-            let tdef = cluster.def(table)?.clone();
-            for c in handle.def.join_attrs_of(rel) {
-                if tdef.partitioning.is_on(c) {
-                    crate::chain::ensure_join_index(cluster, table, c)?;
-                    continue;
-                }
-                let info = pool.gi_for(&tdef.name, c).ok_or_else(|| {
-                    PvmError::NotFound(format!(
-                        "pool GI for ({}, {c}) — did you enroll() this view?",
-                        tdef.name
-                    ))
-                })?;
-                gis.insert((rel, c), info.clone());
-            }
-        }
-        let gi = GiState { gis, shared: true };
-
-        let view = MaintainedView {
-            handle,
-            method: MaintenanceMethod::GlobalIndex,
-            policy: crate::chain::JoinPolicy::default(),
-            batch: crate::chain::BatchPolicy::default(),
-            aux: None,
-            gi: Some(gi),
+            policy: JoinPolicy::default(),
+            batch: BatchPolicy::default(),
+            probes,
+            pooled,
             skew: None,
             epoch: 0,
             open_batch: None,
@@ -558,77 +454,6 @@ impl MaintainedView {
         self.batch
     }
 
-    /// Create an **aggregate** join view: `SELECT group…, COUNT/SUM …
-    /// FROM join GROUP BY group…`, maintained under `method`. The
-    /// underlying join's delta flows through the same machinery; shipped
-    /// rows are folded into their groups at the group's home node. See
-    /// [`crate::aggregate`].
-    pub fn create_aggregate(
-        cluster: &mut Cluster,
-        def: JoinViewDef,
-        shape: crate::aggregate::AggShape,
-        method: MaintenanceMethod,
-    ) -> Result<MaintainedView> {
-        def.validate(cluster)?;
-        let base: Vec<TableId> = def
-            .relations
-            .iter()
-            .map(|r| cluster.table_id(r))
-            .collect::<Result<_>>()?;
-        let join_schema = def.view_schema(cluster)?;
-        let stored = shape.stored_schema(&def, &join_schema)?.into_ref();
-        // Stored rows lead with the group columns; partition on the first
-        // so every update of a group lands on one node.
-        let view_table = cluster.create_table(TableDef::new(
-            def.name.clone(),
-            stored,
-            PartitionSpec::hash(0),
-            Organization::Heap,
-        ))?;
-        cluster.create_secondary_index(
-            view_table,
-            format!("{}_groups", def.name),
-            shape.stored_group_positions(),
-        )?;
-
-        let handle = ViewHandle {
-            def,
-            base,
-            view_table,
-            view_pcol: 0,
-            agg: Some(shape),
-        };
-        let (aux, gi) = match method {
-            MaintenanceMethod::Naive => {
-                naive::install(cluster, &handle)?;
-                (None, None)
-            }
-            MaintenanceMethod::AuxiliaryRelation => {
-                (Some(auxrel::install(cluster, &handle)?), None)
-            }
-            MaintenanceMethod::GlobalIndex => (None, Some(globalindex::install(cluster, &handle)?)),
-        };
-        let view = MaintainedView {
-            handle,
-            method,
-            policy: crate::chain::JoinPolicy::default(),
-            batch: crate::chain::BatchPolicy::default(),
-            aux,
-            gi,
-            skew: None,
-            epoch: 0,
-            open_batch: None,
-            serve: None,
-            pending_publish: Vec::new(),
-            partial: None,
-            obs: None,
-            recent_costs: std::collections::VecDeque::new(),
-            shared_group: None,
-        };
-        view.populate(cluster)?;
-        Ok(view)
-    }
-
     /// Bulk-load the view table from the current base contents (used at
     /// creation; not a maintenance path).
     fn populate(&self, cluster: &mut Cluster) -> Result<()> {
@@ -650,27 +475,20 @@ impl MaintainedView {
     }
 
     /// Tables of the method's auxiliary structures (AR tables, GI
-    /// tables), sorted. Together with the view table and the base
-    /// tables these are exactly the state a fault-equivalence check
-    /// must find bit-identical to a fault-free run.
+    /// tables — the pool's, for a pool-bound view), sorted. Together
+    /// with the view table and the base tables these are exactly the
+    /// state a fault-equivalence check must find bit-identical to a
+    /// fault-free run.
     pub fn method_tables(&self) -> Vec<TableId> {
-        let mut out = Vec::new();
-        if let Some(aux) = &self.aux {
-            out.extend(aux.ars.values().map(|info| info.table));
-        }
-        if let Some(gi) = &self.gi {
-            out.extend(gi.gis.values().map(|info| info.table));
-        }
-        out.sort();
-        out
+        self.probes.tables()
     }
 
-    /// True when this view's maintenance structures belong to a shared
-    /// pool (ARs from a [`crate::minimize::ArPool`], GIs from a
-    /// [`crate::minimize::GiPool`]) — [`MaintainedView::destroy`] leaves
-    /// those tables alone.
+    /// True when this view's maintenance structures belong to a
+    /// [`SharedCatalog`] pool (ARs from its [`crate::minimize::ArPool`],
+    /// GIs from its [`crate::minimize::GiPool`]) —
+    /// [`MaintainedView::destroy`] leaves those tables alone.
     pub fn is_pool_shared(&self) -> bool {
-        self.aux.as_ref().is_some_and(|a| a.shared) || self.gi.as_ref().is_some_and(|g| g.shared)
+        self.pooled
     }
 
     /// Shared-maintenance group id, when a catalog planner assigned one.
@@ -685,278 +503,46 @@ impl MaintainedView {
         self.shared_group = group;
     }
 
-    /// Re-home a private auxiliary-relation view onto a shared pool:
-    /// drop its private AR tables and bind the pool's merged ARs
-    /// instead. The pool must already cover every `(base, attr)` this
-    /// view probes — [`crate::minimize::ArPool::enroll`] its definition
-    /// first. Calling this on an already pool-bound view just rebinds.
-    pub fn adopt_ar_pool(
-        &mut self,
-        cluster: &mut Cluster,
-        pool: &crate::minimize::ArPool,
-    ) -> Result<()> {
-        if self.method != MaintenanceMethod::AuxiliaryRelation {
-            return Err(PvmError::InvalidOperation(format!(
-                "view '{}' is not auxiliary-relation maintained",
-                self.handle.def.name
-            )));
-        }
-        if self.partial.is_some() {
-            return Err(PvmError::InvalidOperation(
-                "partial views cannot adopt a shared pool".into(),
-            ));
-        }
-        if self.aux.as_ref().is_some_and(|a| a.shared) {
-            return self.rebind_ar_pool(cluster, pool);
-        }
-        // Resolve the new bindings first so a missing pool AR leaves the
-        // view's private structures intact.
-        let ars = self.resolve_pool_ars(cluster, pool)?;
-        if let Some(old) = self.aux.take() {
-            for info in old.ars.values() {
-                cluster.drop_table(info.table)?;
-            }
-        }
-        self.aux = Some(AuxState { ars, shared: true });
-        Ok(())
-    }
-
-    /// The pool AR bindings this view needs — the read-only half of
-    /// [`MaintainedView::adopt_ar_pool`]. Fails without mutating when the
-    /// pool lacks a `(base, attr)` the view probes.
-    fn resolve_pool_ars(
+    /// The pool structures this view would probe once bound to `catalog`
+    /// — the read-only half of [`MaintainedView::bind_pool`]. Fails
+    /// without mutating when the view cannot move (partial state) or the
+    /// pool lacks a `(base, attr)` it probes.
+    pub(crate) fn pool_bindings(
         &self,
         cluster: &Cluster,
-        pool: &crate::minimize::ArPool,
-    ) -> Result<std::collections::HashMap<(usize, usize), auxrel::ArInfo>> {
-        let mut ars = std::collections::HashMap::new();
-        for (rel, &table) in self.handle.base.iter().enumerate() {
-            let tdef = cluster.def(table)?.clone();
-            for c in self.handle.def.join_attrs_of(rel) {
-                if tdef.partitioning.is_on(c) {
-                    continue;
-                }
-                let info = pool.ar_for(&tdef.name, c).ok_or_else(|| {
-                    PvmError::NotFound(format!(
-                        "pool AR for ({}, {c}) — enroll this view's definition first",
-                        tdef.name
-                    ))
-                })?;
-                ars.insert((rel, c), info.clone());
-            }
-        }
-        Ok(ars)
-    }
-
-    /// Verify [`MaintainedView::adopt_ar_pool`] would succeed — right
-    /// method, no partial state, and the pool covers every `(base, attr)`
-    /// this view probes — without mutating anything. Callers migrating a
-    /// whole group onto a pool check every member first, so a failure
-    /// cannot leave the group half-adopted.
-    pub fn check_ar_pool(&self, cluster: &Cluster, pool: &crate::minimize::ArPool) -> Result<()> {
-        if self.method != MaintenanceMethod::AuxiliaryRelation {
-            return Err(PvmError::InvalidOperation(format!(
-                "view '{}' is not auxiliary-relation maintained",
-                self.handle.def.name
-            )));
-        }
+        catalog: &SharedCatalog,
+    ) -> Result<Probes> {
         if self.partial.is_some() {
             return Err(PvmError::InvalidOperation(
                 "partial views cannot adopt a shared pool".into(),
             ));
         }
-        self.resolve_pool_ars(cluster, pool).map(|_| ())
+        catalog.resolve(cluster, self.method, &self.handle.def, &self.handle.base)
     }
 
-    /// Refresh a pool-bound view's AR bindings after the pool widened or
-    /// recreated tables ([`crate::minimize::ArPool::enroll`] returned
-    /// changed keys). Every pool-bound view must be rebound before its
-    /// next maintenance.
-    pub fn rebind_ar_pool(
-        &mut self,
-        cluster: &Cluster,
-        pool: &crate::minimize::ArPool,
-    ) -> Result<()> {
-        let Some(aux) = self.aux.as_mut() else {
-            return Err(PvmError::InvalidOperation(
-                "view has no auxiliary-relation state".into(),
-            ));
-        };
-        if !aux.shared {
-            return Err(PvmError::InvalidOperation(
-                "view is not bound to an AR pool".into(),
-            ));
-        }
-        for ((rel, c), slot) in aux.ars.iter_mut() {
-            let base_name = cluster.def(self.handle.base[*rel])?.name.clone();
-            let info = pool.ar_for(&base_name, *c).ok_or_else(|| {
-                PvmError::NotFound(format!("pool AR for ({base_name}, {c}) during rebind"))
-            })?;
-            *slot = info.clone();
-        }
-        Ok(())
-    }
-
-    /// Re-home a private global-index view onto a shared pool: drop its
-    /// private GI tables and bind the pool's GIs instead (GI analogue of
-    /// [`MaintainedView::adopt_ar_pool`]). Calling this on an already
-    /// pool-bound view just rebinds.
-    pub fn adopt_gi_pool(
-        &mut self,
-        cluster: &mut Cluster,
-        pool: &crate::minimize::GiPool,
-    ) -> Result<()> {
-        if self.method != MaintenanceMethod::GlobalIndex {
-            return Err(PvmError::InvalidOperation(format!(
-                "view '{}' is not global-index maintained",
-                self.handle.def.name
-            )));
-        }
-        if self.partial.is_some() {
-            return Err(PvmError::InvalidOperation(
-                "partial views cannot adopt a shared pool".into(),
-            ));
-        }
-        if self.gi.as_ref().is_some_and(|g| g.shared) {
-            return self.rebind_gi_pool(cluster, pool);
-        }
-        let gis = self.resolve_pool_gis(cluster, pool)?;
-        if let Some(old) = self.gi.take() {
-            for info in old.gis.values() {
-                cluster.drop_table(info.table)?;
+    /// Point this view's chain at pool structures (from
+    /// [`MaintainedView::pool_bindings`]): a private view drops its own
+    /// AR / GI tables first; an already pool-bound view just rebinds.
+    pub(crate) fn bind_pool(&mut self, cluster: &mut Cluster, bindings: Probes) -> Result<()> {
+        if !self.pooled {
+            for table in self.probes.tables() {
+                cluster.drop_table(table)?;
             }
         }
-        self.gi = Some(GiState { gis, shared: true });
+        self.probes = bindings;
+        self.pooled = true;
         Ok(())
-    }
-
-    /// The pool GI bindings this view needs — the read-only half of
-    /// [`MaintainedView::adopt_gi_pool`].
-    fn resolve_pool_gis(
-        &self,
-        cluster: &Cluster,
-        pool: &crate::minimize::GiPool,
-    ) -> Result<std::collections::HashMap<(usize, usize), globalindex::GiInfo>> {
-        let mut gis = std::collections::HashMap::new();
-        for (rel, &table) in self.handle.base.iter().enumerate() {
-            let tdef = cluster.def(table)?.clone();
-            for c in self.handle.def.join_attrs_of(rel) {
-                if tdef.partitioning.is_on(c) {
-                    continue;
-                }
-                let info = pool.gi_for(&tdef.name, c).ok_or_else(|| {
-                    PvmError::NotFound(format!(
-                        "pool GI for ({}, {c}) — enroll this view's definition first",
-                        tdef.name
-                    ))
-                })?;
-                gis.insert((rel, c), info.clone());
-            }
-        }
-        Ok(gis)
-    }
-
-    /// Verify [`MaintainedView::adopt_gi_pool`] would succeed without
-    /// mutating anything (GI analogue of
-    /// [`MaintainedView::check_ar_pool`]).
-    pub fn check_gi_pool(&self, cluster: &Cluster, pool: &crate::minimize::GiPool) -> Result<()> {
-        if self.method != MaintenanceMethod::GlobalIndex {
-            return Err(PvmError::InvalidOperation(format!(
-                "view '{}' is not global-index maintained",
-                self.handle.def.name
-            )));
-        }
-        if self.partial.is_some() {
-            return Err(PvmError::InvalidOperation(
-                "partial views cannot adopt a shared pool".into(),
-            ));
-        }
-        self.resolve_pool_gis(cluster, pool).map(|_| ())
-    }
-
-    /// Refresh a pool-bound view's GI bindings (GI analogue of
-    /// [`MaintainedView::rebind_ar_pool`]; GIs never widen, so this only
-    /// matters if the pool was rebuilt).
-    pub fn rebind_gi_pool(
-        &mut self,
-        cluster: &Cluster,
-        pool: &crate::minimize::GiPool,
-    ) -> Result<()> {
-        let Some(gi) = self.gi.as_mut() else {
-            return Err(PvmError::InvalidOperation(
-                "view has no global-index state".into(),
-            ));
-        };
-        if !gi.shared {
-            return Err(PvmError::InvalidOperation(
-                "view is not bound to a GI pool".into(),
-            ));
-        }
-        for ((rel, c), slot) in gi.gis.iter_mut() {
-            let base_name = cluster.def(self.handle.base[*rel])?.name.clone();
-            let info = pool.gi_for(&base_name, *c).ok_or_else(|| {
-                PvmError::NotFound(format!("pool GI for ({base_name}, {c}) during rebind"))
-            })?;
-            *slot = info.clone();
-        }
-        Ok(())
-    }
-
-    pub(crate) fn view_handle(&self) -> &ViewHandle {
-        &self.handle
-    }
-
-    pub(crate) fn aux_state(&self) -> Option<&AuxState> {
-        self.aux.as_ref()
-    }
-
-    pub(crate) fn gi_state(&self) -> Option<&GiState> {
-        self.gi.as_ref()
-    }
-
-    pub(crate) fn is_partial(&self) -> bool {
-        self.partial.is_some()
-    }
-
-    pub(crate) fn has_skew(&self) -> bool {
-        self.skew.is_some()
     }
 
     /// Whether maintenance must capture physical view-row changes for
-    /// this view (serving tier or partial accounting).
+    /// this view: serving publishes them; partial accounting needs them
+    /// too (and must see what was dropped at the gates).
     pub(crate) fn is_capturing(&self) -> bool {
         self.serve.is_some() || self.partial.is_some()
     }
 
     pub(crate) fn has_open_batch(&self) -> bool {
         self.open_batch.is_some()
-    }
-
-    /// Fold a group-executed maintenance outcome into this member's open
-    /// batch — the bookkeeping tail of [`MaintainedView::apply_prepared`]
-    /// for a phase whose route/probe/ship chain ran once for the whole
-    /// group ([`crate::share`]): captured view changes drain into the
-    /// batch, and the obs-gated cost record absorbs the outcome.
-    pub(crate) fn note_group_outcome<B: Backend>(
-        &mut self,
-        backend: &B,
-        delta_rows: u64,
-        outcome: &mut MaintenanceOutcome,
-    ) {
-        if let Some(open) = &mut self.open_batch {
-            open.captured.append(&mut outcome.view_changes);
-        }
-        let obs = self
-            .obs
-            .get_or_insert_with(|| backend.engine().obs_handle())
-            .clone();
-        if obs.enabled() {
-            if let Some(open) = &mut self.open_batch {
-                open.cost
-                    .get_or_insert_with(BatchCostRecord::empty)
-                    .add_outcome(delta_rows, outcome);
-            }
-        }
     }
 
     /// Current contents of the stored view (cluster-wide).
@@ -996,53 +582,24 @@ impl MaintainedView {
     /// Apply a delta on base relation `rel` (by definition index),
     /// maintaining base table, method structures, and the view. Returns
     /// the phase-split cost report. Works against any [`Backend`] — the
-    /// sequential [`Cluster`] or a threaded runtime.
+    /// sequential [`Cluster`] or a threaded runtime. This is [`maintain`]
+    /// for a catalog of one private view; a pool-bound view is refused
+    /// there (its pool would go stale) — maintain it through [`maintain`]
+    /// with its [`SharedCatalog`].
     pub fn apply<B: Backend>(
         &mut self,
         backend: &mut B,
         rel: usize,
         delta: &Delta,
     ) -> Result<MaintenanceOutcome> {
-        if rel >= self.handle.def.relation_count() {
+        let Some(relation) = self.handle.def.relations.get(rel).cloned() else {
             return Err(PvmError::InvalidReference(format!(
                 "relation {rel} out of range for view '{}'",
                 self.handle.def.name
             )));
-        }
-        self.begin_batch();
-        match self.apply_phases(backend, rel, delta) {
-            Ok(outcome) => {
-                self.commit_batch(backend.in_txn());
-                self.enforce_partial_budget(backend)?;
-                Ok(outcome)
-            }
-            Err(e) => {
-                self.abort_batch();
-                Err(e)
-            }
-        }
-    }
-
-    fn apply_phases<B: Backend>(
-        &mut self,
-        backend: &mut B,
-        rel: usize,
-        delta: &Delta,
-    ) -> Result<MaintenanceOutcome> {
-        let (deletes, inserts) = delta.phases();
-        let mut outcome: Option<MaintenanceOutcome> = None;
-        if let Some(rows) = deletes {
-            let o = self.apply_rows(backend, rel, rows, false)?;
-            outcome = Some(o);
-        }
-        if let Some(rows) = inserts {
-            let o = self.apply_rows(backend, rel, rows, true)?;
-            outcome = Some(match outcome {
-                Some(prev) => prev.merge(o),
-                None => o,
-            });
-        }
-        outcome.ok_or_else(|| PvmError::InvalidOperation("empty delta".into()))
+        };
+        let mut outcomes = maintain(backend, None, &mut [self], &relation, delta)?;
+        Ok(outcomes.pop().expect("one outcome per view"))
     }
 
     /// Open a maintenance batch: record the entry epoch so commit can
@@ -1050,7 +607,7 @@ impl MaintainedView {
     /// epoch tick — [`MaintainedView::commit_batch`] is the *only* place
     /// the epoch moves, so Coalesced and PerRow batch policies (and
     /// multi-phase deltas) all advance it exactly once per applied batch.
-    pub(crate) fn begin_batch(&mut self) {
+    fn begin_batch(&mut self) {
         assert!(
             self.open_batch.is_none(),
             "view '{}': batch opened while another is in flight",
@@ -1069,7 +626,7 @@ impl MaintainedView {
     /// `defer` set (a cluster transaction is open), the publication is
     /// held in `pending_publish` until [`MaintainedView::publish_pending`]
     /// runs at the transaction's commit point.
-    pub(crate) fn commit_batch(&mut self, defer: bool) {
+    fn commit_batch(&mut self, defer: bool) {
         let batch = self
             .open_batch
             .take()
@@ -1148,154 +705,144 @@ impl MaintainedView {
 
     /// Drop the open batch (if any) without advancing the epoch — the
     /// failed maintenance path. Safe to call with no batch open.
-    pub(crate) fn abort_batch(&mut self) {
+    fn abort_batch(&mut self) {
         self.open_batch = None;
         if let Some(p) = &mut self.partial {
             p.clear_pending();
         }
     }
 
-    fn apply_rows<B: Backend>(
+    /// Maintain this view for one phase of a base update that has
+    /// **already been applied** — `placed` pairs each delta row with the
+    /// global rid it occupied (insert) or vacated (delete) — inside the
+    /// batch [`maintain`] opened. The returned outcome's `base` phase is
+    /// empty.
+    fn apply_prepared<B: Backend>(
         &mut self,
         backend: &mut B,
         rel: usize,
-        rows: &[Row],
+        placed: &[(Row, GlobalRid)],
         insert: bool,
     ) -> Result<MaintenanceOutcome> {
-        let (base, placed) = update_base(backend, self.handle.base[rel], rows, insert)?;
-        let mut outcome = self.apply_prepared(backend, rel, &placed, insert)?;
-        if let Some(cost) = self.open_batch.as_mut().and_then(|b| b.cost.as_mut()) {
-            cost.add_base(&base);
-        }
-        outcome.base = base;
-        Ok(outcome)
-    }
-
-    /// Maintain this view for a base update that has **already been
-    /// applied** — `placed` pairs each delta row with the global rid it
-    /// occupied (insert) or vacated (delete). This is the entry point for
-    /// maintaining several views over one shared base update; see
-    /// [`maintain_all`]. The returned outcome's `base` phase is empty.
-    pub fn apply_prepared<B: Backend>(
-        &mut self,
-        backend: &mut B,
-        rel: usize,
-        placed: &[(Row, pvm_types::GlobalRid)],
-        insert: bool,
-    ) -> Result<MaintenanceOutcome> {
-        if rel >= self.handle.def.relation_count() {
-            return Err(PvmError::InvalidReference(format!(
-                "relation {rel} out of range for view '{}'",
-                self.handle.def.name
-            )));
-        }
         if let Some(skew) = &mut self.skew {
             // Inserts and deletes both cause routed probes and structure
             // updates, so both count as traffic. Observed straight off
             // `placed` — no cloned row staging.
             skew.observe_rows(rel, placed.iter().map(|(r, _)| r))?;
         }
-        // Called outside an `apply` / `maintain_all` batch, this single
-        // phase is its own batch (and its own epoch tick).
-        let standalone = self.open_batch.is_none();
-        if standalone {
-            self.begin_batch();
-        }
         // Partial state: rebuild the structure entries this delta will
         // probe (their source relation is the *other* one, untouched by
         // this delta, so the refill is exact), then gate the batch's
         // stages on an immutable snapshot of the hole sets.
-        let refill_err = self.partial_refill(backend, rel, placed).err();
-        if let Some(e) = refill_err {
-            if standalone {
-                self.abort_batch();
-            }
-            return Err(e);
-        }
+        self.partial_refill(backend, rel, placed)?;
         let gates = self.partial.as_ref().map(PartialState::gates);
+        let mut outcome = self.drive(backend, rel, placed, insert, gates.as_ref())?;
+        if let Some(p) = &mut self.partial {
+            p.account_struct_delta(rel, placed, insert)?;
+            if let Some(g) = &gates {
+                p.note_batch_dropped(g.take_dropped());
+            }
+        }
+        self.note_outcome(backend, placed.len() as u64, &mut outcome);
+        Ok(outcome)
+    }
+
+    /// The per-view driver, one algorithm for all three methods: update
+    /// this view's own structures of the updated relation, run the join
+    /// chain through `probes`, ship the result rows to the view's home
+    /// nodes, apply them there.
+    fn drive<B: Backend>(
+        &self,
+        backend: &mut B,
+        rel: usize,
+        placed: &[(Row, GlobalRid)],
+        insert: bool,
+        gates: Option<&PartialGates>,
+    ) -> Result<MaintenanceOutcome> {
         let handle = &self.handle;
-        let policy = self.policy;
-        let batch = self.batch;
-        // Serving publishes captured changes; partial accounting needs
-        // them too (and must see what was dropped at the gates).
-        let capture = self.serve.is_some() || self.partial.is_some();
-        let result = match self.method {
-            MaintenanceMethod::Naive => naive::apply(
-                backend,
-                handle,
-                rel,
-                placed,
-                insert,
-                policy,
-                batch,
-                capture,
-                gates.as_ref(),
-            ),
-            MaintenanceMethod::AuxiliaryRelation => {
-                let state = self.aux.as_ref().expect("aux state installed");
-                auxrel::apply(
-                    backend,
-                    handle,
-                    state,
-                    rel,
-                    placed,
-                    insert,
-                    policy,
-                    batch,
-                    capture,
-                    gates.as_ref(),
-                )
-            }
-            MaintenanceMethod::GlobalIndex => {
-                let state = self.gi.as_ref().expect("gi state installed");
-                globalindex::apply(
-                    backend,
-                    handle,
-                    state,
-                    rel,
-                    placed,
-                    insert,
-                    policy,
-                    batch,
-                    capture,
-                    gates.as_ref(),
-                )
-            }
+        let tag = self.method_tag();
+        // Base phase is performed by the caller.
+        let base = empty_report(backend);
+
+        // Phase: update the structures of the updated relation — unless
+        // a pool owns them (then the pool's single update already
+        // happened and this view charges nothing). Naive has none.
+        let guard = backend.start_meter();
+        let mark = chain::phase_mark(backend);
+        if !self.pooled {
+            self.probes
+                .update(backend, rel, placed, insert, self.batch, gates)?;
+        }
+        chain::coord_phase(backend, Phase::Aux, tag, mark);
+        let aux = backend.finish_meter(&guard);
+
+        // Phase: compute the view changes — one stage program covering
+        // every probe hop plus the final ship, so a pipelined backend
+        // overlaps the hops instead of barriering between them.
+        let guard = backend.start_meter();
+        let mark = chain::phase_mark(backend);
+        let staged = chain::stage_delta(backend.node_count(), placed)?;
+        let (program, layout) = chain::push_chain(
+            backend,
+            pvm_engine::StepProgram::new(),
+            handle,
+            &self.probes,
+            rel,
+            self.policy,
+            self.batch,
+            tag,
+        )?;
+        let program = chain::push_ship_stage(backend, program, handle, &layout, tag)?;
+        backend.run_stages(staged, &program)?;
+        chain::coord_phase(backend, Phase::Compute, tag, mark);
+        let compute = backend.finish_meter(&guard);
+
+        // Phase: apply the changes to the view.
+        let guard = backend.start_meter();
+        let mark = chain::phase_mark(backend);
+        let mode = if insert {
+            ChainMode::Insert
+        } else {
+            ChainMode::Delete
         };
-        match result {
-            Ok(mut outcome) => {
-                if let Some(p) = &mut self.partial {
-                    p.account_struct_delta(rel, placed, insert)?;
-                    if let Some(g) = &gates {
-                        p.note_batch_dropped(g.take_dropped());
-                    }
-                }
-                if let Some(open) = &mut self.open_batch {
-                    open.captured.append(&mut outcome.view_changes);
-                }
-                let obs = self
-                    .obs
-                    .get_or_insert_with(|| backend.engine().obs_handle())
-                    .clone();
-                if obs.enabled() {
-                    if let Some(open) = &mut self.open_batch {
-                        open.cost
-                            .get_or_insert_with(BatchCostRecord::empty)
-                            .add_outcome(placed.len() as u64, &outcome);
-                    }
-                }
-                if standalone {
-                    self.commit_batch(backend.in_txn());
-                    self.enforce_partial_budget(backend)?;
-                }
-                Ok(outcome)
-            }
-            Err(e) => {
-                if standalone {
-                    self.abort_batch();
-                }
-                Err(e)
-            }
+        let (view_rows, view_changes) =
+            chain::apply_at_view(backend, handle, mode, tag, self.is_capturing(), gates)?;
+        chain::coord_phase(backend, Phase::View, tag, mark);
+        let view = backend.finish_meter(&guard);
+
+        Ok(MaintenanceOutcome {
+            base,
+            aux,
+            compute,
+            view,
+            view_rows,
+            view_changes,
+        })
+    }
+
+    /// Fold one phase's maintenance outcome into the open batch — the
+    /// same bookkeeping whether this view drove the chain itself or a
+    /// shared group ran it once for all members ([`crate::share`]):
+    /// captured view changes drain into the batch, and the obs-gated cost
+    /// record absorbs the outcome.
+    pub(crate) fn note_outcome<B: Backend>(
+        &mut self,
+        backend: &B,
+        delta_rows: u64,
+        outcome: &mut MaintenanceOutcome,
+    ) {
+        let open = self
+            .open_batch
+            .as_mut()
+            .expect("outcomes are noted inside the batch `maintain` opened");
+        open.captured.append(&mut outcome.view_changes);
+        let obs = self
+            .obs
+            .get_or_insert_with(|| backend.engine().obs_handle());
+        if obs.enabled() {
+            open.cost
+                .get_or_insert_with(BatchCostRecord::empty)
+                .add_outcome(delta_rows, outcome);
         }
     }
 
@@ -1320,7 +867,7 @@ impl MaintainedView {
     /// delta chain with the current contents at the current epoch, and
     /// from the next batch commit on publish every batch's physical view
     /// changes at its new epoch. Returns a cloneable [`ServeReader`] —
-    /// hand one to each reader session/thread. The cluster's [`Obs`]
+    /// hand one to each reader session/thread. The cluster's `Obs`
     /// handle gates the `serve.*` metrics, so serving charges nothing
     /// while observability is off.
     pub fn enable_serving<B: Backend>(&mut self, backend: &B) -> Result<ServeReader> {
@@ -1352,7 +899,7 @@ impl MaintainedView {
         self.serve.as_ref().map(|p| p.reader())
     }
 
-    fn method_tag(&self) -> MethodTag {
+    pub(crate) fn method_tag(&self) -> MethodTag {
         match self.method {
             MaintenanceMethod::Naive => MethodTag::Naive,
             MaintenanceMethod::AuxiliaryRelation => MethodTag::AuxRel,
@@ -1360,579 +907,12 @@ impl MaintainedView {
         }
     }
 
-    /// Put this view under a per-node memory budget
-    /// ([`PartialPolicy::budget_bytes`]): cold view partitions — and, for
-    /// two-relation views, cold AR / GI entries — are evicted as *holes*
-    /// under size-aware LRU, and a read that hits a hole recomputes just
-    /// that key from the base relations ([`MaintainedView::read_key`]).
-    ///
-    /// Rejected for aggregate views (a group's fold state cannot be
-    /// recomputed from one key's base rows alone), pool-shared ARs
-    /// (other views read them eagerly), and skew-handled views (a
-    /// rebalance rewrites the structures the accounting tracks).
-    pub fn enable_partial<B: Backend>(
-        &mut self,
-        backend: &mut B,
-        policy: PartialPolicy,
-    ) -> Result<()> {
-        if self.partial.is_some() {
-            return Err(PvmError::InvalidOperation(format!(
-                "view '{}' is already partial",
-                self.handle.def.name
-            )));
-        }
-        if self.handle.agg.is_some() {
-            return Err(PvmError::InvalidOperation(
-                "aggregate views cannot be partial: group state is not recomputable per key".into(),
-            ));
-        }
-        if self.aux.as_ref().is_some_and(|a| a.shared) {
-            return Err(PvmError::InvalidOperation(
-                "views on pool-shared auxiliary relations cannot be partial".into(),
-            ));
-        }
-        if self.skew.is_some() {
-            return Err(PvmError::InvalidOperation(
-                "skew-handled views cannot be partial: rebalance invalidates the accounting".into(),
-            ));
-        }
-        if self.open_batch.is_some() || backend.in_txn() {
-            return Err(PvmError::InvalidOperation(
-                "cannot enable partial state while a maintenance batch or transaction is open"
-                    .into(),
-            ));
-        }
-        let cluster = backend.engine_mut();
-        // Upqueries probe the base relations naive-style regardless of
-        // the view's method, so every join attribute — and the anchor
-        // (partitioning) attribute — must be indexed.
-        naive::install(cluster, &self.handle)?;
-        let anchor = self.handle.def.partition_attr();
-        crate::chain::ensure_join_index(cluster, self.handle.base[anchor.rel], anchor.col)?;
-        let structs = if self.handle.def.relation_count() == 2 {
-            partial::collect_structs(cluster, &self.handle, self.aux.as_ref(), self.gi.as_ref())?
-        } else {
-            // Wider views keep their structures eager; only the view
-            // partitions are partial.
-            Vec::new()
-        };
-        // GI refill captures rids, which only a *secondary* index search
-        // yields; a source relation clustered on the join attribute
-        // satisfies `ensure_join_index` without one.
-        for s in &structs {
-            if let partial::StructKind::Gi = s.kind {
-                let def = cluster.def(s.source_table)?;
-                let clustered = matches!(
-                    &def.organization,
-                    Organization::Clustered { key } if key.as_slice() == [s.join_col]
-                );
-                if clustered {
-                    let name = format!("{}_pq{}", def.name, s.join_col);
-                    cluster.create_secondary_index(s.source_table, name, vec![s.join_col])?;
-                }
-            }
-        }
-        let l = cluster.node_count();
-        let mut state = PartialState::new(policy, l, structs);
-        // Everything currently materialized is resident: charge it where
-        // it is stored.
-        let pcol = self.handle.view_pcol;
-        let seeds: Vec<(TableId, usize)> = state
-            .structs
-            .iter()
-            .map(|s| (s.table, s.key_col()))
-            .collect();
-        for n in cluster.nodes() {
-            let node = n.id().index();
-            for (_, row) in n.storage(self.handle.view_table)?.scan()? {
-                state.budget.charge(
-                    (self.handle.view_table, row[pcol].clone()),
-                    node,
-                    row.byte_size() as u64,
-                );
-            }
-            for &(table, key_col) in &seeds {
-                for (_, row) in n.storage(table)?.scan()? {
-                    state.budget.charge(
-                        (table, row[key_col].clone()),
-                        node,
-                        row.byte_size() as u64,
-                    );
-                }
-            }
-        }
-        self.partial = Some(state);
-        // Evict straight down to the budget.
-        self.enforce_partial_budget(backend)?;
-        Ok(())
-    }
-
-    /// Partial-state counters, when enabled.
-    pub fn partial_stats(&self) -> Option<PartialStats> {
-        self.partial.as_ref().map(|p| p.stats())
-    }
-
-    /// View keys currently evicted, sorted — the scan path upqueries
-    /// these before reading ([`MaintainedView::ensure_all_resident`]).
-    pub fn partial_holes(&self) -> Vec<Value> {
-        match &self.partial {
-            Some(p) => {
-                let mut keys: Vec<Value> = p.holes.iter().cloned().collect();
-                keys.sort();
-                keys
-            }
-            None => Vec::new(),
-        }
-    }
-
-    /// Refuse a full-scan read at `epoch` when any key's eviction fence
-    /// sits above it: eviction purged that key's chain history from the
-    /// serve tier, so the snapshot is no longer reconstructible. A no-op
-    /// for non-partial views and current-epoch reads.
-    pub fn verify_scan_epoch(&self, epoch: u64) -> Result<()> {
-        let Some(p) = &self.partial else {
-            return Ok(());
-        };
-        if let Some((k, &d)) = p.dropped_at.iter().find(|(_, &d)| d > epoch) {
-            return Err(PvmError::InvalidOperation(format!(
-                "snapshot too old: key {k} of partial view '{}' was evicted at epoch {d} \
-                 (reading at {epoch}); retry at the current epoch",
-                self.handle.def.name
-            )));
-        }
-        Ok(())
-    }
-
-    /// Make `key` readable at `epoch`: refuse reads below the key's
-    /// `dropped_at` floor (eviction purged that history everywhere — the
-    /// reader must retry at the current epoch), upquery if the key is a
-    /// hole, and record the hit / miss. A no-op for non-partial views.
-    /// Budget enforcement is left to the caller so a freshly installed
-    /// result cannot be evicted before it is read.
-    pub fn ensure_key_resident<B: Backend>(
-        &mut self,
-        backend: &mut B,
-        key: &Value,
-        epoch: u64,
-    ) -> Result<()> {
-        let view_table = self.handle.view_table;
-        let Some(p) = &mut self.partial else {
-            return Ok(());
-        };
-        if let Some(&d) = p.dropped_at.get(key) {
-            if d > epoch {
-                return Err(PvmError::InvalidOperation(format!(
-                    "snapshot too old: key {key} of partial view '{}' was evicted at epoch {d} \
-                     (reading at {epoch}); retry at the current epoch",
-                    self.handle.def.name
-                )));
-            }
-        }
-        if !p.holes.contains(key) {
-            p.hits += 1;
-            p.sketch.observe(key);
-            p.budget.touch(&(view_table, key.clone()));
-            let obs = backend.engine().obs_handle();
-            if obs.enabled() {
-                obs.metrics().counter(pvm_obs::metric::PARTIAL_HITS).inc();
-                obs.metrics()
-                    .histogram(pvm_obs::metric::PARTIAL_HIT_RATE)
-                    .observe(1000);
-            }
-            return Ok(());
-        }
-        // Miss: recompute the key from the base relations. Exact because
-        // every delta for the key since `dropped_at[key]` was dropped —
-        // its join result has not moved since `epoch` (see the module
-        // docs of `crate::partial`).
-        if backend.in_txn() || self.open_batch.is_some() {
-            return Err(PvmError::InvalidOperation(
-                "cannot upquery a partial view while a transaction or maintenance batch is open"
-                    .into(),
-            ));
-        }
-        p.misses += 1;
-        p.sketch.observe(key);
-        let t0 = std::time::Instant::now();
-        let changes = partial::run_upquery(
-            backend,
-            &self.handle,
-            self.policy,
-            self.batch,
-            self.method_tag(),
-            key,
-        )?;
-        let rows: Vec<Row> = changes
-            .into_iter()
-            .filter(|(_, ins)| *ins)
-            .map(|(r, _)| r)
-            .collect();
-        let p = self.partial.as_mut().expect("partial");
-        p.holes.remove(key);
-        let node = p.home(key);
-        let bytes: u64 = rows.iter().map(|r| r.byte_size() as u64).sum();
-        p.budget.charge((view_table, key.clone()), node, bytes);
-        if let Some(serve) = &self.serve {
-            // Fold the result into the serve-tier base — no epoch is
-            // published; `dropped_at` already fences stale readers.
-            serve.install_rows(&rows);
-        }
-        let obs = backend.engine().obs_handle();
-        if obs.enabled() {
-            let m = obs.metrics();
-            m.counter(pvm_obs::metric::PARTIAL_MISSES).inc();
-            m.histogram(pvm_obs::metric::PARTIAL_HIT_RATE).observe(0);
-            m.histogram(pvm_obs::metric::PARTIAL_UPQUERY_US)
-                .observe(t0.elapsed().as_micros() as u64);
-        }
-        Ok(())
-    }
-
-    /// Upquery every hole (in sorted key order, for determinism) so a
-    /// full scan at the current epoch sees the complete view. Returns the
-    /// number of upqueries issued. The caller should
-    /// [`MaintainedView::enforce_partial_budget`] after its read.
-    pub fn ensure_all_resident<B: Backend>(&mut self, backend: &mut B) -> Result<u64> {
-        let keys = self.partial_holes();
-        let epoch = self.epoch;
-        for k in &keys {
-            self.ensure_key_resident(backend, k, epoch)?;
-        }
-        Ok(keys.len() as u64)
-    }
-
-    /// Point-read the view at its current epoch, upquerying on a miss:
-    /// the partial read path. Serves from the MVCC snapshot tier when
-    /// enabled, else from the stored view table. Works on non-partial
-    /// views too (plain point read).
-    pub fn read_key<B: Backend>(&mut self, backend: &mut B, key: &Value) -> Result<Vec<Row>> {
-        let epoch = self.epoch;
-        self.ensure_key_resident(backend, key, epoch)?;
-        let rows = match &self.serve {
-            Some(serve) => serve.reader().snapshot().lookup(self.handle.view_pcol, key),
-            None => partial::read_stored_key(
-                backend,
-                self.handle.view_table,
-                self.handle.view_pcol,
-                key,
-            )?,
-        };
-        self.enforce_partial_budget(backend)?;
-        Ok(rows)
-    }
-
-    /// Evict entries until every node is back under the policy budget:
-    /// delete each victim's stored rows, purge its serve-tier history,
-    /// install the hole, and (for view keys) stamp `dropped_at` with the
-    /// current epoch. Heavy keys per the admission sketch go last.
-    /// Deferred while a transaction or maintenance batch is open — a
-    /// rolled-back delete would corrupt the accounting; the next
-    /// post-commit call catches up. Returns the number of entries
-    /// evicted.
-    pub fn enforce_partial_budget<B: Backend>(&mut self, backend: &mut B) -> Result<u64> {
-        let Some(p) = &self.partial else {
-            return Ok(0);
-        };
-        if backend.in_txn() || self.open_batch.is_some() {
-            return Ok(0);
-        }
-        let view_table = self.handle.view_table;
-        let pcol = self.handle.view_pcol;
-        let victims = if p.budget.over_budget() {
-            let heavy = p.heavy_keys();
-            p.budget
-                .plan_evictions(|(t, v)| *t == view_table && heavy.contains(v))
-        } else {
-            Vec::new()
-        };
-        let epoch = self.epoch;
-        let mut evicted = 0u64;
-        for key in victims {
-            let (table, v) = &key;
-            if *table == view_table {
-                partial::delete_matching(backend, view_table, pcol, v)?;
-                if let Some(serve) = &self.serve {
-                    serve.purge_matching(pcol, v);
-                }
-                let p = self.partial.as_mut().expect("partial");
-                p.holes.insert(v.clone());
-                p.dropped_at.insert(v.clone(), epoch);
-                p.budget.remove(&key);
-                p.evictions += 1;
-            } else {
-                let Some(col) = self
-                    .partial
-                    .as_ref()
-                    .expect("partial")
-                    .structs
-                    .iter()
-                    .find(|s| s.table == *table)
-                    .map(|s| s.key_col())
-                else {
-                    continue;
-                };
-                partial::delete_matching(backend, *table, col, v)?;
-                let p = self.partial.as_mut().expect("partial");
-                p.struct_holes.entry(*table).or_default().insert(v.clone());
-                p.budget.remove(&key);
-                p.evictions += 1;
-            }
-            evicted += 1;
-        }
-        let p = self.partial.as_ref().expect("partial");
-        let obs = backend.engine().obs_handle();
-        if obs.enabled() {
-            let m = obs.metrics();
-            if evicted > 0 {
-                m.counter(pvm_obs::metric::PARTIAL_EVICTIONS).add(evicted);
-            }
-            m.histogram(pvm_obs::metric::PARTIAL_RESIDENT_BYTES)
-                .observe(p.budget.total_resident());
-        }
-        Ok(evicted)
-    }
-
-    /// Rebuild the structure entries the incoming delta will probe, for
-    /// values that are currently holes — from the *other* relation's base
-    /// fragments, which this delta does not touch, so the refilled
-    /// entries are exact before the compute phase reads them.
-    fn partial_refill<B: Backend>(
-        &mut self,
-        backend: &mut B,
-        rel: usize,
-        placed: &[(Row, pvm_types::GlobalRid)],
-    ) -> Result<()> {
-        let Some(p) = &self.partial else {
-            return Ok(());
-        };
-        if p.structs.is_empty() {
-            return Ok(());
-        }
-        let mut jobs: Vec<(partial::StructInfo, std::collections::BTreeSet<Value>)> = Vec::new();
-        for s in &p.structs {
-            if s.source_rel == rel {
-                // The delta's own structures are *updated* (hole-gated),
-                // never probed by this delta.
-                continue;
-            }
-            let Some(holes) = p.struct_holes.get(&s.table) else {
-                continue;
-            };
-            if holes.is_empty() {
-                continue;
-            }
-            let mut needed = std::collections::BTreeSet::new();
-            for (row, _) in placed {
-                let v = &row[s.probe_col_other];
-                if holes.contains(v) {
-                    needed.insert(v.clone());
-                }
-            }
-            if !needed.is_empty() {
-                jobs.push((s.clone(), needed));
-            }
-        }
-        for (s, needed) in jobs {
-            let installed = partial::run_refill(backend, &s, &needed)?;
-            let p = self.partial.as_mut().expect("partial");
-            for (node, rows) in installed.iter().enumerate() {
-                for row in rows {
-                    p.budget.charge(
-                        (s.table, row[s.key_col()].clone()),
-                        node,
-                        row.byte_size() as u64,
-                    );
-                }
-            }
-            if let Some(h) = p.struct_holes.get_mut(&s.table) {
-                for v in &needed {
-                    h.remove(v);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// [`MaintainedView::create`] plus
-    /// [`MaintainedView::enable_skew_handling`] in one call: the method's
-    /// structures come up heavy-light-partitioned (with an empty heavy
-    /// set, i.e. bit-identical to plain hash) and every maintained delta
-    /// feeds the traffic sketches. Call
-    /// [`MaintainedView::rebalance`] once traffic has been observed to
-    /// actually spread the hot values.
-    pub fn create_skewed(
-        cluster: &mut Cluster,
-        def: JoinViewDef,
-        method: MaintenanceMethod,
-        config: SkewConfig,
-    ) -> Result<MaintainedView> {
-        let mut view = MaintainedView::create(cluster, def, method)?;
-        view.enable_skew_handling(cluster, config)?;
-        Ok(view)
-    }
-
-    /// Turn on heavy-light skew handling (§ "Skew handling" in the
-    /// README): every AR table is re-declared
-    /// `HeavyLight{mode: Salt}` on its partitioning attribute and every
-    /// GI table `HeavyLight{mode: Replicate}` on its key column — with an
-    /// **empty heavy set**, so routing (and all counted costs) stay
-    /// bit-identical to plain hash until [`MaintainedView::rebalance`]
-    /// freezes observed heavy values in. From this call on, every delta
-    /// the view maintains is also fed to the per-join-attribute-class
-    /// frequency sketches.
-    ///
-    /// Only the method's private structures are reorganized — base
-    /// relations keep their partitioning (a base already partitioned on
-    /// the join attribute serves probes as before, un-spread). Errors for
-    /// the naive method (no structures to reorganize) and for pool-shared
-    /// ARs (other views route by the pool's specs).
-    pub fn enable_skew_handling(
-        &mut self,
-        cluster: &mut Cluster,
-        config: SkewConfig,
-    ) -> Result<()> {
-        if self.partial.is_some() {
-            return Err(PvmError::InvalidOperation(
-                "partial views cannot enable skew handling: rebalance would rewrite the \
-                 structures the partial accounting tracks"
-                    .into(),
-            ));
-        }
-        match self.method {
-            MaintenanceMethod::Naive => {
-                return Err(PvmError::InvalidOperation(
-                    "naive maintenance has no auxiliary structures to spread; \
-                     skew handling applies to AR / GI views"
-                        .into(),
-                ));
-            }
-            MaintenanceMethod::AuxiliaryRelation => {
-                let aux = self.aux.as_ref().expect("aux state installed");
-                if aux.shared {
-                    return Err(PvmError::InvalidOperation(
-                        "pool-shared auxiliary relations cannot be reorganized per-view".into(),
-                    ));
-                }
-                for info in aux.ars.values() {
-                    let spec = PartitionSpec::heavy_light(
-                        info.key_pos,
-                        Vec::new(),
-                        config.spread,
-                        SpreadMode::Salt,
-                    );
-                    cluster.repartition(info.table, spec)?;
-                }
-            }
-            MaintenanceMethod::GlobalIndex => {
-                let gi = self.gi.as_ref().expect("gi state installed");
-                for info in gi.gis.values() {
-                    // GI entries are (key, node, page, slot): key is column 0.
-                    let spec = PartitionSpec::heavy_light(
-                        0,
-                        Vec::new(),
-                        config.spread,
-                        SpreadMode::Replicate,
-                    );
-                    cluster.repartition(info.table, spec)?;
-                }
-            }
-        }
-        self.skew = Some(SkewState::new(&self.handle.def, config));
-        Ok(())
-    }
-
-    /// Feed the skew sketches with delta traffic on relation `rel`
-    /// without maintaining anything — for pre-training on a known
-    /// workload before the first [`MaintainedView::rebalance`]. No-op
-    /// when skew handling is off.
-    pub fn train_skew(&mut self, rel: usize, rows: &[Row]) -> Result<()> {
-        if let Some(skew) = &mut self.skew {
-            skew.observe(rel, rows)?;
-        }
-        Ok(())
-    }
-
-    /// The live skew state, when skew handling is enabled.
-    pub fn skew_state(&self) -> Option<&SkewState> {
-        self.skew.as_ref()
-    }
-
-    /// Freeze the currently-observed heavy values into the AR / GI
-    /// partitioning specs and migrate rows accordingly (light values keep
-    /// their hash homes; heavy AR rows are salted over their spread set,
-    /// heavy GI entries replicated across it). Not metered — this is a
-    /// reorganization utility, not a maintenance transaction. Returns
-    /// what moved; a no-op (empty report entries, `rows_moved = 0`) when
-    /// the heavy sets are unchanged.
-    pub fn rebalance<B: Backend>(&mut self, backend: &mut B) -> Result<RebalanceReport> {
-        let Some(skew) = &self.skew else {
-            return Err(PvmError::InvalidOperation(
-                "skew handling is not enabled for this view".into(),
-            ));
-        };
-        let config = skew.config;
-        let mut report = RebalanceReport::default();
-        let mut plans: Vec<(TableId, PartitionSpec, usize)> = Vec::new();
-        if let Some(aux) = &self.aux {
-            for (&(rel, c), info) in &aux.ars {
-                let heavy = skew.heavy_for(rel, c);
-                let n = heavy.len();
-                let spec = PartitionSpec::heavy_light(
-                    info.key_pos,
-                    heavy,
-                    config.spread,
-                    SpreadMode::Salt,
-                );
-                plans.push((info.table, spec, n));
-            }
-        }
-        if let Some(gi) = &self.gi {
-            for (&(rel, c), info) in &gi.gis {
-                let heavy = skew.heavy_for(rel, c);
-                let n = heavy.len();
-                // A GI is *written* by deltas on its own relation (entry
-                // per delta tuple) and *probed* by deltas on the other
-                // relations of the class. Replicating heavy entries is
-                // right for the probe-dominant side (probes salt to one
-                // replica) but multiplies writes by the spread factor, so
-                // a write-dominant GI salts its heavy entries instead —
-                // writes spread, and the rarer probes fan out over the
-                // spread set and union disjoint entry lists.
-                let (own, cross) = skew.traffic_split(rel, c);
-                let mode = if own > cross {
-                    SpreadMode::Salt
-                } else {
-                    SpreadMode::Replicate
-                };
-                let spec = PartitionSpec::heavy_light(0, heavy, config.spread, mode);
-                plans.push((info.table, spec, n));
-            }
-        }
-        plans.sort_by_key(|(t, _, _)| *t);
-        for (table, spec, heavy_values) in plans {
-            let rows_moved = backend.engine_mut().repartition(table, spec)?;
-            report.tables.push(RebalancedTable {
-                table,
-                heavy_values,
-                rows_moved,
-            });
-        }
-        Ok(report)
-    }
-
     /// Extra storage (pages) the method's structures occupy — zero for
     /// naive, σπ copies for AR, key+rid entries for GI.
     pub fn storage_overhead_pages(&self, cluster: &Cluster) -> Result<usize> {
         let mut pages = 0;
-        if let Some(aux) = &self.aux {
-            for info in aux.ars.values() {
-                pages += cluster.total_pages(info.table)?;
-            }
-        }
-        if let Some(gi) = &self.gi {
-            for info in gi.gis.values() {
-                pages += cluster.total_pages(info.table)?;
-            }
+        for table in self.probes.tables() {
+            pages += cluster.total_pages(table)?;
         }
         Ok(pages)
     }
@@ -1973,24 +953,15 @@ impl MaintainedView {
     }
 
     /// Tear the view down: drop its stored table and every maintenance
-    /// structure it owns (private ARs / GIs). Pool-shared ARs are left
-    /// alone — other views may still read them. This is how the storage
-    /// the paper worries about ("the parallel RDBMS may not have enough
-    /// disk space") is handed back.
+    /// structure it owns (private ARs / GIs). Pool-shared structures are
+    /// left alone — other views may still read them. This is how the
+    /// storage the paper worries about ("the parallel RDBMS may not have
+    /// enough disk space") is handed back.
     pub fn destroy(self, cluster: &mut Cluster) -> Result<()> {
         cluster.drop_table(self.handle.view_table)?;
-        if let Some(aux) = self.aux {
-            if !aux.shared {
-                for info in aux.ars.values() {
-                    cluster.drop_table(info.table)?;
-                }
-            }
-        }
-        if let Some(gi) = self.gi {
-            if !gi.shared {
-                for info in gi.gis.values() {
-                    cluster.drop_table(info.table)?;
-                }
+        if !self.pooled {
+            for table in self.probes.tables() {
+                cluster.drop_table(table)?;
             }
         }
         Ok(())
@@ -2047,39 +1018,61 @@ pub(crate) fn update_base<B: Backend>(
     Ok((backend.finish_meter(&guard), placed))
 }
 
-/// Maintain several views over one shared base-relation delta: the base
-/// table named `relation` is updated **once**, then every view that joins
-/// it is maintained from the same placements — the many-views-per-table
-/// situation §2.1.2 discusses. Views that do not reference `relation` are
-/// left untouched. Returns one outcome per view, in input order (the
-/// shared base phase is reported on the first maintained view).
-pub fn maintain_all<B: Backend>(
+/// Maintain a catalog of views over one base-relation delta — **the**
+/// maintenance loop; [`MaintainedView::apply`] is this with one view and
+/// no catalog. In order:
+///
+/// 1. every view joining `relation` opens a batch (one batch — and one
+///    epoch tick — per view, even when the delta splits into a delete and
+///    an insert phase); views that do not join it are left untouched;
+/// 2. per phase, the base table is updated **once**;
+/// 3. `catalog`'s pool ARs / GIs over `relation` are each updated
+///    **once**, however many views are bound to them;
+/// 4. every shared-signature group ([`crate::share`]) runs its route →
+///    probe → ship chain **once** for all its members;
+/// 5. every other joining view runs its own chain;
+/// 6. all batches commit (or, on error, all abort), and partial views are
+///    brought back under budget.
+///
+/// `None` means nothing is shared — no pool update, no grouping: the
+/// many-views-per-table situation of §2.1.2 with independent views, and
+/// the oracle the shared path is tested against. Pool-bound views are
+/// refused there, since their structures would go stale.
+///
+/// Returns one outcome per view, in input order. The shared base phase
+/// and the pool's structure updates are reported on (merged into) the
+/// first joining view's outcome, so summed costs equal work done.
+pub fn maintain<B: Backend>(
     backend: &mut B,
+    catalog: Option<&SharedCatalog>,
     views: &mut [&mut MaintainedView],
     relation: &str,
     delta: &Delta,
 ) -> Result<Vec<MaintenanceOutcome>> {
     let table = backend.engine().table_id(relation)?;
-    // One maintain_all round is one batch — and one epoch tick — on every
-    // view that joins the relation, even when the delta splits into a
-    // delete and an insert phase.
-    for view in views.iter_mut() {
-        if view.handle.def.relation_index(relation).is_ok() {
-            view.begin_batch();
+    let joins = |v: &MaintainedView| v.handle.def.relation_index(relation).is_ok();
+    if catalog.is_none() {
+        if let Some(v) = views.iter().find(|v| v.pooled && joins(v)) {
+            return Err(PvmError::InvalidOperation(format!(
+                "view '{}' probes pool-shared structures: maintain it through `maintain` \
+                 with its SharedCatalog, which updates them",
+                v.handle.def.name
+            )));
         }
     }
-    match maintain_all_phases(backend, views, table, relation, delta) {
+    for view in views.iter_mut().filter(|v| joins(v)) {
+        view.begin_batch();
+    }
+    match maintain_phases(backend, catalog, views, table, relation, delta) {
         Ok(outcomes) => {
             let defer = backend.in_txn();
-            for view in views.iter_mut() {
-                if view.open_batch.is_some() {
-                    view.commit_batch(defer);
-                }
+            for view in views.iter_mut().filter(|v| v.open_batch.is_some()) {
+                view.commit_batch(defer);
             }
-            if !defer {
-                for view in views.iter_mut() {
-                    view.enforce_partial_budget(backend)?;
-                }
+            // A no-op while a transaction is open (evictions must not
+            // roll back); the next post-commit call catches up.
+            for view in views.iter_mut() {
+                view.enforce_partial_budget(backend)?;
             }
             Ok(outcomes)
         }
@@ -2092,47 +1085,76 @@ pub fn maintain_all<B: Backend>(
     }
 }
 
-fn maintain_all_phases<B: Backend>(
+fn maintain_phases<B: Backend>(
     backend: &mut B,
+    catalog: Option<&SharedCatalog>,
     views: &mut [&mut MaintainedView],
     table: TableId,
     relation: &str,
     delta: &Delta,
 ) -> Result<Vec<MaintenanceOutcome>> {
+    // Signatures cannot change mid-delta, so plan the groups once.
+    let groups = match catalog {
+        Some(_) => share::plan_groups(backend.engine(), views, relation)?,
+        None => Vec::new(),
+    };
     let mut outcomes: Vec<Option<MaintenanceOutcome>> = views.iter().map(|_| None).collect();
     let (deletes, inserts) = delta.phases();
     for (rows, insert) in [(deletes, false), (inserts, true)] {
         let Some(rows) = rows else { continue };
         let (base, placed) = update_base(backend, table, rows, insert)?;
-        let mut base = Some(base);
+        let guard = backend.start_meter();
+        if let Some(catalog) = catalog {
+            let batch = share::pool_batch_policy(views, relation);
+            catalog.apply_base_delta(backend, relation, &placed, insert, batch)?;
+        }
+        let pool_aux = backend.finish_meter(&guard);
+        let mut shared_phases = Some((base, pool_aux));
+        // Probe-once groups first: one chain per group, results fanned to
+        // every member.
+        let mut group_out: HashMap<usize, MaintenanceOutcome> = HashMap::new();
+        for members in &groups {
+            let rel = views[members[0]].handle.def.relation_index(relation)?;
+            let outs = share::run_group(backend, views, members, rel, &placed, insert)?;
+            for (&i, mut out) in members.iter().zip(outs) {
+                views[i].note_outcome(backend, placed.len() as u64, &mut out);
+                group_out.insert(i, out);
+            }
+        }
         for (i, view) in views.iter_mut().enumerate() {
             let Ok(rel) = view.handle.def.relation_index(relation) else {
                 continue;
             };
-            let mut out = view.apply_prepared(backend, rel, &placed, insert)?;
-            if let Some(b) = base.take() {
-                out.base = b;
+            let mut out = match group_out.remove(&i) {
+                Some(out) => out,
+                None => view.apply_prepared(backend, rel, &placed, insert)?,
+            };
+            if let Some((base, pool_aux)) = shared_phases.take() {
+                if let Some(cost) = view.open_batch.as_mut().and_then(|b| b.cost.as_mut()) {
+                    cost.add_base(&base);
+                }
+                out.base = base;
+                // Merged into (not replacing) the view's own aux phase:
+                // an ungrouped view with private structures still
+                // reports its own aux cost.
+                merge_reports(&mut out.aux, &pool_aux);
             }
             outcomes[i] = Some(match outcomes[i].take() {
                 Some(prev) => prev.merge(out),
                 None => out,
             });
         }
-        if let Some(b) = base {
+        if let (Some((base, _)), Some(first @ None)) = (shared_phases, outcomes.first_mut()) {
             // No view joined the relation; surface the base report anyway
             // on the first slot if present.
-            if let Some(first) = outcomes.first_mut() {
-                if first.is_none() {
-                    *first = Some(MaintenanceOutcome {
-                        base: b.clone(),
-                        aux: empty_report(backend),
-                        compute: empty_report(backend),
-                        view: empty_report(backend),
-                        view_rows: 0,
-                        view_changes: Vec::new(),
-                    });
-                }
-            }
+            *first = Some(MaintenanceOutcome {
+                base,
+                aux: empty_report(backend),
+                compute: empty_report(backend),
+                view: empty_report(backend),
+                view_rows: 0,
+                view_changes: Vec::new(),
+            });
         }
     }
     Ok(outcomes
@@ -2143,7 +1165,7 @@ fn maintain_all_phases<B: Backend>(
 
 /// The outcome reported for a view the delta's relation does not join:
 /// empty reports, nothing maintained.
-pub(crate) fn untouched_outcome() -> MaintenanceOutcome {
+fn untouched_outcome() -> MaintenanceOutcome {
     MaintenanceOutcome {
         base: MeterReport {
             per_node: Vec::new(),
@@ -2171,82 +1193,10 @@ pub(crate) fn empty_report<B: Backend>(backend: &B) -> MeterReport {
     backend.finish_meter(&guard)
 }
 
-/// [`maintain_all`] for pool-backed views: the base table is updated
-/// once, **each shared AR is updated once** (by the pool), and then every
-/// view's compute/apply phases run. The pool's AR-update cost is reported
-/// in the first outcome's `aux` phase.
-pub fn maintain_all_pooled<B: Backend>(
-    backend: &mut B,
-    pool: &crate::minimize::ArPool,
-    views: &mut [&mut MaintainedView],
-    relation: &str,
-    delta: &Delta,
-) -> Result<Vec<MaintenanceOutcome>> {
-    let table = backend.engine().table_id(relation)?;
-    for view in views.iter_mut() {
-        if view.handle.def.relation_index(relation).is_ok() {
-            view.begin_batch();
-        }
-    }
-    let result: Result<Vec<MaintenanceOutcome>> = (|| {
-        let mut outcomes: Vec<Option<MaintenanceOutcome>> = views.iter().map(|_| None).collect();
-        let (deletes, inserts) = delta.phases();
-        for (rows, insert) in [(deletes, false), (inserts, true)] {
-            let Some(rows) = rows else { continue };
-            let (base, placed) = update_base(backend, table, rows, insert)?;
-            let guard = backend.start_meter();
-            let pool_batch = crate::share::pool_batch_policy(views, relation);
-            pool.apply_base_delta(backend, relation, &placed, insert, pool_batch)?;
-            let pool_aux = backend.finish_meter(&guard);
-            let mut shared_phases = Some((base, pool_aux));
-            for (i, view) in views.iter_mut().enumerate() {
-                let Ok(rel) = view.handle.def.relation_index(relation) else {
-                    continue;
-                };
-                let mut out = view.apply_prepared(backend, rel, &placed, insert)?;
-                if let Some((b, a)) = shared_phases.take() {
-                    out.base = b;
-                    out.aux = a;
-                }
-                outcomes[i] = Some(match outcomes[i].take() {
-                    Some(prev) => prev.merge(out),
-                    None => out,
-                });
-            }
-        }
-        Ok(outcomes
-            .into_iter()
-            .map(|o| o.unwrap_or_else(untouched_outcome))
-            .collect())
-    })();
-    match result {
-        Ok(outcomes) => {
-            let defer = backend.in_txn();
-            for view in views.iter_mut() {
-                if view.open_batch.is_some() {
-                    view.commit_batch(defer);
-                }
-            }
-            if !defer {
-                for view in views.iter_mut() {
-                    view.enforce_partial_budget(backend)?;
-                }
-            }
-            Ok(outcomes)
-        }
-        Err(e) => {
-            for view in views.iter_mut() {
-                view.abort_batch();
-            }
-            Err(e)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pvm_engine::ClusterConfig;
+    use pvm_engine::{ClusterConfig, PartialPolicy};
     use pvm_types::{row, Column, Schema, Value};
 
     /// A(a, c, payload) partitioned on a; B(b, d, payload) partitioned on
@@ -2669,7 +1619,7 @@ mod tests {
     }
 
     #[test]
-    fn maintain_all_ticks_each_joining_view_once() {
+    fn maintain_ticks_each_joining_view_once() {
         let (mut cluster, _, _) = setup(4);
         let mut v1 =
             MaintainedView::create(&mut cluster, jv_def(), MaintenanceMethod::Naive).unwrap();
@@ -2679,8 +1629,9 @@ mod tests {
             MaintainedView::create(&mut cluster, def2, MaintenanceMethod::GlobalIndex).unwrap();
         let r1 = v1.enable_serving(&cluster).unwrap();
         let r2 = v2.enable_serving(&cluster).unwrap();
-        maintain_all(
+        maintain(
             &mut cluster,
+            None,
             &mut [&mut v1, &mut v2],
             "a",
             &Delta::Update {
@@ -2696,6 +1647,57 @@ mod tests {
         c2.sort();
         assert_eq!(r1.snapshot().rows(), c1);
         assert_eq!(r2.snapshot().rows(), c2);
+    }
+
+    /// One pool-bound view per pooled method over the `setup` fixture.
+    fn pooled(cluster: &mut Cluster, method: MaintenanceMethod) -> (SharedCatalog, MaintainedView) {
+        let mut catalog = SharedCatalog::new();
+        match method {
+            MaintenanceMethod::AuxiliaryRelation => {
+                catalog.ars.enroll(cluster, &jv_def()).unwrap();
+            }
+            _ => {
+                catalog.gis.enroll(cluster, &jv_def()).unwrap();
+            }
+        }
+        let view = MaintainedView::create_pooled(cluster, jv_def(), method, &catalog).unwrap();
+        (catalog, view)
+    }
+
+    #[test]
+    fn apply_refuses_pool_bound_views_instead_of_leaving_the_pool_stale() {
+        // `apply` has no catalog, so it cannot update the pool structures
+        // a pool-bound view probes: an insert on `a` followed by an insert
+        // on `b` joining the new `a` row would probe the un-updated pool
+        // structure of `a`, miss the match, and diverge.
+        for m in [
+            MaintenanceMethod::AuxiliaryRelation,
+            MaintenanceMethod::GlobalIndex,
+        ] {
+            let (mut cluster, _, _) = setup(4);
+            let (catalog, mut v) = pooled(&mut cluster, m);
+            let new_a = Delta::Insert(vec![row![100, 77, "na"]]);
+            let new_b = Delta::Insert(vec![row![100, 77, "nb"]]);
+            for result in [
+                v.apply(&mut cluster, 0, &new_a),
+                v.apply_atomic(&mut cluster, 0, &new_a),
+            ] {
+                let err = result.unwrap_err().to_string();
+                assert!(
+                    err.contains("maintain") && err.contains("SharedCatalog"),
+                    "{m:?}: {err}"
+                );
+            }
+            assert_eq!(v.epoch(), 0, "{m:?}: a refused batch must not tick");
+            v.check_consistent(&cluster).unwrap();
+            // Through the one entry point the same two deltas stay exact.
+            for (rel, delta) in [("a", &new_a), ("b", &new_b)] {
+                let out =
+                    maintain(&mut cluster, Some(&catalog), &mut [&mut v], rel, delta).unwrap();
+                assert_eq!(out[0].view_rows, u64::from(rel == "b"), "{m:?}/{rel}");
+            }
+            v.check_consistent(&cluster).unwrap();
+        }
     }
 
     #[test]
@@ -2847,6 +1849,24 @@ mod tests {
         assert!(agg
             .enable_partial(&mut cluster, PartialPolicy::with_budget(1 << 20))
             .is_err());
+
+        // Pool-shared structures are read eagerly by the view's peers:
+        // refused the same way for ARs and GIs.
+        let mut refusals = Vec::new();
+        for m in [
+            MaintenanceMethod::AuxiliaryRelation,
+            MaintenanceMethod::GlobalIndex,
+        ] {
+            let (mut cluster, _, _) = setup(2);
+            let (_catalog, mut v) = pooled(&mut cluster, m);
+            let err = v
+                .enable_partial(&mut cluster, PartialPolicy::with_budget(1 << 20))
+                .unwrap_err();
+            assert!(v.partial_stats().is_none(), "{m:?}");
+            refusals.push(err.to_string());
+        }
+        assert!(refusals[0].contains("pool-shared"), "{}", refusals[0]);
+        assert_eq!(refusals[0], refusals[1], "one refusal text for AR and GI");
 
         let (mut cluster, _, _) = setup(2);
         let mut view =

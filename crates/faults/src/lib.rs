@@ -13,7 +13,7 @@
 //! charged once by the inner transport; what the fault layer mangles is
 //! delivery. The reliability layer (`pvm_net::reliable`) sits *above*
 //! this wrapper and restores the exactly-once in-order contract;
-//! [`FaultTolerant`](crate::FaultTolerant) packages both around a
+//! [`FaultTolerant`] packages both around a
 //! [`Backend`](pvm_engine::Backend) together with WAL-replay crash
 //! recovery.
 //!

@@ -30,7 +30,7 @@ impl MethodTag {
 /// `Route → Probe | IndexUpdate → Ship → Join → ViewApply`;
 /// `Send`/`Recv`/`Step` are transport- and scheduler-level, and
 /// `Base`/`Aux`/`Compute`/`View` are the coordinator-scope driver phases
-/// that match the four [`MeterReport`]s in a `MaintenanceOutcome`.
+/// that match the four `MeterReport`s in a `MaintenanceOutcome`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Phase {
     /// One backend epoch executing on one node.

@@ -18,12 +18,12 @@
 //!
 //! * **Zero cost when off.** The default sink is [`NoopSink`] and every
 //!   per-delta emission is gated on one relaxed atomic load
-//!   ([`Obs::enabled`]). Counted costs ([`pvm_types::CostSnapshot`]-style
+//!   ([`Obs::enabled`]). Counted costs (`pvm_types::CostSnapshot`-style
 //!   ledgers live elsewhere) are *never* touched by tracing, so enabling
 //!   or disabling a sink cannot change a single counted SEND, SEARCH,
 //!   FETCH or INSERT — a property the workspace tests assert.
 //! * **Deterministic timelines.** Events are stamped with the backend's
-//!   *logical step clock* (one tick per [`Backend::step`] epoch), not
+//!   *logical step clock* (one tick per `Backend::step` epoch), not
 //!   wall-clock time, so the exported timeline is bit-identical across
 //!   the sequential and threaded backends.
 //! * **Contention-free recording.** [`MemorySink`] keeps one buffer per

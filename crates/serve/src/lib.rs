@@ -12,14 +12,14 @@
 //! representation of its contents:
 //!
 //! * a folded *base* multiset of view rows as of some epoch, plus
-//! * one [`DeltaLink`] per committed batch after it, holding that batch's
+//! * one `DeltaLink` per committed batch after it, holding that batch's
 //!   physical view-row changes in application order.
 //!
 //! A [`Snapshot`] pins the epoch that was current when it was acquired
 //! and reconstructs exactly that state — base plus every link up to its
 //! epoch — no matter how many batches commit afterwards
 //! (**read-your-epoch**). Pins are reference-counted per epoch; once no
-//! live snapshot pins an epoch, [garbage collection](ServeCore::gc) folds
+//! live snapshot pins an epoch, garbage collection (`ServeCore::gc`) folds
 //! the now-unreachable links into the base. Publication is ordered so a
 //! reader that observes epoch `e` always finds every link `≤ e` present:
 //! the link is appended *before* the epoch becomes visible.
@@ -336,13 +336,13 @@ impl ServePublisher {
     }
 
     /// Partial-state eviction: erase a key's rows from the whole chain
-    /// (see [`ServeCore::purge_matching`]). No epoch is published.
+    /// (see `ServeCore::purge_matching`). No epoch is published.
     pub fn purge_matching(&self, col: usize, value: &Value) {
         self.core.purge_matching(col, value);
     }
 
     /// Partial-state hole fill: fold upquery-recomputed rows into the
-    /// base (see [`ServeCore::install_rows`]). No epoch is published.
+    /// base (see `ServeCore::install_rows`). No epoch is published.
     pub fn install_rows(&self, rows: &[Row]) {
         self.core.install_rows(rows);
     }

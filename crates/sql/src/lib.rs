@@ -21,8 +21,7 @@
 //!
 //! A [`Session`] owns a cluster plus every view created through it, and
 //! keeps all views maintained on every `INSERT` / `DELETE` / `UPDATE`
-//! (one shared base update per statement — see
-//! [`pvm_core::maintain_all`]).
+//! (one shared base update per statement — see [`pvm_core::maintain`]).
 //!
 //! Deliberately out of scope: general expressions, aggregation, nested
 //! queries, and multi-table `SELECT` execution (the engine recomputes

@@ -5,8 +5,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use pvm_core::{
-    maintain_catalog, Delta, GroupSignature, JoinViewDef, MaintainedView, MaintenanceMethod,
-    PartialPolicy, SharedCatalog, ViewColumn, ViewEdge,
+    maintain, Delta, GroupSignature, JoinViewDef, MaintainedView, MaintenanceMethod, PartialPolicy,
+    SharedCatalog, ViewColumn, ViewEdge,
 };
 use pvm_engine::{Cluster, ClusterConfig, PartitionSpec, TableDef};
 use pvm_obs::RingSink;
@@ -661,16 +661,9 @@ impl Session {
             MethodSpec::Naive => MaintenanceMethod::Naive,
             MethodSpec::AuxiliaryRelation => MaintenanceMethod::AuxiliaryRelation,
             MethodSpec::GlobalIndex => MaintenanceMethod::GlobalIndex,
-            MethodSpec::Auto => {
-                let advice = pvm_core::advise(&self.cluster, &def, 128, u64::MAX)?;
-                match advice.recommendation {
-                    pvm_core::Recommendation::Naive => MaintenanceMethod::Naive,
-                    pvm_core::Recommendation::AuxiliaryRelation => {
-                        MaintenanceMethod::AuxiliaryRelation
-                    }
-                    pvm_core::Recommendation::GlobalIndex => MaintenanceMethod::GlobalIndex,
-                }
-            }
+            MethodSpec::Auto => pvm_core::advise(&self.cluster, &def, 128, u64::MAX)?
+                .recommendation
+                .into(),
         };
         let mut view = if agg_items.is_empty() {
             MaintainedView::create(&mut self.cluster, def, resolved_method)?
@@ -716,10 +709,10 @@ impl Session {
     /// Find existing views whose join-graph signature matches the new
     /// view's ([`GroupSignature::candidate`] — same method, relations,
     /// normalized edges, and policies; projections may differ). When
-    /// peers exist, enroll every member's definition into the session's
-    /// shared pool, rebind the group to the pooled structures, and hand
-    /// out a shared-group id. Returns the group id, or `None` when the
-    /// view stays private.
+    /// peers exist, move the whole group onto the session's shared pools
+    /// ([`pvm_core::SharedCatalog::enroll_group`]) and hand out a
+    /// shared-group id. Returns the group id, or `None` when the view
+    /// stays private.
     fn enroll_shared(&mut self, view: &mut MaintainedView) -> Result<Option<u64>> {
         let Some(sig) = GroupSignature::candidate(&self.cluster, view)? else {
             return Ok(None);
@@ -733,75 +726,14 @@ impl Session {
         if peers.is_empty() {
             return Ok(None);
         }
-        match view.method() {
-            MaintenanceMethod::Naive => {
-                // No probe structures; matching signatures group as-is.
-            }
-            MaintenanceMethod::AuxiliaryRelation => {
-                // Enrolling can widen pool keep-sets (changed keys come
-                // back non-empty). A widened AR is dropped and rebuilt
-                // under a new table id, and the session's single pool
-                // spans every signature group — so *every* pool-bound AR
-                // view must rebind, not just this group's peers.
-                let mut widened = false;
-                for &i in &peers {
-                    let def = self.views[i].def().clone();
-                    widened |= !self.catalog.ars.enroll(&mut self.cluster, &def)?.is_empty();
-                }
-                widened |= !self.catalog.ars.enroll(&mut self.cluster, view.def())?.is_empty();
-                if widened {
-                    for v in self.views.iter_mut() {
-                        if v.method() == MaintenanceMethod::AuxiliaryRelation
-                            && v.is_pool_shared()
-                        {
-                            v.rebind_ar_pool(&self.cluster, &self.catalog.ars)?;
-                        }
-                    }
-                }
-                // All-or-nothing adoption: verify the pool covers every
-                // member before any member drops its private structures,
-                // so a late failure cannot leave the group half-migrated.
-                for &i in &peers {
-                    self.views[i].check_ar_pool(&self.cluster, &self.catalog.ars)?;
-                }
-                view.check_ar_pool(&self.cluster, &self.catalog.ars)?;
-                for &i in &peers {
-                    if !self.views[i].is_pool_shared() {
-                        self.views[i].adopt_ar_pool(&mut self.cluster, &self.catalog.ars)?;
-                    }
-                }
-                view.adopt_ar_pool(&mut self.cluster, &self.catalog.ars)?;
-            }
-            MaintenanceMethod::GlobalIndex => {
-                // GiPool::enroll only ever creates GIs (contents depend
-                // solely on (base, attr), so nothing widens) — the rebind
-                // sweep mirrors the AR branch defensively in case pool
-                // GIs are ever rebuilt under new ids.
-                let mut rebuilt = false;
-                for &i in &peers {
-                    let def = self.views[i].def().clone();
-                    rebuilt |= !self.catalog.gis.enroll(&mut self.cluster, &def)?.is_empty();
-                }
-                rebuilt |= !self.catalog.gis.enroll(&mut self.cluster, view.def())?.is_empty();
-                if rebuilt {
-                    for v in self.views.iter_mut() {
-                        if v.method() == MaintenanceMethod::GlobalIndex && v.is_pool_shared() {
-                            v.rebind_gi_pool(&self.cluster, &self.catalog.gis)?;
-                        }
-                    }
-                }
-                for &i in &peers {
-                    self.views[i].check_gi_pool(&self.cluster, &self.catalog.gis)?;
-                }
-                view.check_gi_pool(&self.cluster, &self.catalog.gis)?;
-                for &i in &peers {
-                    if !self.views[i].is_pool_shared() {
-                        self.views[i].adopt_gi_pool(&mut self.cluster, &self.catalog.gis)?;
-                    }
-                }
-                view.adopt_gi_pool(&mut self.cluster, &self.catalog.gis)?;
-            }
-        }
+        // The new view is not in `self.views` yet: it rides as the last
+        // element, so the catalog sees every view it may have to rebind.
+        let mut members = peers.clone();
+        members.push(self.views.len());
+        let mut all: Vec<&mut MaintainedView> = self.views.iter_mut().collect();
+        all.push(&mut *view);
+        self.catalog
+            .enroll_group(&mut self.cluster, &mut all, &members)?;
         let gid = match peers.iter().find_map(|&i| self.views[i].shared_group()) {
             Some(g) => g,
             None => {
@@ -909,7 +841,13 @@ impl Session {
             return Ok((n as u64, String::new()));
         }
         let mut refs: Vec<&mut MaintainedView> = self.views.iter_mut().collect();
-        let outcomes = maintain_catalog(&mut self.cluster, &self.catalog, &mut refs, table, &delta)?;
+        let outcomes = maintain(
+            &mut self.cluster,
+            Some(&self.catalog),
+            &mut refs,
+            table,
+            &delta,
+        )?;
         let view_rows: u64 = outcomes.iter().map(|o| o.view_rows).sum();
         let io: f64 = outcomes.iter().map(|o| o.tw_io()).sum();
         Ok((

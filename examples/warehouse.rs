@@ -44,8 +44,9 @@ fn main() -> Result<()> {
         let mut total_io = 0.0;
         let deltas = dataset.customer_delta(128);
         for batch in deltas.chunks(32) {
-            let outcomes = maintain_all(
+            let outcomes = maintain(
                 &mut cluster,
+                None,
                 &mut [&mut jv1, &mut jv2, &mut revenue],
                 "customer",
                 &Delta::Insert(batch.to_vec()),

@@ -99,8 +99,9 @@ fn three_views_three_methods_one_cluster() {
     // One shared base update per step, all three views maintained from it.
     for (i, rel) in [(0usize, "a"), (1, "b"), (2, "a"), (3, "b")] {
         let r = row![20_000 + i as i64, (i % 6) as i64, "x"];
-        let outcomes = maintain_all(
+        let outcomes = maintain(
             &mut cluster,
+            None,
             &mut [&mut naive, &mut ar, &mut gi],
             rel,
             &Delta::insert_one(r),

@@ -144,15 +144,7 @@ fn create_shared(
     let mut views: Vec<MaintainedView> = defs()
         .into_iter()
         .map(|d| {
-            let mut v = match method {
-                MaintenanceMethod::AuxiliaryRelation => {
-                    MaintainedView::create_with_pool(cluster, d, &catalog.ars).unwrap()
-                }
-                MaintenanceMethod::GlobalIndex => {
-                    MaintainedView::create_with_gi_pool(cluster, d, &catalog.gis).unwrap()
-                }
-                MaintenanceMethod::Naive => MaintainedView::create(cluster, d, method).unwrap(),
-            };
+            let mut v = MaintainedView::create_pooled(cluster, d, method, &catalog).unwrap();
             v.set_batch_policy(batch);
             v
         })
@@ -169,9 +161,8 @@ fn create_shared(
     (catalog, views)
 }
 
-/// Drive the op stream through the whole catalog — one
-/// [`maintain_catalog`] (shared) or [`maintain_all`] (independent) round
-/// per op.
+/// Drive the op stream through the whole catalog — one [`maintain`]
+/// round per op, with the catalog (shared) or without (independent).
 fn run_ops<B: Backend>(
     backend: &mut B,
     views: &mut [MaintainedView],
@@ -203,10 +194,7 @@ fn run_ops<B: Backend>(
         };
         let name = if rel == 0 { "a" } else { "b" };
         let mut refs: Vec<&mut MaintainedView> = views.iter_mut().collect();
-        match catalog {
-            Some(cat) => maintain_catalog(backend, cat, &mut refs, name, &delta)?,
-            None => maintain_all(backend, &mut refs, name, &delta)?,
-        };
+        maintain(backend, catalog, &mut refs, name, &delta)?;
     }
     Ok(())
 }

@@ -46,10 +46,10 @@ fn setup(
     cluster.insert(a, seed_rows("a")).unwrap();
     cluster.insert(b, seed_rows("b")).unwrap();
     let def = JoinViewDef::two_way("jv", "a", "b", 1, 1, 3, 3);
-    let view = match skew {
-        None => MaintainedView::create(&mut cluster, def, method).unwrap(),
-        Some(config) => MaintainedView::create_skewed(&mut cluster, def, method, config).unwrap(),
-    };
+    let mut view = MaintainedView::create(&mut cluster, def, method).unwrap();
+    if let Some(config) = skew {
+        view.enable_skew_handling(&mut cluster, config).unwrap();
+    }
     (cluster, view)
 }
 
@@ -324,9 +324,10 @@ fn rebalance_is_idempotent() {
 }
 
 /// Naive maintenance broadcasts everything — there is no structure to
-/// spread, and asking for skew handling is an error, not a silent no-op.
+/// spread — and a pool-bound view's structures belong to its peers too:
+/// asking either for skew handling is an error, not a silent no-op.
 #[test]
-fn naive_rejects_skew_handling() {
+fn naive_and_pool_shared_views_reject_skew_handling() {
     let mut cluster = Cluster::new(ClusterConfig::new(3).with_buffer_pages(256));
     let schema =
         Schema::new(vec![Column::int("id"), Column::int("j"), Column::str("p")]).into_ref();
@@ -336,12 +337,41 @@ fn naive_rejects_skew_handling() {
     cluster
         .create_table(TableDef::hash_heap("b", schema, 0))
         .unwrap();
-    let def = JoinViewDef::two_way("jv", "a", "b", 1, 1, 3, 3);
-    let err = MaintainedView::create_skewed(
-        &mut cluster,
-        def,
-        MaintenanceMethod::Naive,
-        SkewConfig::default(),
-    );
+    let def = |name: &str| JoinViewDef::two_way(name, "a", "b", 1, 1, 3, 3);
+    let mut view =
+        MaintainedView::create(&mut cluster, def("jv"), MaintenanceMethod::Naive).unwrap();
+    let err = view.enable_skew_handling(&mut cluster, SkewConfig::default());
     assert!(err.is_err(), "naive must reject skew handling");
+
+    let mut catalog = SharedCatalog::new();
+    catalog.ars.enroll(&mut cluster, &def("jv_ar")).unwrap();
+    catalog.gis.enroll(&mut cluster, &def("jv_gi")).unwrap();
+    let mut refusals = Vec::new();
+    for (name, method) in [
+        ("jv_ar", MaintenanceMethod::AuxiliaryRelation),
+        ("jv_gi", MaintenanceMethod::GlobalIndex),
+    ] {
+        let mut view =
+            MaintainedView::create_pooled(&mut cluster, def(name), method, &catalog).unwrap();
+        let tables = view.method_tables();
+        let specs = |cluster: &Cluster| -> Vec<PartitionSpec> {
+            tables
+                .iter()
+                .map(|&t| cluster.def(t).unwrap().partitioning.clone())
+                .collect()
+        };
+        let before = specs(&cluster);
+        let err = view
+            .enable_skew_handling(&mut cluster, SkewConfig::default())
+            .unwrap_err();
+        assert!(view.skew_state().is_none(), "{method:?}");
+        assert_eq!(
+            specs(&cluster),
+            before,
+            "{method:?}: pool tables repartitioned"
+        );
+        refusals.push(err.to_string());
+    }
+    assert!(refusals[0].contains("pool-shared"), "{}", refusals[0]);
+    assert_eq!(refusals[0], refusals[1], "one refusal text for AR and GI");
 }

@@ -213,8 +213,13 @@ fn pooled_ars_are_created_once_and_merged() {
     );
 
     // Views bind to the pool; no private __ar_ tables appear.
-    let v1 = MaintainedView::create_with_pool(&mut cluster, jv1, &pool).unwrap();
-    let v2 = MaintainedView::create_with_pool(&mut cluster, jv2, &pool).unwrap();
+    let catalog = SharedCatalog {
+        ars: pool,
+        ..Default::default()
+    };
+    let ar = MaintenanceMethod::AuxiliaryRelation;
+    let v1 = MaintainedView::create_pooled(&mut cluster, jv1, ar, &catalog).unwrap();
+    let v2 = MaintainedView::create_pooled(&mut cluster, jv2, ar, &catalog).unwrap();
     let private = cluster
         .catalog()
         .ids()
@@ -241,14 +246,19 @@ fn pooled_maintenance_updates_each_ar_once_and_stays_consistent() {
     pool.plan(&cluster, &jv1).unwrap();
     pool.plan(&cluster, &jv2).unwrap();
     pool.materialize(&mut cluster).unwrap();
-    let mut v1 = MaintainedView::create_with_pool(&mut cluster, jv1, &pool).unwrap();
-    let mut v2 = MaintainedView::create_with_pool(&mut cluster, jv2, &pool).unwrap();
+    let catalog = SharedCatalog {
+        ars: pool,
+        ..Default::default()
+    };
+    let ar = MaintenanceMethod::AuxiliaryRelation;
+    let mut v1 = MaintainedView::create_pooled(&mut cluster, jv1, ar, &catalog).unwrap();
+    let mut v2 = MaintainedView::create_pooled(&mut cluster, jv2, ar, &catalog).unwrap();
 
     // One base insert, both views maintained, the shared AR updated once:
     // aux phase charges exactly ONE INSERT (2 I/Os) total.
-    let outcomes = maintain_all_pooled(
+    let outcomes = maintain(
         &mut cluster,
-        &pool,
+        Some(&catalog),
         &mut [&mut v1, &mut v2],
         "a",
         &Delta::insert_one(wide_row(10_000)),
@@ -260,9 +270,9 @@ fn pooled_maintenance_updates_each_ar_once_and_stays_consistent() {
     v2.check_consistent(&cluster).unwrap();
 
     // Deletes flow through the shared AR too.
-    maintain_all_pooled(
+    maintain(
         &mut cluster,
-        &pool,
+        Some(&catalog),
         &mut [&mut v1, &mut v2],
         "a",
         &Delta::Delete(vec![wide_row(10_000)]),
@@ -319,19 +329,20 @@ fn pooled_storage_beats_private_storage() {
 #[test]
 fn pool_lifecycle_errors() {
     let mut cluster = setup(2);
-    let mut pool = ArPool::new();
+    let mut catalog = SharedCatalog::new();
+    let ar = MaintenanceMethod::AuxiliaryRelation;
     // Views cannot bind before materialization.
-    assert!(MaintainedView::create_with_pool(&mut cluster, narrow_def(), &pool).is_err());
-    pool.plan(&cluster, &narrow_def()).unwrap();
-    pool.materialize(&mut cluster).unwrap();
+    assert!(MaintainedView::create_pooled(&mut cluster, narrow_def(), ar, &catalog).is_err());
+    catalog.ars.plan(&cluster, &narrow_def()).unwrap();
+    catalog.ars.materialize(&mut cluster).unwrap();
     // No double materialization, no late planning.
-    assert!(pool.materialize(&mut cluster).is_err());
-    assert!(pool.plan(&cluster, &narrow_def()).is_err());
+    assert!(catalog.ars.materialize(&mut cluster).is_err());
+    assert!(catalog.ars.plan(&cluster, &narrow_def()).is_err());
     // A view the pool never saw fails to bind.
     let mut other = JoinViewDef::two_way("other", "a", "b", 2, 2, 8, 8);
     other.partition_column = 0;
     // join on column 2 (STR) — needs an AR on attr 2, absent from pool.
-    assert!(MaintainedView::create_with_pool(&mut cluster, other, &pool).is_err());
+    assert!(MaintainedView::create_pooled(&mut cluster, other, ar, &catalog).is_err());
 }
 
 #[test]
