@@ -123,12 +123,6 @@ impl NodeState {
         Ok(())
     }
 
-    fn log_undo(&mut self, entry: LocalUndo) {
-        if let Some(log) = &mut self.undo {
-            log.push(entry);
-        }
-    }
-
     pub fn id(&self) -> NodeId {
         self.id
     }
@@ -170,20 +164,23 @@ impl NodeState {
 
     /// Insert locally, charging this node's ledger one `INSERT`.
     pub fn insert(&mut self, id: TableId, row: Row) -> Result<Rid> {
-        let ledger = &mut self.ledger;
         let t = self
             .tables
             .get_mut(&id)
             .ok_or_else(|| PvmError::NotFound(format!("{id}")))?;
-        let rid = t.insert(row.clone(), ledger)?;
-        let name = t.name().to_owned();
-        self.log_undo(LocalUndo::Insert { table: id, rid });
-        self.log_wal(WalRecord::Insert {
-            table: name,
-            node: self.id,
-            rid,
-            row,
-        });
+        let logged = self.wal.as_ref().map(|wal| (wal, row.clone()));
+        let rid = t.insert(row, &mut self.ledger)?;
+        if let Some(undo) = &mut self.undo {
+            undo.push(LocalUndo::Insert { table: id, rid });
+        }
+        if let Some((wal, row)) = logged {
+            wal.lock().append(WalRecord::Insert {
+                table: t.name().to_owned(),
+                node: self.id,
+                rid,
+                row,
+            });
+        }
         Ok(rid)
     }
 
@@ -258,29 +255,32 @@ impl NodeState {
 
     /// Delete the local row at `rid`, returning it.
     pub fn delete_rid(&mut self, id: TableId, rid: Rid) -> Result<Row> {
-        let ledger = &mut self.ledger;
         let t = self
             .tables
             .get_mut(&id)
             .ok_or_else(|| PvmError::NotFound(format!("{id}")))?;
-        let row = t.delete(rid, ledger)?;
-        let name = t.name().to_owned();
-        self.log_undo(LocalUndo::Delete {
-            table: id,
-            rid,
-            row: row.clone(),
-        });
-        self.log_wal(WalRecord::Delete {
-            table: name,
-            node: self.id,
-            rid,
-            row: row.clone(),
-        });
+        let row = t.delete(rid, &mut self.ledger)?;
+        if let Some(undo) = &mut self.undo {
+            undo.push(LocalUndo::Delete {
+                table: id,
+                rid,
+                row: row.clone(),
+            });
+        }
+        if let Some(wal) = &self.wal {
+            wal.lock().append(WalRecord::Delete {
+                table: t.name().to_owned(),
+                node: self.id,
+                rid,
+                row: row.clone(),
+            });
+        }
         Ok(row)
     }
 
-    /// Delete one local row equal to `row` (located via `key_hint`'s index
-    /// when available, else by scan).
+    /// Delete one local row equal to `row` (located via `key_hint`'s
+    /// secondary index when there is one, else via the table's row
+    /// locator).
     pub fn delete_row(&mut self, id: TableId, row: &Row, key_hint: &[usize]) -> Result<bool> {
         match self.find_rid(id, row, key_hint)? {
             Some(rid) => {

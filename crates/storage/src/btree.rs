@@ -6,6 +6,8 @@
 //!   `(key, value)`, so **duplicate keys** (and even duplicate entries —
 //!   multiset semantics) are fully supported: equal keys are contiguous in
 //!   leaf order and may span leaves;
+//! * an entry is **one allocation** (`key ‖ value` plus the key's length),
+//!   accounted as `key + value + 8` bytes against the node budget;
 //! * leaves are chained left-to-right for ordered scans (the access path
 //!   used by sort-merge joins over clustered auxiliary relations);
 //! * nodes live in an arena and are sized by a *byte budget* equal to the
@@ -31,11 +33,49 @@ const ENTRY_OVERHEAD: usize = 8;
 
 type NodeIdx = usize;
 
+/// One `(key, value)` pair packed into a single allocation.
+#[derive(Debug, Clone)]
+struct Entry {
+    /// `key ‖ value`.
+    buf: Box<[u8]>,
+    key_len: u32,
+}
+
+impl Entry {
+    fn new(key: &[u8], val: &[u8]) -> Self {
+        let mut buf = Vec::with_capacity(key.len() + val.len());
+        buf.extend_from_slice(key);
+        buf.extend_from_slice(val);
+        Entry {
+            buf: buf.into_boxed_slice(),
+            key_len: u32::try_from(key.len()).expect("insert bounds entries by the node budget"),
+        }
+    }
+
+    fn key(&self) -> &[u8] {
+        &self.buf[..self.key_len as usize]
+    }
+
+    fn val(&self) -> &[u8] {
+        &self.buf[self.key_len as usize..]
+    }
+
+    /// Bytes this entry is accounted at against the node budget.
+    fn size(&self) -> usize {
+        entry_size(self.key(), self.val())
+    }
+
+    /// Composite `(key, value)` order against a probe.
+    fn cmp_to(&self, key: &[u8], val: &[u8]) -> std::cmp::Ordering {
+        self.key().cmp(key).then_with(|| self.val().cmp(val))
+    }
+}
+
 #[derive(Debug)]
 enum Node {
     Leaf {
-        /// `(key, value)` pairs sorted by composite order.
-        entries: Vec<(Vec<u8>, Vec<u8>)>,
+        /// Entries sorted by composite order.
+        entries: Vec<Entry>,
         /// Next leaf to the right.
         next: Option<NodeIdx>,
         /// Cached byte size of all entries.
@@ -43,7 +83,7 @@ enum Node {
     },
     Internal {
         /// `seps[i]` is the minimum composite entry of `children[i + 1]`.
-        seps: Vec<(Vec<u8>, Vec<u8>)>,
+        seps: Vec<Entry>,
         children: Vec<NodeIdx>,
         bytes: usize,
     },
@@ -51,12 +91,6 @@ enum Node {
 
 fn entry_size(k: &[u8], v: &[u8]) -> usize {
     k.len() + v.len() + ENTRY_OVERHEAD
-}
-
-fn cmp_entry(a: &(Vec<u8>, Vec<u8>), key: &[u8], val: &[u8]) -> std::cmp::Ordering {
-    a.0.as_slice()
-        .cmp(key)
-        .then_with(|| a.1.as_slice().cmp(val))
 }
 
 /// The B+tree. See module docs.
@@ -146,7 +180,7 @@ impl BPlusTree {
                     // First separator strictly greater than probe bounds the
                     // child on its left; probe >= sep means the right child's
                     // range includes it.
-                    let pos = seps.partition_point(|s| cmp_entry(s, key, val).is_le());
+                    let pos = seps.partition_point(|s| s.cmp_to(key, val).is_le());
                     idx = children[pos];
                 }
             }
@@ -167,8 +201,8 @@ impl BPlusTree {
         let Node::Leaf { entries, bytes, .. } = &mut self.nodes[leaf] else {
             unreachable!("descend returns a leaf")
         };
-        let pos = entries.partition_point(|e| cmp_entry(e, key, val).is_le());
-        entries.insert(pos, (key.to_vec(), val.to_vec()));
+        let pos = entries.partition_point(|e| e.cmp_to(key, val).is_le());
+        entries.insert(pos, Entry::new(key, val));
         *bytes += entry_size(key, val);
         self.len += 1;
         self.split_if_needed(leaf, path);
@@ -196,15 +230,15 @@ impl BPlusTree {
                     else {
                         unreachable!("path nodes are internal")
                     };
-                    let pos = seps.partition_point(|s| cmp_entry(s, &sep.0, &sep.1).is_le());
-                    *bytes += entry_size(&sep.0, &sep.1);
+                    let pos = seps.partition_point(|s| s.cmp_to(sep.key(), sep.val()).is_le());
+                    *bytes += sep.size();
                     seps.insert(pos, sep);
                     children.insert(pos + 1, new_idx);
                     idx = parent;
                 }
                 None => {
                     // Split reached the root: grow the tree by one level.
-                    let bytes = entry_size(&sep.0, &sep.1);
+                    let bytes = sep.size();
                     let new_root = Node::Internal {
                         seps: vec![sep],
                         children: vec![idx, new_idx],
@@ -221,7 +255,7 @@ impl BPlusTree {
 
     /// Split node `idx` in half; returns `(separator, right node idx)`.
     /// The separator is the minimum entry of the right node.
-    fn split(&mut self, idx: NodeIdx) -> ((Vec<u8>, Vec<u8>), NodeIdx) {
+    fn split(&mut self, idx: NodeIdx) -> (Entry, NodeIdx) {
         self.touch(idx, AccessMode::Write);
         let new_idx = self.nodes.len();
         match &mut self.nodes[idx] {
@@ -232,7 +266,7 @@ impl BPlusTree {
             } => {
                 let mid = entries.len() / 2;
                 let right_entries: Vec<_> = entries.split_off(mid);
-                let right_bytes: usize = right_entries.iter().map(|(k, v)| entry_size(k, v)).sum();
+                let right_bytes: usize = right_entries.iter().map(Entry::size).sum();
                 *bytes -= right_bytes;
                 let sep = right_entries[0].clone();
                 let right = Node::Leaf {
@@ -258,8 +292,8 @@ impl BPlusTree {
                 let mut right_seps = seps.split_off(mid);
                 let promoted = right_seps.remove(0);
                 let right_children = children.split_off(mid + 1);
-                let right_bytes: usize = right_seps.iter().map(|(k, v)| entry_size(k, v)).sum();
-                *bytes -= right_bytes + entry_size(&promoted.0, &promoted.1);
+                let right_bytes: usize = right_seps.iter().map(Entry::size).sum();
+                *bytes -= right_bytes + promoted.size();
                 let right = Node::Internal {
                     seps: right_seps,
                     children: right_children,
@@ -281,10 +315,10 @@ impl BPlusTree {
             let Node::Leaf { entries, next, .. } = &self.nodes[leaf] else {
                 unreachable!()
             };
-            let start = entries.partition_point(|e| e.0.as_slice() < key);
-            for (k, v) in &entries[start..] {
-                if k.as_slice() == key {
-                    out.push(v.clone());
+            let start = entries.partition_point(|e| e.key() < key);
+            for e in &entries[start..] {
+                if e.key() == key {
+                    out.push(e.val().to_vec());
                 } else {
                     // Passed beyond `key`: no match can follow.
                     return out;
@@ -325,7 +359,7 @@ impl BPlusTree {
                     // guarantees no match lives left of the cursor (equal
                     // keys could straddle the boundary otherwise).
                     (Some(first), Some(last)) => {
-                        first.0.as_slice() < key.as_slice() && key.as_slice() <= last.0.as_slice()
+                        first.key() < key.as_slice() && key.as_slice() <= last.key()
                     }
                     _ => false,
                 }
@@ -339,10 +373,10 @@ impl BPlusTree {
                 let Node::Leaf { entries, next, .. } = &self.nodes[leaf] else {
                     unreachable!()
                 };
-                let start = entries.partition_point(|e| e.0.as_slice() < key.as_slice());
-                for (k, v) in &entries[start..] {
-                    if k == key {
-                        matches.push(v.clone());
+                let start = entries.partition_point(|e| e.key() < key.as_slice());
+                for e in &entries[start..] {
+                    if e.key() == key.as_slice() {
+                        matches.push(e.val().to_vec());
                     } else {
                         break 'scan;
                     }
@@ -368,9 +402,9 @@ impl BPlusTree {
             let Node::Leaf { entries, next, .. } = &self.nodes[leaf] else {
                 unreachable!()
             };
-            let pos = entries.partition_point(|e| cmp_entry(e, key, val).is_lt());
+            let pos = entries.partition_point(|e| e.cmp_to(key, val).is_lt());
             if let Some(e) = entries.get(pos) {
-                return cmp_entry(e, key, val).is_eq();
+                return e.cmp_to(key, val).is_eq();
             }
             match next {
                 Some(n) => {
@@ -394,9 +428,9 @@ impl BPlusTree {
             else {
                 unreachable!()
             };
-            let pos = entries.partition_point(|e| cmp_entry(e, key, val).is_lt());
+            let pos = entries.partition_point(|e| e.cmp_to(key, val).is_lt());
             if let Some(e) = entries.get(pos) {
-                if cmp_entry(e, key, val).is_eq() {
+                if e.cmp_to(key, val).is_eq() {
                     *bytes -= entry_size(key, val);
                     entries.remove(pos);
                     self.len -= 1;
@@ -453,7 +487,7 @@ impl BPlusTree {
     pub fn scan_from(&self, from: &[u8]) -> BTreeScan<'_> {
         let (leaf, _) = self.descend(from, &[]);
         let pos = match &self.nodes[leaf] {
-            Node::Leaf { entries, .. } => entries.partition_point(|e| e.0.as_slice() < from),
+            Node::Leaf { entries, .. } => entries.partition_point(|e| e.key() < from),
             _ => unreachable!(),
         };
         BTreeScan {
@@ -463,26 +497,23 @@ impl BPlusTree {
         }
     }
 
-    /// Internal consistency check used by tests: order, separator bounds,
+    /// Internal consistency check used by tests: order within every node,
     /// leaf-chain completeness, byte accounting.
     pub fn check_invariants(&self) -> Result<()> {
-        // 1. Every leaf's entries are sorted; bytes match.
+        // 1. Every node's entries / separators are sorted; bytes match.
         for node in &self.nodes {
-            if let Node::Leaf { entries, bytes, .. } = node {
-                let mut prev: Option<&(Vec<u8>, Vec<u8>)> = None;
-                let mut sz = 0usize;
-                for e in entries {
-                    if let Some(p) = prev {
-                        if cmp_entry(p, &e.0, &e.1).is_gt() {
-                            return Err(PvmError::Corrupt("leaf out of order".into()));
-                        }
-                    }
-                    sz += entry_size(&e.0, &e.1);
-                    prev = Some(e);
-                }
-                if sz != *bytes {
-                    return Err(PvmError::Corrupt("leaf byte accounting drift".into()));
-                }
+            let (entries, bytes) = match node {
+                Node::Leaf { entries, bytes, .. } => (entries, bytes),
+                Node::Internal { seps, bytes, .. } => (seps, bytes),
+            };
+            if entries
+                .windows(2)
+                .any(|w| w[0].cmp_to(w[1].key(), w[1].val()).is_gt())
+            {
+                return Err(PvmError::Corrupt("node out of order".into()));
+            }
+            if entries.iter().map(Entry::size).sum::<usize>() != *bytes {
+                return Err(PvmError::Corrupt("node byte accounting drift".into()));
             }
         }
         // 2. Chain from the leftmost leaf yields len() sorted entries.
@@ -490,7 +521,7 @@ impl BPlusTree {
         let mut prev: Option<(Vec<u8>, Vec<u8>)> = None;
         for (k, v) in self.scan() {
             if let Some(p) = &prev {
-                if cmp_entry(p, &k, &v).is_gt() {
+                if (p.0.as_slice(), p.1.as_slice()) > (k.as_slice(), v.as_slice()) {
                     return Err(PvmError::Corrupt("scan out of order".into()));
                 }
             }
@@ -524,7 +555,7 @@ impl Iterator for BTreeScan<'_> {
                 Node::Leaf { entries, next, .. } => {
                     if let Some(e) = entries.get(self.pos) {
                         self.pos += 1;
-                        return Some(e.clone());
+                        return Some((e.key().to_vec(), e.val().to_vec()));
                     }
                     self.leaf = *next;
                     self.pos = 0;
@@ -773,5 +804,41 @@ mod tests {
             0,
             "hot path must be all hits"
         );
+    }
+
+    /// Leaf and internal bytes as the nodes account them.
+    fn accounted_bytes(t: &BPlusTree) -> (usize, usize) {
+        t.nodes.iter().fold((0, 0), |(leaf, internal), n| match n {
+            Node::Leaf { bytes, .. } => (leaf + bytes, internal),
+            Node::Internal { bytes, .. } => (leaf, internal + bytes),
+        })
+    }
+
+    #[test]
+    fn packed_entries_account_like_separate_key_and_value() {
+        // The constants are what `Vec<(Vec<u8>, Vec<u8>)>` entries produced
+        // for this sequence: packing changes the allocation, not the page
+        // model (entry = key + value + 8 bytes, same split points).
+        let mut t = tree();
+        let n = 24_000u64;
+        for i in 0..n {
+            let k = (i * 2654435761) % n;
+            let val = vec![k as u8; (k % 97) as usize];
+            t.insert(&key(k % 5000), &val).unwrap();
+        }
+        assert_eq!((t.page_count(), t.height()), (260, 3));
+        assert_eq!(accounted_bytes(&t), (1_534_852, 16_394));
+        for i in (0..n).step_by(3) {
+            let k = (i * 2654435761) % n;
+            let val = vec![k as u8; (k % 97) as usize];
+            assert!(t.delete(&key(k % 5000), &val));
+        }
+        for i in 0..9000u64 {
+            t.insert(&key(i * 7 % 5000), &[7u8; 150]).unwrap();
+        }
+        assert_eq!(t.len(), n - n.div_ceil(3) + 9000);
+        assert_eq!((t.page_count(), t.height()), (518, 3));
+        assert_eq!(accounted_bytes(&t), (2_517_216, 40_640));
+        t.check_invariants().unwrap();
     }
 }

@@ -112,6 +112,13 @@ impl HeapFile {
         Ok(bytes)
     }
 
+    /// The live tuple at `rid` without a page access: for comparing bytes
+    /// where the caller's abstract cost model charges nothing (the
+    /// table's row locator). `None` for a deleted or unknown rid.
+    pub fn peek(&self, rid: Rid) -> Option<&[u8]> {
+        self.pages.get(rid.page.0 as usize)?.get(rid.slot).ok()
+    }
+
     /// Delete the tuple at `rid`.
     pub fn delete(&mut self, rid: Rid) -> Result<()> {
         let file_page = rid.page.0;
@@ -150,20 +157,18 @@ impl HeapFile {
 
     /// Iterate all live tuples as `(rid, bytes)`, charging one page access
     /// per page visited.
-    pub fn scan(&self) -> impl Iterator<Item = (Rid, Vec<u8>)> + '_ {
+    pub fn scan(&self) -> impl Iterator<Item = (Rid, &[u8])> + '_ {
         self.pages.iter().enumerate().flat_map(move |(pno, page)| {
             self.touch(pno as u32, AccessMode::Read);
-            page.iter()
-                .map(move |(slot, bytes)| {
-                    (
-                        Rid {
-                            page: pvm_types::PageId(pno as u32),
-                            slot,
-                        },
-                        bytes.to_vec(),
-                    )
-                })
-                .collect::<Vec<_>>()
+            page.iter().map(move |(slot, bytes)| {
+                (
+                    Rid {
+                        page: pvm_types::PageId(pno as u32),
+                        slot,
+                    },
+                    bytes,
+                )
+            })
         })
     }
 }
@@ -227,9 +232,9 @@ mod tests {
         }
         h.delete(rids[10]).unwrap();
         h.delete(rids[20]).unwrap();
-        let seen: Vec<Vec<u8>> = h.scan().map(|(_, b)| b).collect();
+        let seen: Vec<&[u8]> = h.scan().map(|(_, b)| b).collect();
         assert_eq!(seen.len(), 48);
-        assert!(!seen.contains(&vec![10u8]));
+        assert!(!seen.contains(&[10u8].as_slice()));
     }
 
     #[test]

@@ -6,6 +6,7 @@
 
 use pvm::engine::{recover, Wal};
 use pvm::prelude::*;
+use pvm::types::{CostLedger, Rid};
 
 fn snapshot(cluster: &Cluster) -> Vec<(String, Vec<Row>)> {
     let mut out = Vec::new();
@@ -188,6 +189,57 @@ fn aborted_transactions_replay_as_aborted() {
         "aborted row must not revive"
     );
     assert!(rows.iter().any(|r| r[0] == Value::Int(402)));
+}
+
+/// Every stored `(table, node, rid, row)`, having checked that a by-value
+/// lookup with no index hint finds each row at the first rid holding it.
+fn located(cluster: &Cluster) -> Vec<(String, NodeId, Rid, Row)> {
+    let mut out = Vec::new();
+    for id in cluster.catalog().ids() {
+        let name = cluster.def(id).unwrap().name.clone();
+        for node in cluster.nodes() {
+            let storage = node.storage(id).unwrap();
+            let stored = storage.scan().unwrap();
+            for (rid, row) in &stored {
+                let first = stored.iter().find(|(_, r)| r == row).unwrap().0;
+                let found = storage.find_rid(row, &[], &mut CostLedger::new());
+                assert_eq!(found.unwrap(), Some(first), "{name} {row} at {rid:?}");
+                out.push((name.clone(), node.id(), *rid, row.clone()));
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn rows_stay_locatable_at_their_rids_across_abort_crash_and_recovery() {
+    let mut cluster = wal_cluster(2);
+    let t = SyntheticRelation::new("t", 40, 4)
+        .install(&mut cluster)
+        .unwrap();
+    cluster.insert(t, vec![row![7, 3, "dup"]; 3]).unwrap();
+    let before = located(&cluster);
+
+    // Deleted, then rolled back: resurrected at the original rid, and the
+    // loser insert is gone from the locator too.
+    cluster.begin_txn().unwrap();
+    let victims = [row![5, 1, "x".repeat(32)], row![7, 3, "dup"]];
+    assert_eq!(cluster.delete(t, &victims, &[]).unwrap(), 2);
+    cluster.insert(t, vec![row![900, 0, "loser"]]).unwrap();
+    cluster.abort_txn().unwrap();
+    assert_eq!(located(&cluster), before);
+    assert_eq!(cluster.delete(t, &[row![900, 0, "loser"]], &[]).unwrap(), 0);
+
+    // Committed deletes, then a node rebuilt from the log and a full recovery.
+    assert_eq!(cluster.delete(t, &victims, &[]).unwrap(), 2);
+    let expect = located(&cluster);
+    for node in 0..2 {
+        cluster.crash_node(NodeId::from(node)).unwrap();
+        assert_eq!(located(&cluster), expect);
+    }
+    let wal = cluster.wal_snapshot().unwrap();
+    let recovered = recover(ClusterConfig::new(2).with_buffer_pages(256), &wal).unwrap();
+    assert_eq!(located(&recovered), expect);
 }
 
 #[test]
