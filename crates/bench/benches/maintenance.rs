@@ -1,8 +1,9 @@
 //! End-to-end maintenance benchmarks: wall-clock cost of propagating one
 //! base-relation insert through each of the three methods on an 8-node
 //! cluster (the engine analogue of Figure 7's comparison), plus a batch
-//! variant (Figure 9's regime) and an ablation of the multi-way planner's
-//! statistics-driven chain choice.
+//! variant (Figure 9's regime), an ablation of the multi-way planner's
+//! statistics-driven chain choice, and large-delta maintenance of the
+//! three-way JV2 under the cost-based join policy (§3.3's regime).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use pvm::prelude::*;
@@ -170,6 +171,44 @@ fn bench_planner_ablation(c: &mut Criterion) {
     });
 }
 
+/// The §3.3 regime in small: customer deltas into the three-way JV2
+/// (customer ⋈ orders ⋈ lineitem, 500 : 5 000 : 20 000 rows on 2 nodes)
+/// under auxiliary relations and the cost-based join policy. The 1-row
+/// case is the per-batch fixed cost — planning a chain updated at its end
+/// reads no statistics, so it must not scale with `lineitem`; the 500-row
+/// case switches both steps to the local scan join.
+fn bench_jv2_cost_based(c: &mut Criterion) {
+    let mut group = c.benchmark_group("maintenance/jv2_cost_based");
+    group.sample_size(group_samples(10));
+    let data = TpcrDataset::new(TpcrScale { customers: 500 });
+    for (name, rows) in [("insert_1", 1), ("insert_500", 500)] {
+        group.bench_function(name, |b| {
+            // By reference: dropping the loaded cluster is not part of
+            // maintaining it.
+            b.iter_batched_ref(
+                || {
+                    let mut cluster = Cluster::new(ClusterConfig::new(2).with_buffer_pages(2048));
+                    data.install(&mut cluster).unwrap();
+                    let mut view = MaintainedView::create(
+                        &mut cluster,
+                        TpcrDataset::jv2(),
+                        MaintenanceMethod::AuxiliaryRelation,
+                    )
+                    .unwrap();
+                    view.set_join_policy(JoinPolicy::CostBased);
+                    (cluster, view, Delta::Insert(data.customer_delta(rows)))
+                },
+                |(cluster, view, delta)| {
+                    let out = view.apply(cluster, 0, delta).unwrap();
+                    assert_eq!(out.view_rows, 4 * rows);
+                },
+                BatchSize::SmallInput,
+            )
+        });
+    }
+    group.finish();
+}
+
 /// Aggregate view maintenance vs. plain join view maintenance: the fold
 /// replaces raw view inserts, trading wider view tables for per-group
 /// upserts.
@@ -237,6 +276,6 @@ criterion_group! {
     name = benches;
     config = config();
     targets = bench_single_insert, bench_batch_insert, bench_batch_policy,
-        bench_planner_ablation, bench_aggregate
+        bench_planner_ablation, bench_jv2_cost_based, bench_aggregate
 }
 criterion_main!(benches);

@@ -27,7 +27,7 @@ use crate::auxrel::{self, ArInfo};
 use crate::globalindex::{self, GiInfo};
 use crate::layout::Layout;
 use crate::naive;
-use crate::planner::{plan_chain, PlanStep};
+use crate::planner::PlanStep;
 use crate::view::{MaintenanceMethod, ViewHandle};
 
 /// The probe structures of one maintained view, keyed by `(relation
@@ -320,9 +320,8 @@ pub(crate) fn push_chain<'p, B: Backend>(
     let l = backend.node_count();
     let cluster = backend.engine();
     let arity = cluster.def(handle.base[rel])?.schema.arity();
-    let fanout = crate::view_stats_fanout(cluster, handle)?;
     let mut layout = Layout::single(rel, (0..arity).collect());
-    for step in &plan_chain(&handle.def, rel, fanout)? {
+    for step in &crate::plan_with_stats(cluster, handle, rel)? {
         let target = match probes {
             Probes::Base => ProbeTarget::base(cluster, handle.base[step.rel], step.probe_col)?,
             Probes::Ars(ars) => auxrel::probe_target(cluster, handle, ars, step)?,
@@ -413,109 +412,94 @@ pub(crate) fn push_probe_step<'p>(
     let route_target = target.clone();
     let program = program.stage(move |ctx, partials| {
         let target = &route_target;
+        if batch == BatchPolicy::Coalesced && target.routing.is_none() {
+            // Broadcast-coalesced: every destination receives the
+            // identical full partial list, so encode it once and
+            // multicast — byte and SEND charges are exactly the
+            // per-destination clones' (self copy stays a local
+            // delivery), but the payload is allocated once.
+            if partials.is_empty() {
+                return Ok(Vec::new());
+            }
+            if ctx.tracing() {
+                for partial in &partials {
+                    trace_route(ctx, method, partial.try_get(anchor_pos)?, l as u64);
+                }
+                let h = ctx.obs().metrics().histogram(metric::BATCH_ROWS_PER_MSG);
+                for _ in 0..l {
+                    h.observe(partials.len() as u64);
+                }
+            }
+            ctx.broadcast(&NetPayload::DeltaRows {
+                table: target.table,
+                rows: partials,
+            })?;
+            return Ok(Vec::new());
+        }
         // Destination coalescing: per-row order within each (src, dst)
         // pair follows carry order, so receivers drain the exact row
         // sequence the per-row path would deliver.
         let mut by_dst: Vec<Vec<Row>> = vec![Vec::new(); l];
-        for partial in &partials {
-            let dsts = match &target.routing {
-                Some(spec) => {
-                    // Fan-out K of this partial: one routed destination
-                    // for hash/light values, the spread set for heavy
-                    // values of a skew-aware spec.
-                    let v = partial.try_get(anchor_pos)?;
-                    let dsts = spec.probe_nodes(v, l, pvm_engine::hash_row(partial))?;
-                    if ctx.tracing() {
-                        let k = dsts.len() as u64;
-                        ctx.trace(Phase::Route, method)
-                            .key(v.to_string())
-                            .count(k)
-                            .emit();
-                        ctx.obs()
-                            .metrics()
-                            .histogram(metric::fanout(method))
-                            .observe(k);
-                        note_heavy_light(ctx, spec, v, k);
-                    }
-                    dsts
+        for partial in partials {
+            let v = partial.try_get(anchor_pos)?;
+            let dsts: Vec<NodeId> = match &target.routing {
+                // Fan-out K of this partial: one routed destination for
+                // hash/light values, the spread set for heavy values of a
+                // skew-aware spec.
+                Some(spec) => spec.probe_nodes(v, l, pvm_engine::hash_row(&partial))?,
+                // Broadcast reaches every node, own included (the self
+                // copy is an uncharged local delivery).
+                None => (0..l).map(NodeId::from).collect(),
+            };
+            if ctx.tracing() {
+                let k = dsts.len() as u64;
+                trace_route(ctx, method, v, k);
+                if let Some(spec) = &target.routing {
+                    note_heavy_light(ctx, spec, v, k);
                 }
-                None => {
-                    if ctx.tracing() {
-                        let key = partial.try_get(anchor_pos)?.to_string();
-                        ctx.trace(Phase::Route, method)
-                            .key(key)
-                            .count(l as u64)
-                            .emit();
-                        ctx.obs()
-                            .metrics()
-                            .histogram(metric::fanout(method))
-                            .observe(l as u64);
-                    }
-                    // Broadcast reaches every node, own included (the
-                    // self copy is an uncharged local delivery). Under
-                    // Coalesced the rows ship below as one multicast
-                    // payload shared across edges.
-                    (0..l).map(NodeId::from).collect()
-                }
+            }
+            // The stage owns its carry: the row moves into its last
+            // destination and is cloned only for the others of a spread
+            // or a broadcast.
+            let Some((&last, rest)) = dsts.split_last() else {
+                continue;
             };
             match batch {
                 BatchPolicy::Coalesced => {
-                    if target.routing.is_some() {
-                        for dst in dsts {
-                            by_dst[dst.index()].push(partial.clone());
-                        }
+                    for dst in rest {
+                        by_dst[dst.index()].push(partial.clone());
                     }
+                    by_dst[last.index()].push(partial);
                 }
                 BatchPolicy::PerRow => {
                     let payload = NetPayload::DeltaRows {
                         table: target.table,
-                        rows: vec![partial.clone()],
+                        rows: vec![partial],
                     };
-                    for dst in dsts {
+                    for &dst in rest {
                         ctx.send(dst, payload.clone())?;
                     }
+                    ctx.send(last, payload)?;
                 }
             }
         }
-        if batch == BatchPolicy::Coalesced {
-            if target.routing.is_none() {
-                // Broadcast-coalesced: every destination receives the
-                // identical full partial list, so encode it once and
-                // multicast — byte and SEND charges are exactly the
-                // per-destination clones' (self copy stays a local
-                // delivery), but the payload is allocated once.
-                if !partials.is_empty() {
-                    if ctx.tracing() {
-                        let h = ctx.obs().metrics().histogram(metric::BATCH_ROWS_PER_MSG);
-                        for _ in 0..l {
-                            h.observe(partials.len() as u64);
-                        }
-                    }
-                    ctx.broadcast(&NetPayload::DeltaRows {
-                        table: target.table,
-                        rows: partials,
-                    })?;
-                }
-            } else {
-                for (dst, rows) in by_dst.into_iter().enumerate() {
-                    if rows.is_empty() {
-                        continue;
-                    }
-                    if ctx.tracing() {
-                        ctx.obs()
-                            .metrics()
-                            .histogram(metric::BATCH_ROWS_PER_MSG)
-                            .observe(rows.len() as u64);
-                    }
-                    ctx.send(
-                        NodeId::from(dst),
-                        NetPayload::DeltaRows {
-                            table: target.table,
-                            rows,
-                        },
-                    )?;
-                }
+        for (dst, rows) in by_dst.into_iter().enumerate() {
+            if rows.is_empty() {
+                continue;
             }
+            if ctx.tracing() {
+                ctx.obs()
+                    .metrics()
+                    .histogram(metric::BATCH_ROWS_PER_MSG)
+                    .observe(rows.len() as u64);
+            }
+            ctx.send(
+                NodeId::from(dst),
+                NetPayload::DeltaRows {
+                    table: target.table,
+                    rows,
+                },
+            )?;
         }
         Ok(Vec::new())
     });
@@ -538,21 +522,22 @@ pub(crate) fn push_probe_step<'p>(
             return Ok(Vec::new());
         }
         ctx.count_work(partials.len() as u64);
-        // The §3.1.2 comparison prices what the probe path would really
-        // pay: one SEARCH per partial per-row, one per *distinct* join
-        // value when the batch group-probes.
-        let probes = match batch {
-            BatchPolicy::PerRow => partials.len(),
-            BatchPolicy::Coalesced => {
-                let mut seen = std::collections::HashSet::new();
-                for p in &partials {
-                    seen.insert(p.try_get(anchor_pos)?);
+        let use_scan = policy == JoinPolicy::CostBased && {
+            // The §3.1.2 comparison prices what the probe path would
+            // really pay: one SEARCH per partial per-row, one per
+            // *distinct* join value when the batch group-probes.
+            let probes = match batch {
+                BatchPolicy::PerRow => partials.len(),
+                BatchPolicy::Coalesced => {
+                    let mut seen = HashSet::new();
+                    for p in &partials {
+                        seen.insert(p.try_get(anchor_pos)?);
+                    }
+                    seen.len()
                 }
-                seen.len()
-            }
+            };
+            scan_beats_probes(ctx.node, target, probes)?
         };
-        let use_scan =
-            policy == JoinPolicy::CostBased && scan_beats_probes(ctx.node, target, probes)?;
         if ctx.tracing() {
             ctx.trace_span(Phase::Probe, method)
                 .count(partials.len() as u64)
@@ -610,6 +595,19 @@ pub(crate) fn push_probe_step<'p>(
         }
         Ok(out)
     }))
+}
+
+/// Trace one partial's routing decision: its join value and the number
+/// of nodes it goes to. Only called when tracing is enabled.
+fn trace_route(ctx: &pvm_engine::StepCtx<'_>, method: MethodTag, v: &Value, fanout: u64) {
+    ctx.trace(Phase::Route, method)
+        .key(v.to_string())
+        .count(fanout)
+        .emit();
+    ctx.obs()
+        .metrics()
+        .histogram(metric::fanout(method))
+        .observe(fanout);
 }
 
 /// Record how many probes share each group-probe descent (duplicates per
@@ -674,35 +672,57 @@ fn scan_join_at_node(
     step: &crate::planner::PlanStep,
     anchor_pos: usize,
 ) -> Result<Vec<Row>> {
-    use std::collections::HashMap;
     let pages = node.storage(target.table)?.heap_pages().max(1) as u64;
     node.ledger_mut().record(pvm_types::CostKind::Fetch, pages);
-    let rows: Vec<Row> = node
-        .storage(target.table)?
-        .scan()?
-        .into_iter()
-        .map(|(_, r)| r)
-        .collect();
-    // Build on the scanned fragment, keyed by the probe column.
+    let fragment = node.storage(target.table)?.scan_encoded();
+    hash_join_encoded(
+        fragment.map(|(_, tuple)| tuple),
+        target,
+        partials,
+        layout,
+        step,
+        anchor_pos,
+    )
+}
+
+/// Hash join of `partials` with a fragment streamed as encoded tuples,
+/// built on the partials — the small side. Their anchor values are hashed
+/// in encoded form (two values are equal exactly when their encodings
+/// are), each tuple is matched on the raw bytes of its key column, and
+/// only a tuple that hits is decoded. Output is partial-major, the
+/// matches of one partial in fragment order.
+fn hash_join_encoded<'a>(
+    fragment: impl Iterator<Item = &'a [u8]>,
+    target: &ProbeTarget,
+    partials: &[Row],
+    layout: &Layout,
+    step: &crate::planner::PlanStep,
+    anchor_pos: usize,
+) -> Result<Vec<Row>> {
+    // Encoded anchor value → its slot in `matches`; NULL joins nothing.
+    let mut slot_of: HashMap<Vec<u8>, usize> = HashMap::with_capacity(partials.len());
+    let mut slots = Vec::with_capacity(partials.len());
+    for partial in partials {
+        let v = partial.try_get(anchor_pos)?;
+        slots.push(if v.is_null() {
+            None
+        } else {
+            let next = slot_of.len();
+            Some(*slot_of.entry(v.encode_key()).or_insert(next))
+        });
+    }
+    let mut matches: Vec<Vec<Row>> = vec![Vec::new(); slot_of.len()];
     let key_pos = target.key[0];
-    let mut table: HashMap<&pvm_types::Value, Vec<&Row>> = HashMap::new();
-    for r in &rows {
-        let k = r.try_get(key_pos)?;
-        if !k.is_null() {
-            table.entry(k).or_default().push(r);
+    for tuple in fragment {
+        if let Some(&slot) = slot_of.get(Row::column_bytes(tuple, key_pos)?) {
+            matches[slot].push(Row::decode(tuple)?);
         }
     }
     let mut out = Vec::new();
-    for partial in partials {
-        let v = partial.try_get(anchor_pos)?;
-        if v.is_null() {
-            continue;
-        }
-        if let Some(matches) = table.get(v) {
-            for m in matches {
-                if filters_ok(partial, layout, step, m, &target.carried)? {
-                    out.push(partial.concat(m));
-                }
+    for (partial, slot) in partials.iter().zip(slots) {
+        for m in slot.map_or(&[][..], |s| &matches[s]) {
+            if filters_ok(partial, layout, step, m, &target.carried)? {
+                out.push(partial.concat(m));
             }
         }
     }
@@ -945,6 +965,214 @@ mod tests {
         assert!(!filters_ok(&partial, &layout, &step, &bad, &[0, 2]).unwrap());
         // Filter column absent from the carried set is an error.
         assert!(filters_ok(&partial, &layout, &step, &good, &[0, 1]).is_err());
+    }
+
+    mod scan_join_equivalence {
+        //! The delta-side scan join against the join it replaced: the same
+        //! rows in the same order, the same charges, the same page
+        //! accesses.
+
+        use super::*;
+        use proptest::prelude::*;
+        use pvm_engine::TableDef;
+        use pvm_types::{Column, DataType, Schema};
+
+        /// The scan join as it was, verbatim: decode the whole fragment,
+        /// build the hash table on it, probe with the partials.
+        fn scan_join_built_on_fragment(
+            node: &mut NodeState,
+            target: &ProbeTarget,
+            partials: &[Row],
+            layout: &Layout,
+            step: &crate::planner::PlanStep,
+            anchor_pos: usize,
+        ) -> Result<Vec<Row>> {
+            let pages = node.storage(target.table)?.heap_pages().max(1) as u64;
+            node.ledger_mut().record(pvm_types::CostKind::Fetch, pages);
+            let rows: Vec<Row> = node
+                .storage(target.table)?
+                .scan()?
+                .into_iter()
+                .map(|(_, r)| r)
+                .collect();
+            let key_pos = target.key[0];
+            let mut table: HashMap<&Value, Vec<&Row>> = HashMap::new();
+            for r in &rows {
+                let k = r.try_get(key_pos)?;
+                if !k.is_null() {
+                    table.entry(k).or_default().push(r);
+                }
+            }
+            let mut out = Vec::new();
+            for partial in partials {
+                let v = partial.try_get(anchor_pos)?;
+                if v.is_null() {
+                    continue;
+                }
+                if let Some(matches) = table.get(v) {
+                    for m in matches {
+                        if filters_ok(partial, layout, step, m, &target.carried)? {
+                            out.push(partial.concat(m));
+                        }
+                    }
+                }
+            }
+            Ok(out)
+        }
+
+        /// A small domain per key type, NULL first, dense in values whose
+        /// equality is easy to get wrong: both zeros, NaNs of both signs,
+        /// the empty string, a string and its prefix.
+        fn key_domain(dtype: DataType) -> Vec<Value> {
+            let mut d = vec![Value::Null];
+            d.extend(match dtype {
+                DataType::Int => [-1, 0, 1, i64::MAX].map(Value::Int).to_vec(),
+                DataType::Float => [0.0, -0.0, f64::NAN, -f64::NAN, 1.5]
+                    .map(Value::Float)
+                    .to_vec(),
+                DataType::Str => ["", "a", "ab", "b"].map(Value::from).to_vec(),
+                DataType::Bool => [false, true].map(Value::Bool).to_vec(),
+            });
+            d
+        }
+
+        fn pick(domain: &[Value], i: usize) -> Value {
+            domain[i % domain.len()].clone()
+        }
+
+        /// A filter value: NULL now and then, else one of three ints.
+        fn filter_value(i: u8) -> Value {
+            if i == 3 {
+                Value::Null
+            } else {
+                Value::Int(i64::from(i))
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+            #[test]
+            fn same_rows_same_order_same_charges(
+                dtype in prop_oneof![
+                    Just(DataType::Int),
+                    Just(DataType::Float),
+                    Just(DataType::Str),
+                    Just(DataType::Bool),
+                ],
+                with_filter in any::<bool>(),
+                // (key pick, filter pick, payload length); empty at times.
+                fragment in proptest::collection::vec((0usize..6, 0u8..4, 0usize..400), 0..80),
+                deleted in proptest::collection::vec(any::<usize>(), 0..8),
+                partials in proptest::collection::vec((0usize..6, 0u8..4), 0..24),
+            ) {
+                // The probed table is a σπ-reduced auxiliary relation of
+                // relation 1 storing its base columns [4, 2, 7, 9]; the
+                // index key is base column 2 — stored position 1, not 0.
+                let domain = key_domain(dtype);
+                let schema = Schema::new(vec![
+                    Column::int("f"),
+                    Column::new("k", dtype),
+                    Column::int("id"),
+                    Column::str("pad"),
+                ])
+                .into_ref();
+                let table = TableId(1);
+                let mut node = NodeState::new(NodeId::from(0), 16);
+                node.create_table(table, &TableDef::hash_heap("ar", schema, 1)).unwrap();
+                let mut rids = Vec::new();
+                for (id, &(k, f, pad)) in fragment.iter().enumerate() {
+                    let row = Row::new(vec![
+                        filter_value(f),
+                        pick(&domain, k),
+                        Value::Int(id as i64),
+                        Value::from("x".repeat(pad)),
+                    ]);
+                    rids.push(node.insert(table, row).unwrap());
+                }
+                for d in deleted {
+                    if !rids.is_empty() {
+                        let rid = rids.swap_remove(d % rids.len());
+                        node.delete_rid(table, rid).unwrap();
+                    }
+                }
+                let target = ProbeTarget {
+                    table,
+                    carried: vec![4, 2, 7, 9],
+                    key: vec![1],
+                    routing: None,
+                };
+                // Partials are rows of relation 0 laid out as its base
+                // columns [5, 3]: a filter value, then the anchor.
+                let layout = Layout::single(0, vec![5, 3]);
+                let step = PlanStep {
+                    rel: 1,
+                    probe_col: 2,
+                    anchor: ViewColumn::new(0, 3),
+                    filters: if with_filter {
+                        vec![(ViewColumn::new(0, 5), 4)]
+                    } else {
+                        Vec::new()
+                    },
+                };
+                let anchor_pos = layout.position(step.anchor).unwrap();
+                prop_assert_eq!(anchor_pos, 1);
+                let partials: Vec<Row> = partials
+                    .iter()
+                    .map(|&(k, f)| Row::new(vec![filter_value(f), pick(&domain, k)]))
+                    .collect();
+
+                node.reset_counters();
+                let want = scan_join_built_on_fragment(
+                    &mut node, &target, &partials, &layout, &step, anchor_pos,
+                )
+                .unwrap();
+                let want_cost = node.combined_snapshot();
+                node.reset_counters();
+                let got =
+                    scan_join_at_node(&mut node, &target, &partials, &layout, &step, anchor_pos)
+                        .unwrap();
+                prop_assert_eq!(got, want);
+                prop_assert_eq!(node.combined_snapshot(), want_cost);
+            }
+        }
+
+        #[test]
+        fn a_tuple_whose_key_misses_is_not_decoded() {
+            // Pinned so the trade stays deliberate: damage behind the key
+            // column of a tuple that joins nothing no longer fails the
+            // scan; damage in a tuple that does join still does.
+            let target = ProbeTarget {
+                table: TableId(1),
+                carried: vec![0, 1],
+                key: vec![0],
+                routing: None,
+            };
+            let layout = Layout::single(0, vec![0]);
+            let step = PlanStep {
+                rel: 1,
+                probe_col: 0,
+                anchor: ViewColumn::new(0, 0),
+                filters: Vec::new(),
+            };
+            let good = row![1, "one"].encode();
+            let mut damaged = good.clone();
+            *damaged.last_mut().unwrap() = 0xff; // not UTF-8
+            assert!(Row::decode(&damaged).is_err());
+            let join = |anchor: i64| {
+                let fragment = [good.as_slice(), damaged.as_slice()];
+                hash_join_encoded(
+                    fragment.into_iter(),
+                    &target,
+                    &[row![anchor]],
+                    &layout,
+                    &step,
+                    0,
+                )
+            };
+            assert!(join(1).is_err());
+            assert_eq!(join(2).unwrap(), Vec::<Row>::new());
+        }
     }
 
     #[test]

@@ -52,31 +52,42 @@ pub use pvm_engine::PartialPolicy;
 use pvm_engine::Cluster;
 use pvm_types::Result;
 
-/// Precompute join-attribute fan-outs (matches per value) for every
-/// `(relation, join attribute)` pair of a view from merged cluster-wide
-/// statistics, returning a lookup closure for the planner. Two-relation
-/// views have a forced chain, so statistics are skipped.
-pub(crate) fn view_stats_fanout(
+/// Plan the join chain for a delta on relation `rel` of a view, with
+/// fan-outs (matches per join-attribute value) estimated from current
+/// cluster-wide statistics. The statistics are read lazily: only for a
+/// `(relation, join attribute)` pair the planner asks about — it asks
+/// only where the join graph offers a choice — only that one column of
+/// each node's statistics, and once per pair within the call.
+/// Two-relation views have a forced chain, so statistics are skipped.
+pub(crate) fn plan_with_stats(
     cluster: &Cluster,
     handle: &view::ViewHandle,
-) -> Result<Box<dyn Fn(usize, usize) -> f64>> {
+    rel: usize,
+) -> Result<Vec<PlanStep>> {
     if handle.def.relation_count() <= 2 {
-        return Ok(Box::new(|_, _| 1.0));
+        return plan_chain(&handle.def, rel, |_, _| 1.0);
     }
-    let mut map = std::collections::HashMap::new();
-    for (rel, &table) in handle.base.iter().enumerate() {
-        let arity = cluster.def(table)?.schema.arity();
-        let mut merged = pvm_storage::TableStats::new(arity);
-        for n in cluster.nodes() {
-            merged.merge(n.storage(table)?.stats());
-        }
-        for c in handle.def.join_attrs_of(rel) {
-            map.insert((rel, c), merged.matches_per_value(c).max(f64::MIN_POSITIVE));
-        }
-    }
-    Ok(Box::new(move |r, c| {
-        map.get(&(r, c)).copied().unwrap_or(1.0)
-    }))
+    let fanout_of = |r: usize, c: usize| -> Result<f64> {
+        let parts = cluster
+            .nodes()
+            .iter()
+            .map(|n| Ok(n.storage(handle.base[r])?.stats()))
+            .collect::<Result<Vec<_>>>()?;
+        Ok(pvm_storage::TableStats::matches_per_value_across(parts, c).max(f64::MIN_POSITIVE))
+    };
+    let mut memo = std::collections::HashMap::new();
+    // The planner's oracle cannot fail; a statistics error is kept aside
+    // and fails the plan.
+    let mut failed = None;
+    let steps = plan_chain(&handle.def, rel, |r, c| {
+        *memo.entry((r, c)).or_insert_with(|| {
+            fanout_of(r, c).unwrap_or_else(|e| {
+                failed.get_or_insert(e);
+                1.0
+            })
+        })
+    })?;
+    failed.map_or(Ok(steps), Err)
 }
 pub use aggregate::{AggFunc, AggShape, AggSpec};
 pub use chain::{BatchPolicy, JoinPolicy};

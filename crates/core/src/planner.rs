@@ -35,9 +35,12 @@ pub struct PlanStep {
 /// Plan the join chain for a delta on relation `updated`.
 ///
 /// `fanout(rel, col)` estimates the matching tuples per probe value for
-/// relation `rel` on column `col` — the planner calls it for every
-/// candidate and prefers small values. Pass `|_, _| 1.0` when no
-/// statistics are available (definition-order-ish traversal).
+/// relation `rel` on column `col`, and the planner prefers small values.
+/// It is consulted only at a step the join graph offers more than one
+/// candidate for — a lone candidate is taken whatever its fan-out — so a
+/// chain updated at its end is planned without reading any statistics.
+/// Pass `|_, _| 1.0` when none are available (definition-order-ish
+/// traversal).
 pub fn plan_chain(
     def: &JoinViewDef,
     updated: usize,
@@ -56,27 +59,40 @@ pub fn plan_chain(
 
     while steps.len() < n - 1 {
         // Candidate (rel, probe_col, anchor) triples reachable from the
-        // covered set.
-        let mut best: Option<(f64, usize, usize, ViewColumn)> = None;
+        // covered set, in edge order.
+        let mut candidates = Vec::new();
         for e in &def.edges {
             for (from, to) in [(e.left, e.right), (e.right, e.left)] {
                 if covered[from.rel] && !covered[to.rel] {
-                    let f = fanout(to.rel, to.col);
-                    let better = match &best {
-                        None => true,
-                        Some((bf, brel, bcol, _)) => {
-                            f < *bf || (f == *bf && (to.rel, to.col) < (*brel, *bcol))
-                        }
-                    };
-                    if better {
-                        best = Some((f, to.rel, to.col, from));
-                    }
+                    candidates.push((to.rel, to.col, from));
                 }
             }
         }
-        let (_, rel, probe_col, anchor) = best.ok_or_else(|| {
-            PvmError::InvalidOperation(format!("join graph of view '{}' is disconnected", def.name))
-        })?;
+        let (rel, probe_col, anchor) = match candidates[..] {
+            [] => {
+                return Err(PvmError::InvalidOperation(format!(
+                    "join graph of view '{}' is disconnected",
+                    def.name
+                )))
+            }
+            [only] => only,
+            // Smallest fan-out; ties go to the smallest (rel, col), then
+            // to the earliest edge.
+            _ => {
+                let mut best: Option<(f64, (usize, usize, ViewColumn))> = None;
+                for &c in &candidates {
+                    let f = fanout(c.0, c.1);
+                    let better = match best {
+                        None => true,
+                        Some((bf, b)) => f < bf || (f == bf && (c.0, c.1) < (b.0, b.1)),
+                    };
+                    if better {
+                        best = Some((f, c));
+                    }
+                }
+                best.expect("two or more candidates").1
+            }
+        };
         // Remaining edges that connect `rel` to the covered set become
         // filters.
         let mut filters = Vec::new();
@@ -147,6 +163,141 @@ mod tests {
             ],
             projection: vec![ViewColumn::new(0, 0)],
             partition_column: 0,
+        }
+    }
+
+    /// The planner before it turned lazy, verbatim: every candidate's
+    /// fan-out is asked for, at every step. The reference `plan_chain`
+    /// must agree with on every join graph.
+    fn plan_chain_eager(
+        def: &JoinViewDef,
+        updated: usize,
+        mut fanout: impl FnMut(usize, usize) -> f64,
+    ) -> Result<Vec<PlanStep>> {
+        let n = def.relation_count();
+        if updated >= n {
+            return Err(PvmError::InvalidReference(format!(
+                "updated relation {updated} out of range for view '{}'",
+                def.name
+            )));
+        }
+        let mut covered = vec![false; n];
+        covered[updated] = true;
+        let mut steps = Vec::with_capacity(n - 1);
+
+        while steps.len() < n - 1 {
+            let mut best: Option<(f64, usize, usize, ViewColumn)> = None;
+            for e in &def.edges {
+                for (from, to) in [(e.left, e.right), (e.right, e.left)] {
+                    if covered[from.rel] && !covered[to.rel] {
+                        let f = fanout(to.rel, to.col);
+                        let better = match &best {
+                            None => true,
+                            Some((bf, brel, bcol, _)) => {
+                                f < *bf || (f == *bf && (to.rel, to.col) < (*brel, *bcol))
+                            }
+                        };
+                        if better {
+                            best = Some((f, to.rel, to.col, from));
+                        }
+                    }
+                }
+            }
+            let (_, rel, probe_col, anchor) = best.ok_or_else(|| {
+                PvmError::InvalidOperation(format!(
+                    "join graph of view '{}' is disconnected",
+                    def.name
+                ))
+            })?;
+            let mut filters = Vec::new();
+            for e in &def.edges {
+                for (from, to) in [(e.left, e.right), (e.right, e.left)] {
+                    if covered[from.rel]
+                        && to.rel == rel
+                        && !(from == anchor && to.col == probe_col)
+                    {
+                        filters.push((from, to.col));
+                    }
+                }
+            }
+            covered[rel] = true;
+            steps.push(PlanStep {
+                rel,
+                probe_col,
+                anchor,
+                filters,
+            });
+        }
+        Ok(steps)
+    }
+
+    #[test]
+    fn no_choice_no_statistics() {
+        // Updated at either end, a chain has one candidate per step: the
+        // oracle must not be touched.
+        let v = chain_view();
+        for end in [0, 2] {
+            let plan = plan_chain(&v, end, |_, _| panic!("no step offers a choice")).unwrap();
+            assert_eq!(plan, plan_chain_eager(&v, end, |_, _| 1.0).unwrap());
+        }
+        // Updated in the middle, the first step has two candidates and
+        // asks about both; the second has one left and asks nothing. On a
+        // triangle both steps have two.
+        for (v, updated, asks) in [
+            (chain_view(), 1, vec![(0, 0), (2, 0)]),
+            (triangle_view(), 0, vec![(1, 0), (2, 1), (2, 0), (2, 1)]),
+        ] {
+            let mut asked = Vec::new();
+            plan_chain(&v, updated, |r, c| {
+                asked.push((r, c));
+                1.0
+            })
+            .unwrap();
+            assert_eq!(asked, asks);
+        }
+    }
+
+    mod lazy_equals_eager {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #[test]
+            fn on_random_connected_join_graphs(
+                n in 2usize..6,
+                // Relation i > 0 hangs off an earlier one, so the graph is
+                // connected; `extra` edges close cycles and double edges.
+                tree in proptest::collection::vec((any::<usize>(), 0usize..3, 0usize..3), 4..5),
+                extra in proptest::collection::vec((0usize..5, 0usize..5, 0usize..3, 0usize..3), 0..5),
+                // Few distinct fan-outs, so ties are common.
+                fan in proptest::collection::vec(0u8..3, 15..16),
+            ) {
+                let mut edges = Vec::new();
+                for i in 1..n {
+                    let (parent, pc, c) = tree[i - 1];
+                    edges.push(ViewEdge::new(ViewColumn::new(parent % i, pc), ViewColumn::new(i, c)));
+                }
+                for &(a, b, ca, cb) in &extra {
+                    if a < n && b < n && a != b {
+                        edges.push(ViewEdge::new(ViewColumn::new(a, ca), ViewColumn::new(b, cb)));
+                    }
+                }
+                let def = JoinViewDef {
+                    name: "g".into(),
+                    relations: (0..n).map(|i| format!("r{i}")).collect(),
+                    edges,
+                    projection: vec![ViewColumn::new(0, 0)],
+                    partition_column: 0,
+                };
+                let fanout = |r: usize, c: usize| f64::from(fan[r * 3 + c]) * 0.5;
+                for updated in 0..n {
+                    prop_assert_eq!(
+                        plan_chain(&def, updated, fanout).unwrap(),
+                        plan_chain_eager(&def, updated, fanout).unwrap(),
+                        "updated {} of {:?}", updated, def.edges
+                    );
+                }
+            }
         }
     }
 

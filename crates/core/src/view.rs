@@ -948,8 +948,7 @@ impl MaintainedView {
     /// `rel`, with fan-outs estimated from current cluster statistics —
     /// the §2.2 choice, inspectable (`EXPLAIN MAINTENANCE` in pvm-sql).
     pub fn plan_for(&self, cluster: &Cluster, rel: usize) -> Result<Vec<crate::planner::PlanStep>> {
-        let fanout = crate::view_stats_fanout(cluster, &self.handle)?;
-        crate::planner::plan_chain(&self.handle.def, rel, fanout)
+        crate::plan_with_stats(cluster, &self.handle, rel)
     }
 
     /// Tear the view down: drop its stored table and every maintenance
@@ -1001,6 +1000,9 @@ pub(crate) fn update_base<B: Backend>(
     let mut placed = Vec::with_capacity(rows.len());
     let cluster = backend.engine_mut();
     if insert {
+        // Two copies of each borrowed delta row, both needed: the one the
+        // storage consumes (`Cluster::insert` moves it all the way down)
+        // and the one `placed` hands to the chain.
         for (row, (node, rid)) in rows.iter().zip(cluster.insert(table, rows.to_vec())?) {
             placed.push((row.clone(), GlobalRid::new(node, rid)));
         }

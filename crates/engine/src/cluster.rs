@@ -332,11 +332,15 @@ impl Cluster {
         for row in rows {
             let dsts = def.partitioning.route_all(&row, l, self.rr_seq)?;
             self.rr_seq += 1;
-            let rid = self.nodes[dsts[0].index()].insert(id, row.clone())?;
-            for copy in &dsts[1..] {
-                self.nodes[copy.index()].insert(id, row.clone())?;
+            // Primary first; the row moves into its last destination.
+            let (&last, rest) = dsts.split_last().expect("a row has a primary node");
+            let mut primary = None;
+            for &dst in rest {
+                let rid = self.nodes[dst.index()].insert(id, row.clone())?;
+                primary.get_or_insert((dst, rid));
             }
-            out.push((dsts[0], rid));
+            let rid = self.nodes[last.index()].insert(id, row)?;
+            out.push(primary.unwrap_or((last, rid)));
         }
         Ok(out)
     }

@@ -3,9 +3,10 @@
 //! Two layers:
 //!
 //! * **In-memory operators** ([`hash_join`], [`multiway_join`]) used as the
-//!   correctness oracle (recompute a view from scratch) and as the local
-//!   join kernel inside maintenance plans. SQL semantics: a NULL join key
-//!   never matches.
+//!   correctness oracle only (recompute a view from scratch). Maintenance
+//!   plans do not call them: their local scan join lives with the chain
+//!   driver in `pvm-core` and works on encoded tuples. SQL semantics: a
+//!   NULL join key never matches.
 //! * **Cost helpers** ([`external_sort_pages`]) for charging the I/O of a
 //!   sort-merge join when the delta is large — the regime of §3.1.2 where
 //!   index nested loops loses to sort-merge.

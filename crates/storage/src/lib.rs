@@ -17,6 +17,7 @@
 
 pub mod btree;
 pub mod buffer;
+mod hash;
 pub mod heap;
 pub mod index;
 pub mod page;

@@ -60,24 +60,12 @@ pub struct TableStorage {
     locator: BTreeSet<(u32, Rid)>,
 }
 
-/// Hash of an encoded row, eight bytes at a time (folded 64×64→128-bit
-/// multiply per word). Collisions cost [`TableStorage::locate`] one more
-/// byte comparison, never a wrong answer, so 32 bits are enough and keep
-/// a locator entry at 12 bytes.
+/// Hash of an encoded row ([`crate::hash`]'s word-at-a-time mix).
+/// Collisions cost [`TableStorage::locate`] one more byte comparison,
+/// never a wrong answer, so 32 bits are enough and keep a locator entry
+/// at 12 bytes.
 fn row_hash(bytes: &[u8]) -> u32 {
-    const K: u64 = 0x9E37_79B9_7F4A_7C15;
-    fn mix(h: u64, word: u64) -> u64 {
-        let m = u128::from(h ^ word) * u128::from(K);
-        (m as u64) ^ (m >> 64) as u64
-    }
-    let mut words = bytes.chunks_exact(8);
-    let mut h = bytes.len() as u64;
-    for w in &mut words {
-        h = mix(h, u64::from_le_bytes(w.try_into().expect("chunks of 8")));
-    }
-    let mut tail = [0u8; 8];
-    tail[..words.remainder().len()].copy_from_slice(words.remainder());
-    mix(h, u64::from_le_bytes(tail)) as u32
+    crate::hash::mix_bytes(bytes.len() as u64, bytes) as u32
 }
 
 impl TableStorage {
@@ -473,10 +461,16 @@ impl TableStorage {
 
     /// Full scan of `(rid, row)` pairs.
     pub fn scan(&self) -> Result<Vec<(Rid, Row)>> {
-        self.heap
-            .scan()
+        self.scan_encoded()
             .map(|(rid, b)| Ok((rid, Row::decode(b)?)))
             .collect()
+    }
+
+    /// Full scan of `(rid, encoded row)` pairs, one page at a time: the
+    /// same page accesses as [`TableStorage::scan`], with decoding left
+    /// to a caller that needs only some of the rows.
+    pub fn scan_encoded(&self) -> impl Iterator<Item = (Rid, &[u8])> + '_ {
+        self.heap.scan()
     }
 
     /// Ordered scan through the clustered index (sort-merge access path).

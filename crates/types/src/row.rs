@@ -100,11 +100,7 @@ impl Row {
 
     /// Deserialize a row from the front of `buf`, returning bytes consumed.
     pub fn decode_from(buf: &[u8]) -> Result<(Row, usize)> {
-        let n: [u8; 2] = buf
-            .get(..2)
-            .and_then(|s| s.try_into().ok())
-            .ok_or_else(|| PvmError::Corrupt("truncated row header".into()))?;
-        let n = u16::from_be_bytes(n) as usize;
+        let n = Self::encoded_arity(buf)?;
         let mut values = Vec::with_capacity(n);
         let mut off = 2;
         for _ in 0..n {
@@ -113,6 +109,30 @@ impl Row {
             off += used;
         }
         Ok((Row(values), off))
+    }
+
+    /// The column count in the two-byte header of an encoded row.
+    fn encoded_arity(buf: &[u8]) -> Result<usize> {
+        let n: [u8; 2] = buf
+            .get(..2)
+            .and_then(|s| s.try_into().ok())
+            .ok_or_else(|| PvmError::Corrupt("truncated row header".into()))?;
+        Ok(u16::from_be_bytes(n) as usize)
+    }
+
+    /// The encoded bytes of column `idx` of a row produced by
+    /// [`Row::encode`] — equal to that value's [`Value::encode_key`] —
+    /// found by skipping the columns before it by tag. Nothing is decoded
+    /// and the columns after `idx` are not looked at.
+    pub fn column_bytes(buf: &[u8], idx: usize) -> Result<&[u8]> {
+        if idx >= Self::encoded_arity(buf)? {
+            return Err(PvmError::InvalidReference(format!("row column {idx}")));
+        }
+        let mut rest = &buf[2..];
+        for _ in 0..idx {
+            rest = &rest[Value::encoded_len(rest)?..];
+        }
+        Ok(&rest[..Value::encoded_len(rest)?])
     }
 
     /// Encode the values at `indices` as a composite key (order-preserving
@@ -235,5 +255,86 @@ mod tests {
         r.set(0, Value::Int(99)).unwrap();
         assert_eq!(r.try_get(0).unwrap(), &Value::Int(99));
         assert!(r.set(42, Value::Null).is_err());
+    }
+
+    #[test]
+    fn column_bytes_rejects_bad_input() {
+        let enc = sample().encode();
+        assert!(Row::column_bytes(&enc, 4).is_err(), "column out of range");
+        assert!(Row::column_bytes(&enc[..1], 0).is_err(), "truncated header");
+        assert!(Row::column_bytes(&[0, 1], 0).is_err(), "header, no value");
+        assert!(Row::column_bytes(&[0, 1, 0x09], 0).is_err(), "bad tag");
+        assert!(
+            Row::column_bytes(&[0, 2, 0x07, 0x00], 1).is_err(),
+            "bad tag on a skipped column"
+        );
+        // A string whose length prefix runs past the buffer.
+        assert!(Row::column_bytes(&[0, 1, 0x03, 0xff, 0xff, 0xff, 0xff, b'x'], 0).is_err());
+    }
+}
+
+#[cfg(test)]
+mod encoded_key_properties {
+    //! What the delta-side scan join rests on: two values are equal
+    //! exactly when their encodings are, and a column's bytes can be cut
+    //! out of an encoded row without decoding it.
+
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Values dense in collisions and edge cases: both zeros, NaNs of
+    /// both signs, the empty string, equal payload bits across types.
+    fn value() -> BoxedStrategy<Value> {
+        prop_oneof![
+            Just(Value::Null),
+            (-3i64..4).prop_map(Value::Int),
+            any::<i64>().prop_map(Value::Int),
+            prop_oneof![
+                Just(0.0),
+                Just(-0.0),
+                Just(f64::NAN),
+                Just(-f64::NAN),
+                Just(f64::INFINITY),
+                Just(1.0),
+                any::<f64>()
+            ]
+            .prop_map(Value::Float),
+            ".{0,3}".prop_map(Value::Str),
+            any::<bool>().prop_map(Value::Bool),
+        ]
+        .boxed()
+    }
+
+    proptest! {
+        #[test]
+        fn values_equal_iff_encodings_equal(a in value(), b in value()) {
+            prop_assert_eq!(a == b, a.encode_key() == b.encode_key(), "{:?} vs {:?}", a, b);
+            prop_assert_eq!(Value::encoded_len(&a.encode_key()).unwrap(), a.byte_size());
+        }
+
+        #[test]
+        fn column_bytes_is_the_columns_encoding(
+            values in proptest::collection::vec(value(), 0..8),
+            cut in any::<usize>(),
+            flip in any::<usize>(),
+            byte in any::<u8>(),
+        ) {
+            let row = Row::new(values);
+            let enc = row.encode();
+            for i in 0..row.arity() {
+                prop_assert_eq!(Row::column_bytes(&enc, i).unwrap().to_vec(), row[i].encode_key());
+            }
+            prop_assert!(Row::column_bytes(&enc, row.arity()).is_err());
+            // Damaged input: an error or in-bounds bytes, never a panic; a
+            // prefix too short to hold the last column is always an error.
+            let cut = cut % enc.len();
+            let last = row.arity().saturating_sub(1);
+            prop_assert!(Row::column_bytes(&enc[..cut], last).is_err());
+            let mut bad = enc.clone();
+            bad[flip % enc.len()] = byte;
+            for i in 0..row.arity() + 1 {
+                let _ = Row::column_bytes(&bad, i);
+            }
+        }
     }
 }

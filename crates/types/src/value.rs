@@ -183,6 +183,28 @@ impl Value {
         }
     }
 
+    /// Length of the encoded value at the front of `buf`, read from its
+    /// tag (and, for strings, the length prefix) without decoding the
+    /// payload — how a reader skips to a later column of an encoded row.
+    /// Errors when `buf` ends before the value does.
+    pub fn encoded_len(buf: &[u8]) -> crate::Result<usize> {
+        use crate::PvmError;
+        let tag = *buf
+            .first()
+            .ok_or_else(|| PvmError::Corrupt("empty value buffer".into()))?;
+        let len = match tag {
+            0x00 => 1,
+            0x01 | 0x02 => 9,
+            0x03 => (read_u32(&buf[1..])? as usize).saturating_add(5),
+            0x04 => 2,
+            other => return Err(PvmError::Corrupt(format!("unknown value tag {other:#x}"))),
+        };
+        if buf.len() < len {
+            return Err(PvmError::Corrupt("truncated value".into()));
+        }
+        Ok(len)
+    }
+
     /// Encode this single value as a standalone key.
     pub fn encode_key(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.byte_size());
