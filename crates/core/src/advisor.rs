@@ -47,14 +47,19 @@ pub fn advise(
         let heap_pages = cluster.heap_pages(table)? as u64;
         b_pages = b_pages.max(heap_pages);
 
-        // Merge per-node stats for fan-out estimates.
-        let mut stats = TableStats::new(tdef.schema.arity());
-        for node in cluster.nodes() {
-            stats.merge(node.storage(table)?.stats());
-        }
+        let parts = cluster
+            .nodes()
+            .iter()
+            .map(|node| node.storage(table))
+            .collect::<Result<Vec<_>>>()?;
+        let rows: u64 = parts.iter().map(|t| t.stats().row_count()).sum();
 
         for attr in def.join_attrs_of(rel) {
-            n_est = n_est.max(stats.matches_per_value(attr));
+            // Fan-out across nodes, asking each for this column only.
+            n_est = n_est.max(TableStats::matches_per_value_across(
+                parts.iter().copied(),
+                attr,
+            )?);
             if tdef.partitioning.is_on(attr) {
                 continue; // co-partitioned: no structure needed
             }
@@ -66,7 +71,7 @@ pub fn advise(
             // GI: one (value, node, page, slot) entry per tuple; entries
             // are ≈ key + 3×9 bytes + B+tree overhead.
             let entry_bytes = 40u64;
-            gi_pages += (stats.row_count() * entry_bytes).div_ceil(PAGE_SIZE as u64);
+            gi_pages += (rows * entry_bytes).div_ceil(PAGE_SIZE as u64);
             if !cluster
                 .nodes()
                 .first()

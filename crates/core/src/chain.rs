@@ -655,7 +655,9 @@ fn scan_beats_probes(node: &NodeState, target: &ProbeTarget, probes: usize) -> R
     let fetch_per_probe = if node.is_clustered_on(target.table, &target.key) {
         0.0
     } else {
-        storage.stats().matches_per_value(target.key[0])
+        storage
+            .column_stats(target.key[0])?
+            .matches_per_value(target.key[0])
     };
     let inl_cost = probes as f64 * (1.0 + fetch_per_probe);
     Ok(scan_cost < inl_cost)

@@ -71,9 +71,9 @@ pub(crate) fn plan_with_stats(
         let parts = cluster
             .nodes()
             .iter()
-            .map(|n| Ok(n.storage(handle.base[r])?.stats()))
+            .map(|n| n.storage(handle.base[r]))
             .collect::<Result<Vec<_>>>()?;
-        Ok(pvm_storage::TableStats::matches_per_value_across(parts, c).max(f64::MIN_POSITIVE))
+        Ok(pvm_storage::TableStats::matches_per_value_across(parts, c)?.max(f64::MIN_POSITIVE))
     };
     let mut memo = std::collections::HashMap::new();
     // The planner's oracle cannot fail; a statistics error is kept aside

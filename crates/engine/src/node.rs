@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use pvm_storage::{BufferPool, Organization, SharedBufferPool, TableStorage};
+use pvm_storage::{BufferPool, FileId, Organization, SharedBufferPool, TableStorage};
 use pvm_types::{CostLedger, CostSnapshot, NodeId, PvmError, Result, Rid, Row};
 
 use crate::catalog::{TableDef, TableId};
@@ -143,11 +143,18 @@ impl NodeState {
         Ok(())
     }
 
+    /// Drop the table's storage and forget its frames in the buffer pool:
+    /// a dropped file holds no capacity and its dirty pages are never
+    /// written back.
     pub fn drop_table(&mut self, id: TableId) -> Result<()> {
         self.tables
             .remove(&id)
-            .map(|_| ())
-            .ok_or_else(|| PvmError::NotFound(format!("{id} at {}", self.id)))
+            .ok_or_else(|| PvmError::NotFound(format!("{id} at {}", self.id)))?;
+        let base = id.0 * FILES_PER_TABLE;
+        self.buffer
+            .lock()
+            .discard_files(FileId(base)..FileId(base + FILES_PER_TABLE));
+        Ok(())
     }
 
     pub fn storage(&self, id: TableId) -> Result<&TableStorage> {
@@ -380,6 +387,37 @@ mod tests {
         n.drop_table(TableId(0)).unwrap();
         assert!(n.storage(TableId(0)).is_err());
         assert!(n.drop_table(TableId(0)).is_err());
+    }
+
+    #[test]
+    fn drop_table_frees_its_frames_without_write_back() {
+        let mut n = NodeState::new(NodeId(0), 4);
+        n.create_table(TableId(0), &def()).unwrap();
+        n.create_table(TableId(1), &def()).unwrap();
+        n.insert(TableId(1), row![1, 2]).unwrap();
+        n.insert(TableId(0), row![3, 4]).unwrap();
+        assert_eq!(n.buffer().lock().resident(), 2);
+        n.drop_table(TableId(0)).unwrap();
+        let pool = n.buffer().clone();
+        assert_eq!(
+            pool.lock().resident(),
+            1,
+            "only table 1's heap page is left"
+        );
+        // Cycle the pool through pages of another file: every eviction
+        // hits table 1's dirty page or a clean one, never the dropped one.
+        pool.lock().reset_counters();
+        for p in 0..8 {
+            pool.lock().access(
+                pvm_storage::PageKey::new(FileId(9_999), p),
+                pvm_storage::AccessMode::Read,
+            );
+        }
+        assert_eq!(
+            pool.lock().io_snapshot().page_writes,
+            1,
+            "table 1's page only"
+        );
     }
 
     #[test]

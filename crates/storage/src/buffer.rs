@@ -14,13 +14,20 @@
 //! This mirrors how the paper's model charges I/Os (`SEARCH`/`FETCH` are
 //! page reads that may be absorbed by the cache) while keeping the engine
 //! deterministic.
+//!
+//! Keeping the meter costs O(1) per access: frames live in a slab linked
+//! in recency order (most recent at the head, the LRU victim at the
+//! tail) and are found through a map keyed by [`PageKey`]. A hit moves
+//! its frame to the head; a miss on a full pool reuses the tail's slot.
+//! Neither allocates.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use pvm_types::{CostKind, CostLedger, CostSnapshot};
 
+use crate::hash::Mixed;
 use crate::FileId;
 use pvm_types::PageId;
 
@@ -47,25 +54,33 @@ pub enum AccessMode {
     Write,
 }
 
-#[derive(Debug, Clone)]
+/// End of the recency list.
+const NIL: u32 = u32::MAX;
+
+/// One cached page: a slab slot linked into the recency list.
+#[derive(Debug, Clone, Copy)]
 struct Frame {
+    key: PageKey,
     dirty: bool,
-    /// LRU timestamp (monotone counter).
-    last_used: u64,
+    /// Neighbour towards the head (more recently used), or [`NIL`].
+    prev: u32,
+    /// Neighbour towards the tail (less recently used), or [`NIL`].
+    next: u32,
 }
 
 /// The buffer-pool model. See module docs.
 #[derive(Debug)]
 pub struct BufferPool {
     capacity: usize,
-    clock: u64,
-    frames: HashMap<PageKey, Frame>,
-    /// `(last_used, key)` mirror of `frames`: the first element is always
-    /// the LRU victim, so a full pool evicts in O(log frames) instead of
-    /// scanning every frame per miss. `last_used` stamps are unique (the
-    /// clock advances on every access), so ordering — and therefore the
-    /// victim — is identical to the old full scan.
-    lru: BTreeSet<(u64, PageKey)>,
+    /// Slab of frames; slots in `free` are unlinked and unmapped.
+    frames: Vec<Frame>,
+    free: Vec<u32>,
+    /// Slot of every resident page.
+    slots: HashMap<PageKey, u32, Mixed>,
+    /// Most recently used frame, or [`NIL`] when empty.
+    head: u32,
+    /// Least recently used frame (the next victim), or [`NIL`].
+    tail: u32,
     ledger: CostLedger,
     hits: u64,
     misses: u64,
@@ -81,9 +96,11 @@ impl BufferPool {
     pub fn new(capacity: usize) -> Self {
         BufferPool {
             capacity,
-            clock: 0,
-            frames: HashMap::with_capacity(capacity.min(1 << 20)),
-            lru: BTreeSet::new(),
+            frames: Vec::with_capacity(capacity.min(1 << 20)),
+            free: Vec::new(),
+            slots: HashMap::with_capacity_and_hasher(capacity.min(1 << 20), Mixed::default()),
+            head: NIL,
+            tail: NIL,
             ledger: CostLedger::new(),
             hits: 0,
             misses: 0,
@@ -97,15 +114,11 @@ impl BufferPool {
 
     /// Record an access to `key`; returns true on a cache hit.
     pub fn access(&mut self, key: PageKey, mode: AccessMode) -> bool {
-        self.clock += 1;
-        let clock = self.clock;
-        if let Some(f) = self.frames.get_mut(&key) {
-            self.lru.remove(&(f.last_used, key));
-            self.lru.insert((clock, key));
-            f.last_used = clock;
-            if mode == AccessMode::Write {
-                f.dirty = true;
-            }
+        let write = mode == AccessMode::Write;
+        if let Some(&slot) = self.slots.get(&key) {
+            self.unlink(slot);
+            self.push_front(slot);
+            self.frames[slot as usize].dirty |= write;
             self.hits += 1;
             return true;
         }
@@ -113,43 +126,73 @@ impl BufferPool {
         self.ledger.record(CostKind::PageRead, 1);
         if self.capacity == 0 {
             // No caching: writes hit "disk" immediately.
-            if mode == AccessMode::Write {
+            if write {
                 self.ledger.record(CostKind::PageWrite, 1);
             }
             return false;
         }
-        if self.frames.len() >= self.capacity {
-            self.evict_lru();
-        }
-        self.frames.insert(
+        let frame = Frame {
             key,
-            Frame {
-                dirty: mode == AccessMode::Write,
-                last_used: clock,
-            },
-        );
-        self.lru.insert((clock, key));
+            dirty: write,
+            prev: NIL,
+            next: NIL,
+        };
+        let slot = if self.slots.len() >= self.capacity {
+            // Evict the tail and reuse its slot.
+            let victim = self.tail;
+            self.unlink(victim);
+            let old = std::mem::replace(&mut self.frames[victim as usize], frame);
+            self.slots.remove(&old.key);
+            if old.dirty {
+                self.ledger.record(CostKind::PageWrite, 1);
+            }
+            victim
+        } else if let Some(slot) = self.free.pop() {
+            self.frames[slot as usize] = frame;
+            slot
+        } else {
+            self.frames.push(frame);
+            (self.frames.len() - 1) as u32
+        };
+        self.push_front(slot);
+        self.slots.insert(key, slot);
         false
     }
 
-    fn evict_lru(&mut self) {
-        if let Some((_, victim)) = self.lru.pop_first() {
-            let frame = self.frames.remove(&victim).expect("victim exists");
-            if frame.dirty {
-                self.ledger.record(CostKind::PageWrite, 1);
-            }
+    /// Take `slot` out of the recency list.
+    fn unlink(&mut self, slot: u32) {
+        let Frame { prev, next, .. } = self.frames[slot as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.frames[p as usize].next = next,
         }
+        match next {
+            NIL => self.tail = prev,
+            n => self.frames[n as usize].prev = prev,
+        }
+    }
+
+    /// Link `slot` in as the most recently used frame.
+    fn push_front(&mut self, slot: u32) {
+        let f = &mut self.frames[slot as usize];
+        f.prev = NIL;
+        f.next = self.head;
+        match self.head {
+            NIL => self.tail = slot,
+            h => self.frames[h as usize].prev = slot,
+        }
+        self.head = slot;
     }
 
     /// Write back all dirty frames (counts one `PageWrite` each) without
     /// evicting them.
     pub fn flush_all(&mut self) {
         let mut dirty = 0;
-        for f in self.frames.values_mut() {
-            if f.dirty {
-                dirty += 1;
-                f.dirty = false;
-            }
+        let mut s = self.head;
+        while s != NIL {
+            let f = &mut self.frames[s as usize];
+            dirty += u64::from(std::mem::take(&mut f.dirty));
+            s = f.next;
         }
         self.ledger.record(CostKind::PageWrite, dirty);
     }
@@ -158,14 +201,26 @@ impl BufferPool {
     /// cold-start the cache without charging I/O).
     pub fn clear_cold(&mut self) {
         self.frames.clear();
-        self.lru.clear();
+        self.free.clear();
+        self.slots.clear();
+        self.head = NIL;
+        self.tail = NIL;
     }
 
-    /// Forget pages of `file` (e.g. after dropping a table). Dirty pages of
-    /// a dropped file need no write-back.
-    pub fn discard_file(&mut self, file: FileId) {
-        self.frames.retain(|k, _| k.file != file);
-        self.lru.retain(|(_, k)| k.file != file);
+    /// Forget pages of every file in `files` (e.g. all files of a dropped
+    /// table), in one walk of the pool. Dirty pages of a dropped file need
+    /// no write-back.
+    pub fn discard_files(&mut self, files: std::ops::Range<FileId>) {
+        let mut s = self.head;
+        while s != NIL {
+            let Frame { key, next, .. } = self.frames[s as usize];
+            if files.contains(&key.file) {
+                self.unlink(s);
+                self.slots.remove(&key);
+                self.free.push(s);
+            }
+            s = next;
+        }
     }
 
     pub fn capacity(&self) -> usize {
@@ -173,7 +228,7 @@ impl BufferPool {
     }
 
     pub fn resident(&self) -> usize {
-        self.frames.len()
+        self.slots.len()
     }
 
     pub fn hits(&self) -> u64 {
@@ -275,8 +330,12 @@ mod tests {
         let mut bp = BufferPool::new(4);
         bp.access(key(7, 0), AccessMode::Write);
         bp.access(key(8, 0), AccessMode::Read);
-        bp.discard_file(FileId(7));
-        assert_eq!(bp.resident(), 1);
+        bp.access(key(9, 0), AccessMode::Write);
+        bp.discard_files(FileId(7)..FileId(8));
+        assert_eq!(bp.resident(), 2);
+        // A range takes every file in it, the dirty one with no write-back.
+        bp.discard_files(FileId(8)..FileId(10));
+        assert_eq!(bp.resident(), 0);
         assert_eq!(bp.io_snapshot().page_writes, 0);
     }
 
@@ -295,17 +354,17 @@ mod tests {
 
 #[cfg(test)]
 mod lru_index_equivalence {
-    //! Model check: the `(last_used, key)` index must pick the exact victim
-    //! the old full-frame scan picked, so hit/miss outcomes and PageWrite
-    //! counts stay bit-identical under any access interleaving.
+    //! Model check: the recency list must pick the exact victim the old
+    //! full-frame scan picked, so hit/miss outcomes and PageWrite counts
+    //! stay bit-identical under any interleaving of accesses, flushes,
+    //! cold clears and file discards.
 
     use super::*;
     use proptest::prelude::*;
     use std::collections::HashMap;
 
-    /// The pre-index implementation, verbatim: eviction scans all frames.
-    /// Carries its own frame type (with the key inline) — the production
-    /// `Frame` moved the key into the recency index.
+    /// The pre-index implementation, verbatim: eviction scans all frames
+    /// for the oldest clock stamp.
     struct RefFrame {
         key: PageKey,
         dirty: bool,
@@ -317,6 +376,8 @@ mod lru_index_equivalence {
         clock: u64,
         frames: HashMap<PageKey, RefFrame>,
         ledger: CostLedger,
+        hits: u64,
+        misses: u64,
     }
 
     impl ReferencePool {
@@ -326,6 +387,8 @@ mod lru_index_equivalence {
                 clock: 0,
                 frames: HashMap::new(),
                 ledger: CostLedger::new(),
+                hits: 0,
+                misses: 0,
             }
         }
 
@@ -337,8 +400,10 @@ mod lru_index_equivalence {
                 if mode == AccessMode::Write {
                     f.dirty = true;
                 }
+                self.hits += 1;
                 return true;
             }
+            self.misses += 1;
             self.ledger.record(CostKind::PageRead, 1);
             if self.capacity == 0 {
                 if mode == AccessMode::Write {
@@ -369,23 +434,65 @@ mod lru_index_equivalence {
             );
             false
         }
+
+        /// File of the resident frame at `rank` in recency order (0 = most
+        /// recent), clamped to the least recent.
+        fn file_at(&self, rank: Rank) -> Option<FileId> {
+            let mut by_age: Vec<&RefFrame> = self.frames.values().collect();
+            by_age.sort_by_key(|f| std::cmp::Reverse(f.last_used));
+            let i = match rank {
+                Rank::Head => 0,
+                Rank::Middle => by_age.len() / 2,
+                Rank::Tail => by_age.len().checked_sub(1)?,
+            };
+            by_age.get(i).map(|f| f.key.file)
+        }
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Rank {
+        Head,
+        Middle,
+        Tail,
     }
 
     #[derive(Debug, Clone)]
     enum Op {
-        Access { file: u32, page: u32, write: bool },
+        Access {
+            file: u32,
+            page: u32,
+            write: bool,
+        },
         FlushAll,
         ClearCold,
-        DiscardFile(u32),
+        /// Discard files `lo .. lo + len`.
+        DiscardFiles {
+            lo: u32,
+            len: u32,
+        },
+        /// Discard the file of the frame at a recency rank.
+        DiscardFileOf(Rank),
     }
 
+    const FILES: u32 = 4;
+
+    /// Ops over `FILES` files: ~5/6 accesses, the rest split across the
+    /// maintenance ops. Pages are raw; the test folds them into a domain
+    /// sized to the capacity.
     fn op_strategy() -> impl Strategy<Value = Op> {
-        // ~3/4 accesses, the rest split across the maintenance ops.
-        (0u8..12, 0u32..3, 0u32..12, any::<bool>()).prop_map(|(sel, file, page, write)| match sel {
-            0 => Op::FlushAll,
-            1 => Op::ClearCold,
-            2 => Op::DiscardFile(file),
-            _ => Op::Access { file, page, write },
+        (0u8..30, 0..FILES, 0u32..1 << 16, any::<bool>()).prop_map(|(sel, file, page, write)| {
+            match sel {
+                0 => Op::FlushAll,
+                1 => Op::ClearCold,
+                2 => Op::DiscardFiles {
+                    lo: file,
+                    len: page % 3,
+                },
+                3 => Op::DiscardFileOf(Rank::Head),
+                4 => Op::DiscardFileOf(Rank::Middle),
+                5 => Op::DiscardFileOf(Rank::Tail),
+                _ => Op::Access { file, page, write },
+            }
         })
     }
 
@@ -394,15 +501,18 @@ mod lru_index_equivalence {
 
         #[test]
         fn indexed_pool_matches_scan_reference(
-            capacity in 0usize..6,
-            ops in proptest::collection::vec(op_strategy(), 1..200),
+            capacity in 0usize..64,
+            ops in proptest::collection::vec(op_strategy(), 1..2_000),
         ) {
+            // About twice as many keys as frames, so a run mixes hits,
+            // evictions and reuse of discarded slots.
+            let pages = (capacity as u32 / 2).max(1) + 3;
             let mut fast = BufferPool::new(capacity);
             let mut slow = ReferencePool::new(capacity);
             for (step, op) in ops.iter().enumerate() {
                 match *op {
                     Op::Access { file, page, write } => {
-                        let key = PageKey::new(FileId(file), page);
+                        let key = PageKey::new(FileId(file), page % pages);
                         let mode = if write { AccessMode::Write } else { AccessMode::Read };
                         prop_assert_eq!(
                             fast.access(key, mode),
@@ -426,15 +536,24 @@ mod lru_index_equivalence {
                         fast.clear_cold();
                         slow.frames.clear();
                     }
-                    Op::DiscardFile(file) => {
-                        fast.discard_file(FileId(file));
-                        slow.frames.retain(|k, _| k.file != FileId(file));
+                    Op::DiscardFiles { lo, len } => {
+                        let files = FileId(lo)..FileId(lo + len);
+                        fast.discard_files(files.clone());
+                        slow.frames.retain(|k, _| !files.contains(&k.file));
+                    }
+                    Op::DiscardFileOf(rank) => {
+                        if let Some(file) = slow.file_at(rank) {
+                            fast.discard_files(file..FileId(file.0 + 1));
+                            slow.frames.retain(|k, _| k.file != file);
+                        }
                     }
                 }
                 let (fio, sio) = (fast.io_snapshot(), slow.ledger.snapshot());
                 prop_assert_eq!(fio.page_reads, sio.page_reads, "PageRead diverged at step {}", step);
                 prop_assert_eq!(fio.page_writes, sio.page_writes, "PageWrite diverged at step {}", step);
                 prop_assert_eq!(fast.resident(), slow.frames.len(), "resident diverged at step {}", step);
+                prop_assert_eq!(fast.hits(), slow.hits, "hits diverged at step {}", step);
+                prop_assert_eq!(fast.misses(), slow.misses, "misses diverged at step {}", step);
             }
         }
     }

@@ -1,7 +1,8 @@
 //! Word-at-a-time multiply-mix hashing for in-memory lookup structures
 //! whose answers never depend on the hash: the table's row locator
-//! (candidates are compared byte for byte) and the column statistics (an
-//! estimate). Not keyed, so not for maps an adversary's keys could fill.
+//! (candidates are compared byte for byte), the column statistics (an
+//! estimate) and the buffer pool's frame map (keys are compared). Not
+//! keyed, so not for maps an adversary's keys could fill.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -37,6 +38,10 @@ impl Hasher for MixHasher {
         self.0 = mix(self.0, u64::from(v));
     }
 
+    fn write_u32(&mut self, v: u32) {
+        self.0 = mix(self.0, u64::from(v));
+    }
+
     fn write_u64(&mut self, v: u64) {
         self.0 = mix(self.0, v);
     }
@@ -45,6 +50,8 @@ impl Hasher for MixHasher {
         self.0
     }
 }
+
+pub(crate) type Mixed = BuildHasherDefault<MixHasher>;
 
 /// Hasher of a map keyed by an already mixed 64-bit hash: the key is its
 /// own hash.

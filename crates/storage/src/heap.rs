@@ -160,15 +160,30 @@ impl HeapFile {
     pub fn scan(&self) -> impl Iterator<Item = (Rid, &[u8])> + '_ {
         self.pages.iter().enumerate().flat_map(move |(pno, page)| {
             self.touch(pno as u32, AccessMode::Read);
-            page.iter().map(move |(slot, bytes)| {
-                (
-                    Rid {
-                        page: pvm_types::PageId(pno as u32),
-                        slot,
-                    },
-                    bytes,
-                )
-            })
+            Self::tuples(pno, page)
+        })
+    }
+
+    /// [`HeapFile::scan`] without page accesses, under the
+    /// [`HeapFile::peek`] contract: for building in-memory structures the
+    /// cost model does not price (the table's row locator and column
+    /// statistics).
+    pub fn peek_all(&self) -> impl Iterator<Item = (Rid, &[u8])> + '_ {
+        self.pages
+            .iter()
+            .enumerate()
+            .flat_map(|(pno, page)| Self::tuples(pno, page))
+    }
+
+    fn tuples(pno: usize, page: &Page) -> impl Iterator<Item = (Rid, &[u8])> + '_ {
+        page.iter().map(move |(slot, bytes)| {
+            (
+                Rid {
+                    page: pvm_types::PageId(pno as u32),
+                    slot,
+                },
+                bytes,
+            )
         })
     }
 }

@@ -1,6 +1,5 @@
 //! Table storage: a heap file (stable RIDs), an optional clustered index,
-//! any number of secondary indexes, and incrementally maintained
-//! statistics.
+//! any number of secondary indexes, and statistics.
 //!
 //! Abstract-op accounting follows §3.1.1 of the paper and is charged into
 //! the [`CostLedger`] the caller passes in:
@@ -18,13 +17,23 @@
 //! Locating a row **by value** where no secondary index serves the
 //! caller's key hint charges nothing — the paper prices a delete as one
 //! `INSERT`, "locate + write back" — and goes through the table's *row
-//! locator*: an in-memory sorted set of `(hash of the encoded row, rid)`
-//! kept by `insert` / `delete` / `undelete`, so it is right after WAL
-//! replay, recovery and transaction abort with no code of its own.
+//! locator*: an in-memory sorted set of `(hash of the encoded row, rid)`.
 //! Candidates of one hash are compared with the heap tuple byte for byte
 //! in rid order, so among duplicate rows the lowest rid wins.
+//!
+//! Two structures exist only once something reads them, and cost an
+//! insert nothing before: the locator is built by the first by-value
+//! locate that no secondary index serves, and a column's distinct counts
+//! by the first [`TableStorage::column_stats`] for that column. Both are
+//! built from the live heap tuples with no page access and no charge, and
+//! kept by `insert` / `delete` / `undelete` from then on, so they are
+//! right after WAL replay, recovery and transaction abort with no code of
+//! their own. A view's stored table, whose deletes go through its
+//! partition-column index and whose statistics nothing reads, never
+//! builds either.
 
 use std::collections::BTreeSet;
+use std::sync::OnceLock;
 
 use pvm_types::{CostKind, CostLedger, PvmError, Result, Rid, Row, SchemaRef};
 
@@ -56,8 +65,9 @@ pub struct TableStorage {
     stats: TableStats,
     buffer: SharedBufferPool,
     next_file: u32,
-    /// Row locator: `(row_hash(encoded row), rid)` of every live row.
-    locator: BTreeSet<(u32, Rid)>,
+    /// Row locator: `(row_hash(encoded row), rid)` of every live row,
+    /// once a by-value locate has asked for it.
+    locator: OnceLock<BTreeSet<(u32, Rid)>>,
 }
 
 /// Hash of an encoded row ([`crate::hash`]'s word-at-a-time mix).
@@ -100,7 +110,7 @@ impl TableStorage {
             stats: TableStats::new(arity),
             buffer,
             next_file: file_base + 2,
-            locator: BTreeSet::new(),
+            locator: OnceLock::new(),
         }
     }
 
@@ -116,8 +126,29 @@ impl TableStorage {
         &self.organization
     }
 
+    /// Row and byte counts, plus the distinct counts of the columns asked
+    /// for so far.
     pub fn stats(&self) -> &TableStats {
         &self.stats
+    }
+
+    /// [`TableStorage::stats`] with `column`'s distinct counts tracked:
+    /// built from the live tuples on the first ask — no page access, no
+    /// charge — and maintained by every insert, delete and undelete after.
+    pub fn column_stats(&self, column: usize) -> Result<&TableStats> {
+        self.stats
+            .track(column, self.heap.peek_all().map(|(_, tuple)| tuple))?;
+        Ok(&self.stats)
+    }
+
+    #[cfg(test)]
+    pub(crate) fn stats_mut(&mut self) -> &mut TableStats {
+        &mut self.stats
+    }
+
+    /// Whether a by-value locate has built the row locator.
+    pub fn has_locator(&self) -> bool {
+        self.locator.get().is_some()
     }
 
     pub fn row_count(&self) -> u64 {
@@ -206,7 +237,9 @@ impl TableStorage {
         self.schema.check_row(&row)?;
         let bytes = row.encode();
         let rid = self.heap.insert(&bytes)?;
-        self.locator.insert((row_hash(&bytes), rid));
+        if let Some(locator) = self.locator.get_mut() {
+            locator.insert((row_hash(&bytes), rid));
+        }
         if let Some(c) = &mut self.clustered {
             c.insert(&row)?;
         }
@@ -236,8 +269,10 @@ impl TableStorage {
         let bytes = self.heap.get(rid)?;
         let row = Row::decode(&bytes)?;
         self.heap.delete(rid)?;
-        let located = self.locator.remove(&(row_hash(&bytes), rid));
-        debug_assert!(located, "the locator holds every live row");
+        if let Some(locator) = self.locator.get_mut() {
+            let located = locator.remove(&(row_hash(&bytes), rid));
+            debug_assert!(located, "the locator holds every live row");
+        }
         if let Some(c) = &mut self.clustered {
             c.delete(&row)?;
         }
@@ -287,8 +322,10 @@ impl TableStorage {
     /// heap read.
     pub fn undelete(&mut self, rid: Rid, row: &Row) -> Result<()> {
         self.heap.undelete(rid)?;
-        let bytes = self.heap.peek(rid).expect("just resurrected");
-        self.locator.insert((row_hash(bytes), rid));
+        if let Some(locator) = self.locator.get_mut() {
+            let bytes = self.heap.peek(rid).expect("just resurrected");
+            locator.insert((row_hash(bytes), rid));
+        }
         if let Some(c) = &mut self.clustered {
             c.insert(row)?;
         }
@@ -321,7 +358,8 @@ impl TableStorage {
     /// Find the RID of one row equal to `row`: through the secondary index
     /// on exactly `key_hint` when there is one (one `SEARCH`, one `FETCH`
     /// per candidate), else through the row locator (no charge, no page
-    /// access) — the lowest rid holding these bytes.
+    /// access; built here on first use) — the lowest rid holding these
+    /// bytes.
     fn locate(
         &self,
         row: &Row,
@@ -340,11 +378,15 @@ impl TableStorage {
                 return Ok(None);
             }
         }
+        let locator = self.locator.get_or_init(|| {
+            self.heap
+                .peek_all()
+                .map(|(rid, tuple)| (row_hash(tuple), rid))
+                .collect()
+        });
         let bytes = row.encode();
         let h = row_hash(&bytes);
-        let candidates = self
-            .locator
-            .range((h, Rid::new(0, 0))..=(h, Rid::new(u32::MAX, u16::MAX)));
+        let candidates = locator.range((h, Rid::new(0, 0))..=(h, Rid::new(u32::MAX, u16::MAX)));
         Ok(candidates
             .map(|&(_, rid)| rid)
             .find(|&rid| self.heap.peek(rid) == Some(bytes.as_slice())))
@@ -710,7 +752,9 @@ mod locator_equivalence {
     //! Model check: the row locator must return the rid the old heap scan
     //! returned (first equal row in `(page, slot)` order) and charge what
     //! it charged, so GI entries, rid-exact WAL replay and every counted
-    //! cost stay bit-identical under any DML interleaving.
+    //! cost stay bit-identical under any DML interleaving — whenever it is
+    //! first built. Column statistics built on first ask must equal eager
+    //! ones likewise.
 
     use super::*;
     use crate::buffer::BufferPool;
@@ -842,6 +886,121 @@ mod locator_equivalence {
                 assert_same_as_scan(&t, &rows, step);
             }
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+        /// The on-ask structures against their eager models: column
+        /// statistics asked for at a random step equal a `TableStats`
+        /// that counted every column from the first row, and the locator
+        /// built by the first unhinted `find_rid` (at another random step)
+        /// answers what a heap scan answers, at the same charge. Before
+        /// its step, neither exists.
+        #[test]
+        fn on_ask_bookkeeping_matches_eager_models(
+            clustered in any::<bool>(),
+            secondary in any::<bool>(),
+            ops in proptest::collection::vec((0u8..8, 0usize..12, any::<bool>()), 1..120),
+            ask_stats_at in 0usize..120,
+            locate_at in 0usize..120,
+        ) {
+            let mut t = table(if clustered {
+                Organization::Clustered { key: vec![1] }
+            } else {
+                Organization::Heap
+            });
+            if secondary {
+                t.create_secondary_index("t_c", vec![1]).unwrap();
+            }
+            let rows = domain();
+            let mut model = TableStats::eager(3);
+            let mut l = CostLedger::new();
+            let mut in_txn = false;
+            let mut deleted: Vec<(Rid, Row)> = Vec::new();
+            for (step, &(kind, pick, hinted)) in ops.iter().enumerate() {
+                if step == ask_stats_at {
+                    for c in 0..3 {
+                        t.column_stats(c).unwrap();
+                    }
+                }
+                let located = step >= locate_at;
+                let row = &rows[pick];
+                match kind {
+                    0..=3 => {
+                        t.insert(row.clone(), &mut l).unwrap();
+                        model.on_insert(row);
+                    }
+                    4 | 5 => {
+                        // Before the locator's step, the rid comes from
+                        // the scan oracle, so nothing builds it early.
+                        let rid = if located {
+                            let hint: &[usize] = if hinted { &[1] } else { &[] };
+                            t.find_rid(row, hint, &mut l).unwrap()
+                        } else {
+                            locate_by_scan(&t, row, &[], &mut CostLedger::new()).unwrap()
+                        };
+                        if let Some(rid) = rid {
+                            t.delete(rid, &mut l).unwrap();
+                            model.on_delete(row);
+                            if in_txn {
+                                deleted.push((rid, row.clone()));
+                            }
+                        }
+                    }
+                    6 => {
+                        if let Some((rid, row)) = deleted.pop() {
+                            t.undelete(rid, &row).unwrap();
+                            model.on_insert(&row);
+                        }
+                    }
+                    _ => {
+                        in_txn = !in_txn;
+                        t.set_preserve_tombstones(in_txn);
+                        deleted.clear();
+                    }
+                }
+                let stats = t.stats();
+                prop_assert_eq!(stats.row_count(), model.row_count());
+                prop_assert_eq!(stats.byte_size(), model.byte_size());
+                for c in 0..3 {
+                    prop_assert_eq!(stats.is_tracked(c), step >= ask_stats_at, "column {} at step {}", c, step);
+                    if stats.is_tracked(c) {
+                        prop_assert_eq!(stats.distinct(c), model.distinct(c), "column {} at step {}", c, step);
+                        prop_assert_eq!(
+                            stats.matches_per_value(c).to_bits(),
+                            model.matches_per_value(c).to_bits(),
+                            "column {} at step {}", c, step
+                        );
+                    }
+                }
+                if located {
+                    assert_same_as_scan(&t, &rows, step);
+                } else {
+                    prop_assert!(!t.has_locator(), "locator built before step {}", locate_at);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn building_on_ask_touches_no_page_and_charges_nothing() {
+        let pool = BufferPool::shared(0);
+        let mut t = table_in(Organization::Clustered { key: vec![1] }, pool.clone());
+        let mut l = CostLedger::new();
+        for row in domain() {
+            t.insert(row, &mut l).unwrap();
+        }
+        pool.lock().reset_counters();
+        l.reset();
+        for c in 0..3 {
+            assert!(t.column_stats(c).unwrap().is_tracked(c));
+        }
+        assert!(t.find_rid(&domain()[5], &[], &mut l).unwrap().is_some());
+        assert!(t.has_locator());
+        let io = pool.lock().io_snapshot();
+        assert_eq!((io.page_reads, io.page_writes), (0, 0));
+        assert!(l.snapshot().is_zero(), "{:?}", l.snapshot());
     }
 
     #[test]

@@ -212,3 +212,53 @@ fn lineitem_updates_propagate_through_jv2() {
         view.check_consistent(&cluster).unwrap();
     }
 }
+
+#[test]
+fn view_tables_build_no_statistics_or_locator() {
+    // Storage bookkeeping exists only where something reads it: the
+    // view's stored table is deleted from through its partition-column
+    // index and nothing asks for its statistics, so after insert, update
+    // and delete batches it has built neither; a base table hit by an
+    // unhinted by-value delete has built its row locator.
+    for m in methods() {
+        let (mut cluster, dataset) = setup(3);
+        let mut view = MaintainedView::create(&mut cluster, TpcrDataset::jv1(), m).unwrap();
+        let delta = dataset.customer_delta(16);
+        view.apply(&mut cluster, 0, &Delta::Insert(delta.clone()))
+            .unwrap();
+        // Reprice orders 0..8 (customers 0..8 match them).
+        let old: Vec<Row> = (0..8i64)
+            .map(|o| row![o, o, (o % 100_000) as f64 / 10.0])
+            .collect();
+        let new: Vec<Row> = (0..8i64).map(|o| row![o, o, 1.5]).collect();
+        view.apply(&mut cluster, 1, &Delta::Update { old, new })
+            .unwrap();
+        view.apply(&mut cluster, 0, &Delta::Delete(delta[..8].to_vec()))
+            .unwrap();
+        view.check_consistent(&cluster).unwrap();
+
+        let stored = view.view_table();
+        let arity = cluster.def(stored).unwrap().schema.arity();
+        for node in cluster.nodes() {
+            let t = node.storage(stored).unwrap();
+            assert!(!t.has_locator(), "{m:?}: view table built a locator");
+            assert!(
+                (0..arity).all(|c| !t.stats().is_tracked(c)),
+                "{m:?}: view table tracks a column"
+            );
+        }
+        for (rel, doomed) in [("customer", &delta[0]), ("orders", &row![0, 0, 1.5])] {
+            let table = cluster.table_id(rel).unwrap();
+            let home = cluster.route(table, doomed).unwrap();
+            assert!(
+                cluster
+                    .node(home)
+                    .unwrap()
+                    .storage(table)
+                    .unwrap()
+                    .has_locator(),
+                "{m:?}: {rel} at {home} located deletes without a locator"
+            );
+        }
+    }
+}
