@@ -155,6 +155,7 @@ fn faults_mode(seed: u64, rate: f64) {
     let expect = contents(&base, &base_view);
     println!("baseline view rows: {}", out.view_rows);
 
+    let mut counters = Vec::new();
     for threaded in [false, true] {
         let plan = FaultPlan::uniform(seed, rate);
         let (cluster, mut view) = setup();
@@ -181,7 +182,14 @@ fn faults_mode(seed: u64, rate: f64) {
              \"dup_suppressed\": {}, \"acks\": {}, \"match\": true}}",
             wire.drops, wire.dups, wire.delays, link.retries, link.dup_suppressed, link.acks_sent
         );
+        counters.push((wire, link));
     }
+    // Both backends ride one FIFO wire, so the same plan must draw the
+    // same faults and the link must make the same repairs on each.
+    assert_eq!(
+        counters[0], counters[1],
+        "threaded wire/link counters diverged from sequential (seed={seed} rate={rate})"
+    );
 }
 
 fn main() {

@@ -149,14 +149,7 @@ pub fn capture_trace(path: &Path, l: usize, threaded: bool) {
     let delta = Delta::Insert((0..32i64).map(|i| row![10_000 + i, i % 16, "a"]).collect());
     let mut view_refs: Vec<&mut MaintainedView> = views.iter_mut().collect();
     if threaded {
-        // PVM_TRACE_BARRIERED=1 falls back to lockstep barriers, for
-        // before/after comparisons of barrier_wait_us vs watermark_lag_us.
-        let config = if std::env::var_os("PVM_TRACE_BARRIERED").is_some() {
-            RuntimeConfig::barriered()
-        } else {
-            RuntimeConfig::default()
-        };
-        let mut backend = ThreadedCluster::with_runtime(cluster, config);
+        let mut backend = ThreadedCluster::from_cluster(cluster);
         maintain(&mut backend, None, &mut view_refs, "a", &delta).unwrap();
     } else {
         maintain(&mut cluster, None, &mut view_refs, "a", &delta).unwrap();

@@ -8,8 +8,8 @@
 //! drained inbox and a send sink — so the *same* driver code can run
 //! either sequentially on a [`Cluster`] (nodes executed in order 0..L,
 //! messages carried by the deterministic [`pvm_net::Fabric`]) or on the
-//! threaded runtime in `pvm-runtime` (one OS thread per node, messages
-//! carried by channels, an epoch barrier between steps).
+//! threaded runtime in `pvm-runtime` (one OS thread per node, each
+//! step's sends held in per-node outboxes until every thread has joined).
 //!
 //! ## Delivery and metering contract
 //!
@@ -22,8 +22,8 @@
 //!   the order the sequential backend produces naturally;
 //! * each send charges one `SEND` plus payload bytes unless it is an
 //!   uncharged local delivery (see [`pvm_net::NetConfig`]). Charges are
-//!   per *payload*: transport-level channel batching (the runtime's
-//!   `batch_size`) is cost-invisible, while payload-level destination
+//!   per *payload*: how a backend moves payloads between threads is
+//!   cost-invisible, while payload-level destination
 //!   coalescing — a driver packing N rows into one multi-row payload —
 //!   is, by design, 1 SEND where the per-row pipeline charged N.
 
@@ -37,8 +37,8 @@ use crate::meter::{MeterGuard, MeterReport};
 use crate::node::NodeState;
 
 /// Where a step's outgoing messages go. The sequential backend charges
-/// them straight into the cluster fabric; the threaded runtime buffers
-/// them into per-destination channels for the next epoch.
+/// them straight into the cluster fabric; the threaded runtime charges
+/// them into a per-node outbox it delivers after the step's join.
 pub trait StepSink {
     fn send(&mut self, src: NodeId, dst: NodeId, payload: NetPayload) -> Result<()>;
 
@@ -195,7 +195,7 @@ impl<'a> StepCtx<'a> {
     }
 
     /// Send a copy to every node (this node's own copy is an uncharged
-    /// local delivery by default, as with [`Fabric::broadcast`]).
+    /// local delivery by default, as with [`Transport::broadcast`]).
     pub fn broadcast(&mut self, payload: &NetPayload) -> Result<()> {
         self.check_sends()?;
         self.sink.send_all(self.id, self.node_count, payload)

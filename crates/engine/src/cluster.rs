@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use pvm_net::{Fabric, NetConfig};
+use pvm_net::{Fabric, NetConfig, Transport};
 use pvm_obs::{Obs, TraceSink};
 use pvm_types::{CostSnapshot, NodeId, PvmError, Result, Row};
 
@@ -74,8 +74,7 @@ pub struct Cluster {
     rr_seq: u64,
     txn_active: bool,
     wal: Option<crate::node::WalSink>,
-    /// Observability handle, shared with the fabric (and with the
-    /// threaded runtime's transport when one wraps this cluster).
+    /// Observability handle, shared with the fabric.
     obs: Arc<Obs>,
 }
 
@@ -496,12 +495,12 @@ impl Cluster {
 
     /// Broadcast from `src` to every node.
     pub fn broadcast(&mut self, src: NodeId, payload: &NetPayload) -> Result<()> {
-        self.fabric.broadcast(src, payload)
+        Transport::broadcast(&mut self.fabric, src, payload)
     }
 
     /// Multicast from `src` to `dsts`.
     pub fn multicast(&mut self, src: NodeId, dsts: &[NodeId], payload: &NetPayload) -> Result<()> {
-        self.fabric.multicast(src, dsts, payload)
+        Transport::multicast(&mut self.fabric, src, dsts, payload)
     }
 
     // ------------------------------------------------------------ metering
@@ -545,9 +544,10 @@ impl Cluster {
             ));
         }
         self.node(id)?; // range check before we commit to anything
-        let log = wal.lock().clone();
         let mut fresh = NodeState::new(id, self.config.buffer_pages);
-        let replayed = crate::wal::replay_node(&mut fresh, &log)?;
+        // Replay straight from the locked log: `fresh` has no WAL attached
+        // until afterwards, so nothing in the replay takes the lock again.
+        let replayed = crate::wal::replay_node(&mut fresh, &wal.lock())?;
         fresh.set_wal(self.wal.clone());
         self.nodes[id.index()] = fresh;
         Ok(replayed)

@@ -27,15 +27,17 @@
 //! the inbox order both bare backends produce — and settlement is
 //! single-threaded with PRNG draws consumed in the wire's deterministic
 //! delivery order, so a `(plan, workload)` pair replays bit-identically,
-//! crashes included.
+//! crashes included. Only the coordinator touches the wire, so it is the
+//! same FIFO [`Fabric`] under either backend and a plan draws the same
+//! faults on both.
 
 use std::sync::{Arc, Mutex};
 
 use pvm_engine::{note_inbox, Backend, Cluster, NetPayload, StepCtx, StepSink};
 use pvm_net::reliable::{Frame, LinkStats, ReliableLink};
-use pvm_net::{Envelope, Fabric, NetConfig, Transport, TransportCounters};
+use pvm_net::{Envelope, Fabric, NetConfig};
 use pvm_obs::{metric, Obs};
-use pvm_runtime::{ChannelTransport, ThreadedCluster};
+use pvm_runtime::ThreadedCluster;
 use pvm_types::{CostSnapshot, NodeId, PvmError, Result};
 
 use crate::{CrashPoint, FaultPlan, FaultStats, FaultyTransport};
@@ -72,9 +74,9 @@ struct Published {
 /// sequential [`Cluster`] ([`FaultTolerant::sequential`]) or the
 /// [`ThreadedCluster`] ([`FaultTolerant::threaded`]); the maintenance
 /// drivers run unmodified on top.
-pub struct FaultTolerant<B, W> {
+pub struct FaultTolerant<B> {
     inner: B,
-    wire: FaultyTransport<Frame<NetPayload>, W>,
+    wire: FaultyTransport<Frame<NetPayload>, Fabric<Frame<NetPayload>>>,
     link: ReliableLink<NetPayload>,
     driver_step: u64,
     crashes_done: u64,
@@ -82,38 +84,30 @@ pub struct FaultTolerant<B, W> {
     published: Published,
 }
 
-impl FaultTolerant<Cluster, Fabric<Frame<NetPayload>>> {
+impl FaultTolerant<Cluster> {
     /// Faulted sequential backend. The cluster should have WAL logging
     /// enabled when `plan` schedules crashes.
     pub fn sequential(cluster: Cluster, plan: FaultPlan) -> Self {
-        let l = Cluster::node_count(&cluster);
-        let mut wire = Fabric::new(l, NetConfig::default());
-        wire.set_obs(cluster.obs_handle());
-        FaultTolerant::with_wire(cluster, FaultyTransport::new(wire, plan))
+        FaultTolerant::wrap(cluster, plan)
     }
 }
 
-impl FaultTolerant<ThreadedCluster, ChannelTransport<Frame<NetPayload>>> {
+impl FaultTolerant<ThreadedCluster> {
     /// Faulted threaded backend: node steps still run on per-node
     /// threads; settlement and fault injection run on the coordinator.
     pub fn threaded(cluster: ThreadedCluster, plan: FaultPlan) -> Self {
-        let l = cluster.node_count();
-        let mut wire = ChannelTransport::new(l, 1, false);
-        wire.set_obs(cluster.engine().obs_handle());
-        FaultTolerant::with_wire(cluster, FaultyTransport::new(wire, plan))
+        FaultTolerant::wrap(cluster, plan)
     }
 }
 
-impl<B, W> FaultTolerant<B, W>
-where
-    B: Backend,
-    W: Transport<Frame<NetPayload>> + TransportCounters,
-{
-    fn with_wire(inner: B, wire: FaultyTransport<Frame<NetPayload>, W>) -> Self {
+impl<B: Backend> FaultTolerant<B> {
+    fn wrap(inner: B, plan: FaultPlan) -> Self {
         let l = inner.node_count();
+        let mut wire = Fabric::new(l, NetConfig::default());
+        wire.set_obs(inner.engine().obs_handle());
         FaultTolerant {
             inner,
-            wire,
+            wire: FaultyTransport::new(wire, plan),
             link: ReliableLink::new(l),
             driver_step: 0,
             crashes_done: 0,
@@ -239,11 +233,7 @@ where
     }
 }
 
-impl<B, W> Backend for FaultTolerant<B, W>
-where
-    B: Backend,
-    W: Transport<Frame<NetPayload>> + TransportCounters,
-{
+impl<B: Backend> Backend for FaultTolerant<B> {
     fn engine(&self) -> &Cluster {
         self.inner.engine()
     }
@@ -257,9 +247,9 @@ where
         // metered phases see the real cost of running under faults
         // (retries and acks included).
         let mut snap = self.inner.net_snapshot();
-        let (sends, bytes) = self.wire.counters();
-        snap.sends += sends;
-        snap.bytes_sent += bytes;
+        let wire = self.wire.inner().ledger().snapshot();
+        snap.sends += wire.sends;
+        snap.bytes_sent += wire.bytes_sent;
         snap
     }
 

@@ -2,9 +2,8 @@
 //!
 //! Seed-deterministic fault injection for the simulated cluster.
 //!
-//! [`FaultyTransport`] wraps any [`Transport`] — the sequential
-//! [`Fabric`](pvm_net::Fabric) or the threaded channel transport alike —
-//! and injects message **drop / duplicate / delay-by-k-steps** faults
+//! [`FaultyTransport`] wraps any [`Transport`] — [`FaultTolerant`] puts
+//! it over a [`Fabric`](pvm_net::Fabric) on either backend — and injects message **drop / duplicate / delay-by-k-steps** faults
 //! plus scheduled **node crashes** from a [`FaultPlan`], all driven by a
 //! [`SplitMix64`] PRNG so a `(seed, plan)` pair replays the exact same
 //! fault sequence every run.
@@ -23,7 +22,7 @@
 //! order — so the whole faulted execution is a pure function of
 //! `(plan, workload)`.
 
-use pvm_net::{Envelope, MessageSize, Transport, TransportCounters};
+use pvm_net::{Envelope, MessageSize, Transport};
 use pvm_types::{NodeId, Result};
 
 mod backend;
@@ -267,12 +266,6 @@ impl<P: MessageSize + Clone, T: Transport<P>> Transport<P> for FaultyTransport<P
     }
 }
 
-impl<P, T: TransportCounters> TransportCounters for FaultyTransport<P, T> {
-    fn counters(&self) -> (u64, u64) {
-        self.inner.counters()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -384,6 +377,7 @@ mod tests {
     fn counters_pass_through() {
         let mut t = faulty(FaultPlan::none(1));
         t.send(NodeId(0), NodeId(1), Msg(1)).unwrap();
-        assert_eq!(t.counters(), (1, 8));
+        let snap = t.inner().ledger().snapshot();
+        assert_eq!((snap.sends, snap.bytes_sent), (1, 8));
     }
 }

@@ -125,8 +125,8 @@ impl<P: MessageSize> MessageSize for PipeFrame<P> {
 
 /// The node-facing interface to the interconnect, abstracted over the
 /// delivery mechanism. [`Fabric`] is the deterministic single-threaded
-/// implementation; `pvm-runtime` provides a channel-backed one where
-/// each node runs on its own thread. Implementations must preserve the
+/// implementation; the fault layer wraps one to inject faults.
+/// Implementations must preserve the
 /// metering contract: one `SEND` (plus payload bytes) per message
 /// between distinct nodes, local deliveries uncharged unless configured
 /// otherwise, and per-`(src, dst)` FIFO ordering on delivery.
@@ -186,8 +186,6 @@ pub struct Fabric<P> {
     config: NetConfig,
     queues: Vec<VecDeque<Envelope<P>>>,
     ledger: CostLedger,
-    sends_by_src: Vec<u64>,
-    delivered: u64,
     /// Observability handle; trace emission is gated on `obs.enabled()`
     /// and never touches the cost ledger.
     obs: Option<Arc<Obs>>,
@@ -200,8 +198,6 @@ impl<P: MessageSize> Fabric<P> {
             config,
             queues: (0..nodes).map(|_| VecDeque::new()).collect(),
             ledger: CostLedger::new(),
-            sends_by_src: vec![0; nodes],
-            delivered: 0,
             obs: None,
         }
     }
@@ -233,7 +229,6 @@ impl<P: MessageSize> Fabric<P> {
         self.check_node(dst)?;
         if src != dst || self.config.charge_local_delivery {
             self.ledger.record_send(payload.byte_size() as u64);
-            self.sends_by_src[src.index()] += 1;
         }
         if let Some(obs) = &self.obs {
             if obs.enabled() {
@@ -248,39 +243,12 @@ impl<P: MessageSize> Fabric<P> {
         Ok(())
     }
 
-    /// Send copies of `payload` to each node in `dsts`.
-    pub fn multicast(&mut self, src: NodeId, dsts: &[NodeId], payload: &P) -> Result<()>
-    where
-        P: Clone,
-    {
-        for &d in dsts {
-            self.send(src, d, payload.clone())?;
-        }
-        Ok(())
-    }
-
-    /// Send copies of `payload` to every node in the cluster (including
-    /// `src`, whose copy is an uncharged local delivery by default). This
-    /// is the all-node redistribution of the naive method.
-    pub fn broadcast(&mut self, src: NodeId, payload: &P) -> Result<()>
-    where
-        P: Clone,
-    {
-        let n = self.node_count();
-        for d in 0..n {
-            self.send(src, NodeId::from(d), payload.clone())?;
-        }
-        Ok(())
-    }
-
     /// Drain every message queued for `dst`, in FIFO order.
     pub fn recv_all(&mut self, dst: NodeId) -> Vec<Envelope<P>> {
         let Ok(()) = self.check_node(dst) else {
             return Vec::new();
         };
-        let drained: Vec<_> = self.queues[dst.index()].drain(..).collect();
-        self.delivered += drained.len() as u64;
-        drained
+        self.queues[dst.index()].drain(..).collect()
     }
 
     /// Messages waiting at `dst`.
@@ -298,35 +266,8 @@ impl<P: MessageSize> Fabric<P> {
         &self.ledger
     }
 
-    /// Charged sends originating at each node.
-    pub fn sends_by_src(&self) -> &[u64] {
-        &self.sends_by_src
-    }
-
-    /// Total messages delivered through [`Fabric::recv_all`].
-    pub fn delivered(&self) -> u64 {
-        self.delivered
-    }
-
     pub fn reset_counters(&mut self) {
         self.ledger.reset();
-        self.sends_by_src.iter_mut().for_each(|c| *c = 0);
-        self.delivered = 0;
-    }
-}
-
-/// Read access to a transport's charged-cost totals, for wrappers (like
-/// the fault layer) that must report the traffic they generated on top
-/// of whatever the inner engine charged.
-pub trait TransportCounters {
-    /// `(sends, bytes_sent)` charged so far.
-    fn counters(&self) -> (u64, u64);
-}
-
-impl<P: MessageSize> TransportCounters for Fabric<P> {
-    fn counters(&self) -> (u64, u64) {
-        let snap = self.ledger.snapshot();
-        (snap.sends, snap.bytes_sent)
     }
 }
 
@@ -371,7 +312,6 @@ mod tests {
         assert_eq!(got[0].payload, Msg(1));
         assert_eq!(got[1].payload, Msg(2));
         assert!(f.quiescent());
-        assert_eq!(f.delivered(), 2);
     }
 
     #[test]
@@ -406,7 +346,6 @@ mod tests {
         }
         // Local copy uncharged: 3 real sends.
         assert_eq!(f.ledger().snapshot().sends, 3);
-        assert_eq!(f.sends_by_src()[1], 3);
     }
 
     #[test]
@@ -445,8 +384,7 @@ mod tests {
         }
         let mut f = fabric(3);
         exercise(&mut f);
-        // Trait defaults route through `send`, so charging is identical
-        // to the inherent methods: broadcast L-1, multicast 1.
+        // Trait defaults route through `send`: broadcast L-1, multicast 1.
         assert_eq!(f.ledger().snapshot().sends, 3);
     }
 
@@ -457,7 +395,5 @@ mod tests {
         f.recv_all(NodeId(1));
         f.reset_counters();
         assert_eq!(f.ledger().snapshot().sends, 0);
-        assert_eq!(f.delivered(), 0);
-        assert_eq!(f.sends_by_src()[0], 0);
     }
 }

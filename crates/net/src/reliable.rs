@@ -1,7 +1,7 @@
 //! Delivery reliability on top of an unreliable [`Transport`].
 //!
-//! The bare transports ([`crate::Fabric`], the runtime's channel
-//! transport) deliver every message exactly once. A fault-injecting
+//! The bare transport ([`crate::Fabric`]) delivers every message exactly
+//! once. A fault-injecting
 //! wrapper (see `pvm-faults`) may drop, duplicate, or delay frames —
 //! [`ReliableLink`] restores the exactly-once, in-order contract the
 //! maintenance drivers assume:

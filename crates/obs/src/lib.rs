@@ -11,8 +11,8 @@
 //! fine-grained layer those aggregates can't provide: per-delta lifecycle
 //! events (`route → probe/index-update → ship → join → view-apply`)
 //! carrying method, node, logical step, join key and payload bytes, plus
-//! runtime health metrics (barrier waits, inbox depths, batch occupancy,
-//! SEND fan-out, per-node work share).
+//! runtime health metrics (barrier waits, inbox depths, SEND fan-out,
+//! per-node work share).
 //!
 //! ## Design constraints
 //!

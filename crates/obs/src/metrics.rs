@@ -3,8 +3,8 @@
 //! All instruments are plain atomics — safe to update from node worker
 //! threads and never touching the engine's counted-cost ledgers. Unlike
 //! trace events, metrics are cheap enough to stay on unconditionally
-//! for per-step health signals (inbox depth, barrier wait, batch
-//! occupancy); per-delta metrics (fan-out, work share) are gated on
+//! for per-step health signals (inbox depth, barrier wait); per-delta
+//! metrics (fan-out, work share) are gated on
 //! `Obs::enabled` by their call sites.
 
 use std::collections::BTreeMap;
@@ -29,9 +29,6 @@ pub mod metric {
     pub const RUN_AHEAD_STEPS: &str = "pipeline.run_ahead_steps";
     /// Histogram: messages waiting in a node's inbox at step start.
     pub const INBOX_DEPTH: &str = "backend.inbox_depth";
-    /// Histogram: payloads per flushed transport batch (vs
-    /// `RuntimeConfig::batch_size`).
-    pub const BATCH_OCCUPANCY: &str = "runtime.batch_occupancy";
     /// Histogram: SEND fan-out `K` per routed delta tuple, per method.
     pub const FANOUT_NAIVE: &str = "method.naive.fanout";
     pub const FANOUT_AUXREL: &str = "method.auxrel.fanout";
@@ -158,8 +155,7 @@ pub mod metric {
 
     /// Bucket upper bounds for µs-scale wait histograms.
     pub const US_BOUNDS: &[u64] = &[10, 50, 100, 500, 1_000, 5_000, 10_000, 50_000, 100_000];
-    /// Bucket upper bounds for small-count histograms (depths, fan-out,
-    /// batch occupancy).
+    /// Bucket upper bounds for small-count histograms (depths, fan-out).
     pub const COUNT_BOUNDS: &[u64] = &[0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 1024];
     /// Bucket upper bounds for byte-sized histograms (resident state).
     pub const BYTES_BOUNDS: &[u64] = &[

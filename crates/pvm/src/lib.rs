@@ -47,7 +47,7 @@
 //! | [`pvm_storage`] | slotted pages, buffer pool, B+tree, tables |
 //! | [`pvm_net`] | simulated interconnect with SEND metering |
 //! | [`pvm_engine`] | the parallel RDBMS: catalog, partitioning, DML, joins |
-//! | [`pvm_runtime`] | threaded per-node execution with a channel interconnect |
+//! | [`pvm_runtime`] | threaded per-node execution, sends delivered from per-node outboxes |
 //! | [`pvm_obs`] | structured trace events, metrics, Chrome-trace export |
 //! | [`pvm_serve`] | MVCC snapshot serving: epochs, delta chains, pinned reads |
 //! | [`pvm_core`] | the three maintenance methods, planner, advisor |

@@ -2,8 +2,7 @@
 //!
 //! A threaded shared-nothing execution runtime for the paper's cluster:
 //! each of the `L` nodes runs on its own OS thread with exclusive
-//! ownership of its [`pvm_engine::NodeState`], connected by a
-//! channel-backed implementation of the [`pvm_net::Transport`] contract.
+//! ownership of its [`pvm_engine::NodeState`].
 //!
 //! [`ThreadedCluster`] implements [`pvm_engine::Backend`], so every
 //! maintenance driver in `pvm-core` (naive / auxiliary relation / global
@@ -12,41 +11,33 @@
 //! even buffer-pool page I/O — are bit-identical to the sequential
 //! [`Cluster`] backend. Three properties deliver that:
 //!
-//! * **epoch barrier** — a step's sends are buffered in per-destination
-//!   channels and delivered only after every node thread has joined, so
-//!   messages sent in step `k` arrive at the start of step `k + 1`,
-//!   exactly as the sequential fabric's queues behave;
-//! * **deterministic inbox order** — each batch is tagged `(src, seq)`
-//!   and each destination sorts its arrivals by that key before the next
-//!   step, reproducing the `(src asc, per-src program order)` order the
-//!   sequential backend produces naturally;
-//! * **charge-per-payload** — batching (see
-//!   [`RuntimeConfig::batch_size`]) groups payloads into fewer channel
-//!   messages, but every logical payload still charges one `SEND` plus
-//!   its bytes, so batch size never shows up in the cost model.
+//! * **join** — a step runs every node on a scoped thread and joins them
+//!   all before it returns, so messages sent in step `k` are read at the
+//!   start of step `k + 1`, exactly as the sequential fabric's queues
+//!   behave;
+//! * **src-ordered outboxes** — each node sends into its own outbox;
+//!   after the join the coordinator appends the outboxes to the next
+//!   step's inboxes in node order, which is the `(src asc, per-src send
+//!   order)` order the sequential backend produces naturally;
+//! * **charge-per-payload** — every payload charges one `SEND` plus its
+//!   bytes when it is sent, by the fabric's rule (local deliveries free
+//!   unless configured), so how messages move between threads never
+//!   shows up in the cost model.
 
 mod pipeline;
 pub mod spsc;
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::Arc;
 
 use pvm_engine::{
     note_inbox, run_stages_lockstep, Backend, Cluster, ClusterConfig, NetPayload, StepCtx,
     StepProgram, StepSink,
 };
-use pvm_net::{Envelope, MessageSize, Transport};
-use pvm_obs::{metric, Histogram, Obs, Phase, TraceEvent};
-use pvm_types::{CostSnapshot, NodeId, PvmError, Result, Row};
+use pvm_net::{Envelope, MessageSize};
+use pvm_obs::{metric, Obs, Phase, TraceEvent};
+use pvm_types::{CostSnapshot, NodeId, Result, Row};
 
 /// Runtime tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct RuntimeConfig {
-    /// Maximum logical payloads shipped per channel message. Purely a
-    /// transport-level optimization: `SEND` accounting is per payload
-    /// regardless of this value.
-    pub batch_size: usize,
     /// Execute [`StepProgram`]s with watermark pipelining (nodes run
     /// ahead on per-edge step-close punctuation) instead of one epoch
     /// barrier per stage. Counted costs are identical either way; `false`
@@ -61,7 +52,6 @@ pub struct RuntimeConfig {
 impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
-            batch_size: 64,
             pipeline: true,
             edge_capacity: 256,
         }
@@ -69,13 +59,6 @@ impl Default for RuntimeConfig {
 }
 
 impl RuntimeConfig {
-    pub fn with_batch_size(batch_size: usize) -> Self {
-        RuntimeConfig {
-            batch_size: batch_size.max(1),
-            ..RuntimeConfig::default()
-        }
-    }
-
     /// The barriered baseline: stage programs run lockstep, one epoch
     /// barrier per stage.
     pub fn barriered() -> Self {
@@ -86,296 +69,82 @@ impl RuntimeConfig {
     }
 }
 
-/// One channel message: a batch of payloads from `src`, ordered per
-/// `(src, dst)` pair by `seq` so the receiver can reconstruct the
-/// deterministic delivery order after concurrent arrival.
-struct Tagged<P> {
+/// Charged `SEND`/byte totals of node-thread traffic.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally {
+    sends: u64,
+    bytes: u64,
+}
+
+impl Tally {
+    /// Charge one payload of `bytes` from `src` to `dst` exactly as
+    /// [`pvm_net::Fabric::send`] does, and emit the gated `Send` trace
+    /// event at logical step `step`.
+    fn charge(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        bytes: u64,
+        charge_local: bool,
+        obs: &Obs,
+        step: u64,
+    ) {
+        if src != dst || charge_local {
+            self.sends += 1;
+            self.bytes += bytes;
+        }
+        if obs.enabled() {
+            obs.emit(
+                TraceEvent::instant(Phase::Send, src.index() as u32, step)
+                    .with_peer(dst.index() as u32)
+                    .with_bytes(bytes),
+            );
+        }
+    }
+
+    fn add(&mut self, other: Tally) {
+        self.sends += other.sends;
+        self.bytes += other.bytes;
+    }
+}
+
+/// One node thread's [`StepSink`] for one step: charges each payload at
+/// send time and keeps it, in send order, for the coordinator to deliver
+/// after the join.
+struct Outbox<'a> {
     src: NodeId,
-    seq: u64,
-    payloads: Vec<P>,
-}
-
-/// Interconnect counters shared between concurrently sending endpoints.
-#[derive(Debug, Default)]
-struct Counters {
-    sends: AtomicU64,
-    bytes: AtomicU64,
-}
-
-fn disconnected() -> PvmError {
-    PvmError::InvalidOperation("interconnect channel disconnected".into())
-}
-
-/// A channel-backed [`Transport`]: per-destination mpsc channels carry
-/// `(src, seq)`-tagged batches; [`ChannelTransport::deliver`] is the
-/// epoch barrier that sorts one epoch's arrivals into deterministic
-/// inboxes. Senders on node threads use [`ChannelTransport::endpoint`]
-/// handles; the coordinator-side [`Transport`] impl is the degenerate
-/// single-threaded form of the same wire.
-pub struct ChannelTransport<P> {
-    node_count: usize,
-    batch_size: usize,
+    step: u64,
     charge_local: bool,
-    txs: Vec<Sender<Tagged<P>>>,
-    rxs: Vec<Receiver<Tagged<P>>>,
-    counters: Arc<Counters>,
-    /// Per-(src, dst) sequence numbers for direct coordinator sends.
-    direct_seqs: Vec<Vec<u64>>,
-    /// Delivered (sorted) but not yet drained messages, per destination.
-    staged: Vec<Vec<Envelope<P>>>,
-    /// Observability handle; trace emission gated, never touches charges.
-    obs: Option<Arc<Obs>>,
-    /// Cached batch-occupancy histogram so flushes skip the registry.
-    batch_hist: Option<Arc<Histogram>>,
+    obs: &'a Obs,
+    tally: Tally,
+    sent: Vec<Envelope<NetPayload>>,
 }
 
-impl<P: MessageSize> ChannelTransport<P> {
-    pub fn new(node_count: usize, batch_size: usize, charge_local: bool) -> Self {
-        let (txs, rxs) = (0..node_count).map(|_| mpsc::channel()).unzip();
-        ChannelTransport {
-            node_count,
-            batch_size: batch_size.max(1),
-            charge_local,
-            txs,
-            rxs,
-            counters: Arc::new(Counters::default()),
-            direct_seqs: vec![vec![0; node_count]; node_count],
-            staged: (0..node_count).map(|_| Vec::new()).collect(),
-            obs: None,
-            batch_hist: None,
-        }
-    }
-
-    /// Attach the cluster's observability handle so sends and batch
-    /// occupancy show up in traces and metrics.
-    pub fn set_obs(&mut self, obs: Arc<Obs>) {
-        self.batch_hist = Some(obs.metrics().histogram(metric::BATCH_OCCUPANCY));
-        self.obs = Some(obs);
-    }
-
-    /// A sending handle for one node's thread. Endpoints of one epoch
-    /// must all be dropped (or [`Endpoint::finish`]ed) before
-    /// [`ChannelTransport::deliver`] closes the epoch.
-    pub fn endpoint(&self, src: NodeId) -> Endpoint<P> {
-        Endpoint {
-            src,
-            batch_size: self.batch_size,
-            charge_local: self.charge_local,
-            txs: self.txs.clone(),
-            seqs: vec![0; self.node_count],
-            buffers: (0..self.node_count).map(|_| Vec::new()).collect(),
-            counters: Arc::clone(&self.counters),
-            obs: self.obs.clone(),
-            batch_hist: self.batch_hist.clone(),
-        }
-    }
-
-    /// Epoch barrier: drain every channel, sort each destination's
-    /// arrivals by `(src, seq)`, and stage them for `recv_all`.
-    pub fn deliver(&mut self) {
-        for (dst, rx) in self.rxs.iter().enumerate() {
-            let mut batches: Vec<Tagged<P>> = rx.try_iter().collect();
-            batches.sort_by_key(|t| (t.src, t.seq));
-            let staged = &mut self.staged[dst];
-            for batch in batches {
-                let src = batch.src;
-                staged.extend(batch.payloads.into_iter().map(|payload| Envelope {
-                    src,
-                    dst: NodeId::from(dst),
-                    payload,
-                }));
-            }
-        }
-        for row in &mut self.direct_seqs {
-            row.fill(0);
-        }
-    }
-
-    /// Take all staged inboxes (length `node_count`), leaving them empty.
-    pub fn take_staged(&mut self) -> Vec<Vec<Envelope<P>>> {
-        let staged = std::mem::take(&mut self.staged);
-        self.staged = (0..self.node_count).map(|_| Vec::new()).collect();
-        staged
-    }
-
-    /// Drop everything in flight or staged (transaction abort).
-    pub fn clear(&mut self) {
-        for rx in &self.rxs {
-            while rx.try_recv().is_ok() {}
-        }
-        for inbox in &mut self.staged {
-            inbox.clear();
-        }
-        for row in &mut self.direct_seqs {
-            row.fill(0);
-        }
-    }
-
-    /// Total charged `(sends, bytes)` since construction.
-    pub fn totals(&self) -> (u64, u64) {
-        (
-            self.counters.sends.load(Ordering::Relaxed),
-            self.counters.bytes.load(Ordering::Relaxed),
-        )
-    }
-
-    /// True when nothing is staged for delivery.
-    pub fn quiescent(&self) -> bool {
-        self.staged.iter().all(Vec::is_empty)
-    }
-
-    /// Whether same-node deliveries charge a `SEND`.
-    pub(crate) fn charge_local(&self) -> bool {
-        self.charge_local
-    }
-
-    /// The shared interconnect counters (for sinks that charge outside
-    /// this transport's endpoints, e.g. the pipelined ring mesh).
-    pub(crate) fn counters_handle(&self) -> Arc<Counters> {
-        Arc::clone(&self.counters)
-    }
-
-    /// Stage already-charged envelopes for `dst`'s next `recv_all` /
-    /// `take_staged`, ahead of any later channel arrivals. The pipelined
-    /// executor parks a program's final-stage sends here so they are
-    /// delivered at the next backend step, exactly as the epoch barrier
-    /// would have delivered them.
-    pub(crate) fn stage(&mut self, dst: usize, envelopes: Vec<Envelope<P>>) {
-        self.staged[dst].extend(envelopes);
-    }
-}
-
-impl<P: MessageSize> pvm_net::TransportCounters for ChannelTransport<P> {
-    fn counters(&self) -> (u64, u64) {
-        self.totals()
-    }
-}
-
-impl<P: MessageSize> Transport<P> for ChannelTransport<P> {
-    fn node_count(&self) -> usize {
-        self.node_count
-    }
-
-    fn send(&mut self, src: NodeId, dst: NodeId, payload: P) -> Result<()> {
-        if src != dst || self.charge_local {
-            self.counters.sends.fetch_add(1, Ordering::Relaxed);
-            self.counters
-                .bytes
-                .fetch_add(payload.byte_size() as u64, Ordering::Relaxed);
-        }
-        if let Some(obs) = &self.obs {
-            if obs.enabled() {
-                obs.emit(
-                    TraceEvent::instant(Phase::Send, src.index() as u32, obs.now())
-                        .with_peer(dst.index() as u32)
-                        .with_bytes(payload.byte_size() as u64),
-                );
-            }
-        }
-        let seq = self.direct_seqs[src.index()][dst.index()];
-        self.direct_seqs[src.index()][dst.index()] += 1;
-        self.txs[dst.index()]
-            .send(Tagged {
-                src,
-                seq,
-                payloads: vec![payload],
-            })
-            .map_err(|_| disconnected())
-    }
-
-    fn recv_all(&mut self, dst: NodeId) -> Vec<Envelope<P>> {
-        // Close the epoch lazily so direct single-threaded use (tests,
-        // coordinator traffic) behaves like the Fabric.
-        self.deliver();
-        std::mem::take(&mut self.staged[dst.index()])
-    }
-}
-
-/// One node thread's sending handle: buffers payloads per destination
-/// into `(src, seq)`-tagged batches. Charges are per logical payload at
-/// `send` time, independent of batch boundaries.
-pub struct Endpoint<P> {
-    src: NodeId,
-    batch_size: usize,
-    charge_local: bool,
-    txs: Vec<Sender<Tagged<P>>>,
-    seqs: Vec<u64>,
-    buffers: Vec<Vec<P>>,
-    counters: Arc<Counters>,
-    obs: Option<Arc<Obs>>,
-    batch_hist: Option<Arc<Histogram>>,
-}
-
-impl<P: MessageSize> Endpoint<P> {
-    pub fn send(&mut self, dst: NodeId, payload: P) -> Result<()> {
-        if self.src != dst || self.charge_local {
-            self.counters.sends.fetch_add(1, Ordering::Relaxed);
-            self.counters
-                .bytes
-                .fetch_add(payload.byte_size() as u64, Ordering::Relaxed);
-        }
-        if let Some(obs) = &self.obs {
-            if obs.enabled() {
-                obs.emit(
-                    TraceEvent::instant(Phase::Send, self.src.index() as u32, obs.now())
-                        .with_peer(dst.index() as u32)
-                        .with_bytes(payload.byte_size() as u64),
-                );
-            }
-        }
-        let d = dst.index();
-        self.buffers[d].push(payload);
-        if self.buffers[d].len() >= self.batch_size {
-            self.flush(d)?;
-        }
-        Ok(())
-    }
-
-    fn flush(&mut self, d: usize) -> Result<()> {
-        if self.buffers[d].is_empty() {
-            return Ok(());
-        }
-        let payloads = std::mem::take(&mut self.buffers[d]);
-        if let Some(h) = &self.batch_hist {
-            h.observe(payloads.len() as u64);
-        }
-        let seq = self.seqs[d];
-        self.seqs[d] += 1;
-        self.txs[d]
-            .send(Tagged {
-                src: self.src,
-                seq,
-                payloads,
-            })
-            .map_err(|_| disconnected())
-    }
-
-    /// Flush every partial batch; call at the end of the node's step.
-    pub fn finish(&mut self) -> Result<()> {
-        for d in 0..self.buffers.len() {
-            self.flush(d)?;
-        }
-        Ok(())
-    }
-}
-
-impl StepSink for Endpoint<NetPayload> {
+impl StepSink for Outbox<'_> {
     fn send(&mut self, src: NodeId, dst: NodeId, payload: NetPayload) -> Result<()> {
-        debug_assert_eq!(src, self.src, "endpoint used by a foreign node");
-        Endpoint::send(self, dst, payload)
+        debug_assert_eq!(src, self.src, "outbox used by a foreign node");
+        let bytes = payload.byte_size() as u64;
+        self.tally
+            .charge(src, dst, bytes, self.charge_local, self.obs, self.step);
+        self.sent.push(Envelope { src, dst, payload });
+        Ok(())
     }
 }
 
 /// The threaded backend: a [`Cluster`] whose per-node steps run on one
-/// OS thread per node (scoped threads, exclusive `&mut NodeState` each),
-/// with a [`ChannelTransport`] carrying inter-node messages and an epoch
-/// barrier between steps. Everything that is not per-node parallel work
-/// (DDL, routing, client DML, transactions, metering baselines) is
-/// delegated to the inner cluster, which the coordinator owns between
-/// steps.
+/// OS thread per node (scoped threads, exclusive `&mut NodeState` each).
+/// A step's sends wait in per-node outboxes until every thread has
+/// joined, then become the next step's inboxes. Everything that is not
+/// per-node parallel work (DDL, routing, client DML, transactions,
+/// metering baselines) is delegated to the inner cluster, which the
+/// coordinator owns between steps.
 pub struct ThreadedCluster {
     inner: Cluster,
-    transport: ChannelTransport<NetPayload>,
+    /// Already-charged node traffic for the next step, per destination,
+    /// in `(src asc, per-src send order)`.
+    next: Vec<Vec<Envelope<NetPayload>>>,
+    /// Everything node threads have charged since construction.
+    sent: Tally,
     config: RuntimeConfig,
 }
 
@@ -391,16 +160,10 @@ impl ThreadedCluster {
     }
 
     pub fn with_runtime(cluster: Cluster, config: RuntimeConfig) -> Self {
-        let charge_local = cluster.config().net.charge_local_delivery;
-        let mut transport = ChannelTransport::new(
-            Cluster::node_count(&cluster),
-            config.batch_size,
-            charge_local,
-        );
-        transport.set_obs(cluster.obs_handle());
         ThreadedCluster {
+            next: vec![Vec::new(); Cluster::node_count(&cluster)],
             inner: cluster,
-            transport,
+            sent: Tally::default(),
             config,
         }
     }
@@ -412,6 +175,23 @@ impl ThreadedCluster {
     /// Hand the cluster back (e.g. to compare against a sequential run).
     pub fn into_cluster(self) -> Cluster {
         self.inner
+    }
+
+    fn charge_local(&self) -> bool {
+        self.inner.config().net.charge_local_delivery
+    }
+
+    /// This step's inboxes: last step's node traffic first (it was sent
+    /// earlier), then anything the coordinator routed through the fabric
+    /// between steps.
+    fn take_inboxes(&mut self) -> Vec<Vec<Envelope<NetPayload>>> {
+        let l = self.next.len();
+        let mut inboxes = std::mem::replace(&mut self.next, vec![Vec::new(); l]);
+        let fabric = self.inner.fabric_mut();
+        for (dst, inbox) in inboxes.iter_mut().enumerate() {
+            inbox.extend(fabric.recv_all(NodeId::from(dst)));
+        }
+        inboxes
     }
 }
 
@@ -426,9 +206,8 @@ impl Backend for ThreadedCluster {
 
     fn net_snapshot(&self) -> CostSnapshot {
         let mut snap = self.inner.fabric().ledger().snapshot();
-        let (sends, bytes) = self.transport.totals();
-        snap.sends += sends;
-        snap.bytes_sent += bytes;
+        snap.sends += self.sent.sends;
+        snap.bytes_sent += self.sent.bytes;
         snap
     }
 
@@ -440,31 +219,45 @@ impl Backend for ThreadedCluster {
         let l = Cluster::node_count(&self.inner);
         let obs = self.inner.obs_handle();
         let step = obs.begin_step();
-        // Inboxes for this step: last epoch's channel deliveries first
-        // (they were sent earlier), then anything the coordinator routed
-        // through the fabric between steps.
-        self.transport.deliver();
-        let mut inboxes = self.transport.take_staged();
-        let (nodes, fabric) = self.inner.nodes_and_fabric_mut();
-        for (dst, inbox) in inboxes.iter_mut().enumerate() {
-            inbox.extend(fabric.recv_all(NodeId::from(dst)));
+        let charge_local = self.charge_local();
+        let inboxes = self.take_inboxes();
+        for (dst, inbox) in inboxes.iter().enumerate() {
             note_inbox(&obs, step, NodeId::from(dst), inbox);
         }
-        let endpoints: Vec<Endpoint<NetPayload>> = (0..l)
-            .map(|i| self.transport.endpoint(NodeId::from(i)))
-            .collect();
+        let (nodes, _) = self.inner.nodes_and_fabric_mut();
 
         let f = &f;
-        let obs_ref = &obs;
-        let outcomes: Vec<(std::time::Duration, Result<R>)> = std::thread::scope(|scope| {
+        let obs_ref: &Obs = &obs;
+        type NodeOutcome<T> = (
+            std::time::Duration,
+            Tally,
+            Vec<Envelope<NetPayload>>,
+            Result<T>,
+        );
+        let outcomes: Vec<NodeOutcome<R>> = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(l);
-            for ((node, inbox), mut endpoint) in nodes.iter_mut().zip(inboxes).zip(endpoints) {
+            for (node, inbox) in nodes.iter_mut().zip(inboxes) {
                 handles.push(scope.spawn(move || {
                     let started = std::time::Instant::now();
                     let id = node.id();
-                    let mut ctx = StepCtx::new(id, l, node, inbox, &mut endpoint, obs_ref, step);
-                    let r = f(&mut ctx);
-                    (started.elapsed(), endpoint.finish().and(r))
+                    let mut outbox = Outbox {
+                        src: id,
+                        step,
+                        charge_local,
+                        obs: obs_ref,
+                        tally: Tally::default(),
+                        sent: Vec::new(),
+                    };
+                    let r = f(&mut StepCtx::new(
+                        id,
+                        l,
+                        node,
+                        inbox,
+                        &mut outbox,
+                        obs_ref,
+                        step,
+                    ));
+                    (started.elapsed(), outbox.tally, outbox.sent, r)
                 }));
             }
             handles
@@ -472,25 +265,30 @@ impl Backend for ThreadedCluster {
                 .map(|h| h.join().expect("node thread panicked"))
                 .collect()
         });
-        // Barrier-wait metric: how long each node idled at the epoch
-        // barrier while the slowest node finished its step. Wall-clock
-        // is fine here — only *trace timestamps* and counted costs must
-        // be deterministic, and those use the logical clock / ledgers.
-        let slowest = outcomes.iter().map(|(d, _)| *d).max().unwrap_or_default();
+        // Barrier-wait metric: how long each node idled at the join
+        // while the slowest node finished its step. Wall-clock is fine
+        // here — only *trace timestamps* and counted costs must be
+        // deterministic, and those use the logical clock / ledgers.
+        let slowest = outcomes.iter().map(|o| o.0).max().unwrap_or_default();
         let hist = obs.metrics().histogram(metric::BARRIER_WAIT_US);
-        for (dur, _) in &outcomes {
-            hist.observe((slowest - *dur).as_micros() as u64);
+        let mut results = Vec::with_capacity(l);
+        // Every node has joined, so appending the outboxes in src order
+        // gives each next-step inbox its `(src asc, send order)` order.
+        for (dur, tally, sent, r) in outcomes {
+            hist.observe((slowest - dur).as_micros() as u64);
+            self.sent.add(tally);
+            for env in sent {
+                self.next[env.dst.index()].push(env);
+            }
+            results.push(r);
         }
-        // Epoch barrier has passed (scope joined); sort this epoch's
-        // traffic into next step's inboxes.
-        self.transport.deliver();
-        outcomes.into_iter().map(|(_, r)| r).collect()
+        results.into_iter().collect()
     }
 
     fn abort_txn(&mut self) -> Result<()> {
         // In-flight maintenance traffic from the aborted transaction must
         // not leak into the next step.
-        self.transport.clear();
+        self.next.iter_mut().for_each(Vec::clear);
         self.inner.abort_txn()
     }
 
@@ -513,65 +311,13 @@ impl Backend for ThreadedCluster {
 mod tests {
     use super::*;
     use pvm_engine::TableDef;
-    use pvm_types::{row, Column, Row, Schema};
+    use pvm_types::{row, Column, PvmError, Row, Schema};
 
     fn payload(rows: Vec<Row>) -> NetPayload {
         NetPayload::ResultRows {
             table: pvm_engine::TableId(0),
             rows,
         }
-    }
-
-    #[test]
-    fn transport_delivers_in_src_seq_order() {
-        let mut t: ChannelTransport<NetPayload> = ChannelTransport::new(3, 2, false);
-        // Two endpoints sending to node 0 concurrently-ish; interleave
-        // the actual channel pushes by flushing in opposite orders.
-        let mut e2 = t.endpoint(NodeId::from(2));
-        let mut e1 = t.endpoint(NodeId::from(1));
-        e2.send(NodeId::from(0), payload(vec![row![20]])).unwrap();
-        e2.send(NodeId::from(0), payload(vec![row![21]])).unwrap();
-        e2.send(NodeId::from(0), payload(vec![row![22]])).unwrap();
-        e1.send(NodeId::from(0), payload(vec![row![10]])).unwrap();
-        e2.finish().unwrap();
-        e1.finish().unwrap();
-        drop((e1, e2));
-        let got = t.recv_all(NodeId::from(0));
-        let srcs: Vec<u16> = got.iter().map(|e| e.src.0).collect();
-        assert_eq!(srcs, vec![1, 2, 2, 2], "sorted by (src, seq)");
-        let NetPayload::ResultRows { rows, .. } = &got[1].payload else {
-            panic!()
-        };
-        assert_eq!(rows[0], row![20], "per-src order preserved");
-    }
-
-    #[test]
-    fn batching_never_changes_charges() {
-        for batch in [1, 2, 64] {
-            let mut t: ChannelTransport<NetPayload> = ChannelTransport::new(2, batch, false);
-            let mut e = t.endpoint(NodeId::from(0));
-            for i in 0..5 {
-                e.send(NodeId::from(1), payload(vec![row![i]])).unwrap();
-            }
-            e.finish().unwrap();
-            drop(e);
-            t.deliver();
-            let (sends, bytes) = t.totals();
-            assert_eq!(sends, 5, "batch={batch}: one SEND per payload");
-            assert!(bytes > 0);
-            assert_eq!(t.recv_all(NodeId::from(1)).len(), 5);
-        }
-    }
-
-    #[test]
-    fn local_delivery_uncharged_by_default() {
-        let mut t: ChannelTransport<NetPayload> = ChannelTransport::new(2, 8, false);
-        let mut e = t.endpoint(NodeId::from(0));
-        e.send(NodeId::from(0), payload(vec![row![1]])).unwrap();
-        e.finish().unwrap();
-        drop(e);
-        assert_eq!(t.totals().0, 0);
-        assert_eq!(t.recv_all(NodeId::from(0)).len(), 1, "still delivered");
     }
 
     fn small_cluster() -> Cluster {
@@ -584,25 +330,56 @@ mod tests {
 
     #[test]
     fn threaded_step_epoch_semantics() {
-        let mut tc = ThreadedCluster::new(ClusterConfig::new(3));
-        // Step 1: everyone sends to node 0; nothing arrives this step.
-        let seen: Vec<usize> = tc
-            .step(|ctx| {
-                let n = ctx.drain().len();
-                ctx.send(NodeId::from(0), payload(vec![row![ctx.id().0 as i64]]))?;
-                Ok(n)
-            })
-            .unwrap();
-        assert_eq!(seen, vec![0, 0, 0], "sends are not delivered in-step");
-        // Step 2: node 0 sees all three, in src order.
-        let seen = tc
-            .step(|ctx| {
-                let srcs: Vec<u16> = ctx.drain().iter().map(|e| e.src.0).collect();
-                Ok(srcs)
-            })
-            .unwrap();
-        assert_eq!(seen[0], vec![0, 1, 2]);
-        assert!(seen[1].is_empty() && seen[2].is_empty());
+        // Step 1: every node sends two payloads to node 0 (node 0's own
+        // are local deliveries); between the steps the coordinator routes
+        // one fabric message; step 2 reads every inbox as (src, row).
+        fn run<B: Backend>(b: &mut B) -> (Vec<Vec<(u16, Row)>>, CostSnapshot) {
+            let seen = b
+                .step(|ctx| {
+                    let n = ctx.drain().len();
+                    let me = ctx.id().0 as i64;
+                    for k in 0..2i64 {
+                        ctx.send(NodeId::from(0), payload(vec![row![me, k]]))?;
+                    }
+                    Ok(n)
+                })
+                .unwrap();
+            assert_eq!(seen, vec![0, 0, 0], "sends are not delivered in-step");
+            b.engine_mut()
+                .send(
+                    NodeId::from(2),
+                    NodeId::from(0),
+                    payload(vec![row![-1, -1]]),
+                )
+                .unwrap();
+            let inboxes = b
+                .step(|ctx| {
+                    Ok(ctx
+                        .drain()
+                        .into_iter()
+                        .map(|e| {
+                            let NetPayload::ResultRows { mut rows, .. } = e.payload else {
+                                unreachable!()
+                            };
+                            (e.src.0, rows.remove(0))
+                        })
+                        .collect::<Vec<_>>())
+                })
+                .unwrap();
+            (inboxes, b.net_snapshot())
+        }
+
+        let (expect, expect_net) = run(&mut Cluster::new(ClusterConfig::new(3)));
+        let srcs: Vec<u16> = expect[0].iter().map(|(src, _)| *src).collect();
+        assert_eq!(srcs, vec![0, 0, 1, 1, 2, 2, 2]);
+        assert!(expect[1].is_empty() && expect[2].is_empty());
+        assert_eq!(expect_net.sends, 5, "node 0's self-sends are uncharged");
+        for config in [RuntimeConfig::default(), RuntimeConfig::barriered()] {
+            let mut tc = ThreadedCluster::with_runtime(Cluster::new(ClusterConfig::new(3)), config);
+            let (got, net) = run(&mut tc);
+            assert_eq!(got, expect, "{config:?}: inbox (src, payload) order");
+            assert_eq!(net, expect_net, "{config:?}: charged SEND/byte totals");
+        }
     }
 
     #[test]
@@ -786,8 +563,8 @@ mod tests {
         let carries_p = pipelined.run_stages(init(4), &program).unwrap();
         assert_eq!(carries_b, carries_p, "per-node carries identical");
         assert_eq!(
-            barriered.transport.totals(),
-            pipelined.transport.totals(),
+            barriered.net_snapshot(),
+            pipelined.net_snapshot(),
             "charged SEND/byte totals identical"
         );
         // And both advanced the logical clock by exactly one tick per stage.
@@ -875,7 +652,8 @@ mod tests {
                 Ok(Vec::new())
             });
             tc.run_stages(vec![Vec::new(); 3], &program).unwrap();
-            let (sends, bytes) = tc.transport.totals();
+            let net = tc.net_snapshot();
+            let (sends, bytes) = (net.sends, net.bytes_sent);
             assert_eq!(sends, 3 * 2, "each node: L-1 charged copies");
             assert_eq!(bytes % sends, 0, "every copy charged the same size");
         }

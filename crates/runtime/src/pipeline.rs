@@ -34,16 +34,16 @@
 //! `done == L` implies every frame is in some ring; one last pump then
 //! empties them all. Leftover frames at that point are exactly the final
 //! sending stage's output — messages the program addressed to the *next*
-//! backend step — and are staged back into the [`ChannelTransport`] for
-//! delivery there, preserving the "sent at step k, delivered at step
-//! k + 1" contract across the program boundary.
+//! backend step — and are appended to the [`ThreadedCluster`]'s next-step
+//! inboxes, preserving the "sent at step k, delivered at step k + 1"
+//! contract across the program boundary.
 //!
 //! ## Cost parity
 //!
 //! Counted costs cannot diverge from the lockstep oracle: per-node
 //! ledgers are touched only by that node's own thread, stage bodies are
 //! identical, inbox contents and order are reproduced exactly, and SEND
-//! charging uses the same per-payload rule as [`Endpoint`](crate::Endpoint)
+//! charging uses the same per-payload rule as a lockstep step's outbox
 //! — multicast `Shared` frames share one allocation across edges but are
 //! still charged once per destination, with the byte size measured once.
 
@@ -57,7 +57,7 @@ use pvm_obs::{metric, Histogram, Obs};
 use pvm_types::{NodeId, PvmError, Result, Row};
 
 use crate::spsc::{self, Consumer, Producer};
-use crate::{Counters, ThreadedCluster};
+use crate::{Tally, ThreadedCluster};
 
 type Frame = PipeFrame<NetPayload>;
 
@@ -212,12 +212,13 @@ impl Inbound {
 
 /// The [`StepSink`] a pipelined stage sends through: frames go straight
 /// onto the per-edge rings, stamped with the stage's logical step.
-/// Charging mirrors [`Endpoint`](crate::Endpoint) payload-for-payload.
+/// Charging is the lockstep outbox's, payload for payload, into the
+/// worker's own tally.
 struct PipeSink<'w> {
     src: NodeId,
     step: u64,
     charge_local: bool,
-    counters: &'w Counters,
+    tally: &'w mut Tally,
     obs: &'w Obs,
     producers: &'w mut [Producer<Frame>],
     inbound: &'w mut Inbound,
@@ -225,24 +226,11 @@ struct PipeSink<'w> {
 }
 
 impl PipeSink<'_> {
-    fn charge(&self, dst: NodeId, bytes: u64) {
-        if self.src != dst || self.charge_local {
-            self.counters.sends.fetch_add(1, Ordering::Relaxed);
-            self.counters.bytes.fetch_add(bytes, Ordering::Relaxed);
-        }
-        if self.obs.enabled() {
-            self.obs.emit(
-                // Explicit step: the shared clock already sits at the
-                // program's last stage, so `obs.now()` would mis-stamp.
-                pvm_obs::TraceEvent::instant(
-                    pvm_obs::Phase::Send,
-                    self.src.index() as u32,
-                    self.step,
-                )
-                .with_peer(dst.index() as u32)
-                .with_bytes(bytes),
-            );
-        }
+    fn charge(&mut self, dst: NodeId, bytes: u64) {
+        // Explicit step: the shared clock already sits at the program's
+        // last stage, so `obs.now()` would mis-stamp.
+        self.tally
+            .charge(self.src, dst, bytes, self.charge_local, self.obs, self.step);
     }
 
     /// Push with the drain-own-inbound discipline; fails only on abort.
@@ -337,12 +325,13 @@ struct Mesh<'s> {
     /// Workers that have finished every stage (and their final pushes).
     done: &'s AtomicUsize,
     charge_local: bool,
-    counters: &'s Counters,
 }
 
 /// Everything one worker thread returns on success.
 type WorkerOutput = (Vec<Row>, Vec<Envelope<NetPayload>>);
 
+/// Run one node's stages. Its charges come back even when a stage
+/// fails, as they do from a failed lockstep step.
 #[allow(clippy::too_many_arguments)]
 fn run_worker(
     mesh: &Mesh<'_>,
@@ -354,8 +343,9 @@ fn run_worker(
     obs: &Obs,
     program: &StepProgram<'_>,
     mut carry: Vec<Row>,
-) -> Result<WorkerOutput> {
+) -> (Tally, Result<WorkerOutput>) {
     let _guard = AbortOnPanic(mesh.abort);
+    let mut tally = Tally::default();
     let run_ahead_hist: std::sync::Arc<Histogram> =
         obs.metrics().histogram(metric::RUN_AHEAD_STEPS);
     let lag_hist: std::sync::Arc<Histogram> = obs.metrics().histogram(metric::WATERMARK_LAG_US);
@@ -412,7 +402,7 @@ fn run_worker(
             src: id,
             step,
             charge_local: mesh.charge_local,
-            counters: mesh.counters,
+            tally: &mut tally,
             obs,
             producers: &mut producers,
             inbound: &mut inbound,
@@ -457,8 +447,8 @@ fn run_worker(
         backoff.wait();
     }
     inbound.pump();
-    outcome?;
-    Ok((carry, inbound.into_residuals(id)))
+    let output = outcome.map(|()| (carry, inbound.into_residuals(id)));
+    (tally, output)
 }
 
 /// Run `program` with watermark pipelining across the node threads.
@@ -480,15 +470,10 @@ pub(crate) fn run_pipelined(
     let base = obs.begin_steps(program.len() as u64);
 
     // Stage-0 inboxes: exactly what a barriered step would deliver now.
-    tc.transport.deliver();
-    let mut inboxes = tc.transport.take_staged();
-    let charge_local = tc.transport.charge_local();
-    let counters = tc.transport.counters_handle();
+    let inboxes = tc.take_inboxes();
+    let charge_local = tc.charge_local();
     let cap = tc.config.edge_capacity;
-    let (nodes, fabric) = tc.inner.nodes_and_fabric_mut();
-    for (dst, inbox) in inboxes.iter_mut().enumerate() {
-        inbox.extend(fabric.recv_all(NodeId::from(dst)));
-    }
+    let (nodes, _) = tc.inner.nodes_and_fabric_mut();
 
     // Build the L×L ring mesh: producers[src][dst], consumers[dst][src].
     let mut producers: Vec<Vec<Producer<Frame>>> = (0..l).map(|_| Vec::with_capacity(l)).collect();
@@ -512,12 +497,11 @@ pub(crate) fn run_pipelined(
         progress: &progress,
         done: &done,
         charge_local,
-        counters: counters.as_ref(),
     };
 
     let obs_ref = obs.as_ref();
     let mesh_ref = &mesh;
-    let outcomes: Vec<Result<WorkerOutput>> = std::thread::scope(|scope| {
+    let outcomes: Vec<(Tally, Result<WorkerOutput>)> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(l);
         let worker_inputs = nodes
             .iter_mut()
@@ -541,10 +525,15 @@ pub(crate) fn run_pipelined(
             .collect()
     });
 
+    let mut results = Vec::with_capacity(l);
+    for (tally, outcome) in outcomes {
+        tc.sent.add(tally);
+        results.push(outcome);
+    }
     // Prefer the root-cause error over peers' abort echoes.
-    if outcomes.iter().any(|o| o.is_err()) {
+    if results.iter().any(|o| o.is_err()) {
         let mut first_err = None;
-        for o in outcomes {
+        for o in results {
             if let Err(e) = o {
                 if !is_peer_abort(&e) {
                     return Err(e);
@@ -556,9 +545,9 @@ pub(crate) fn run_pipelined(
     }
 
     let mut carries = Vec::with_capacity(l);
-    for (dst, outcome) in outcomes.into_iter().enumerate() {
+    for (dst, outcome) in results.into_iter().enumerate() {
         let (carry, residuals) = outcome.expect("errors returned above");
-        tc.transport.stage(dst, residuals);
+        tc.next[dst].extend(residuals);
         carries.push(carry);
     }
     Ok(carries)

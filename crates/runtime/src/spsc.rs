@@ -1,8 +1,8 @@
 //! Bounded lock-free single-producer/single-consumer rings — one per
 //! directed `(src, dst)` edge of the pipelined runtime's node mesh.
 //!
-//! The pipelined scheduler replaces the shared mpsc inboxes with an
-//! `L × L` mesh of these rings: exactly one node thread pushes to a ring
+//! The pipelined scheduler connects its node threads with an `L × L`
+//! mesh of these rings: exactly one node thread pushes to a ring
 //! and exactly one pops from it, so the only synchronization is one
 //! release store per side. Capacity bounds memory while a fast producer
 //! runs ahead of a slow consumer; a full ring makes `push` fail so the

@@ -19,8 +19,8 @@
 
 use proptest::prelude::*;
 use pvm::prelude::*;
-use pvm_faults::{FaultPlan, FaultTolerant, FaultyTransport, SplitMix64};
-use pvm_net::{Envelope, Fabric, MessageSize, NetConfig, Transport};
+use pvm_faults::{FaultPlan, FaultStats, FaultTolerant, FaultyTransport, SplitMix64};
+use pvm_net::{Envelope, Fabric, LinkStats, MessageSize, NetConfig, Transport};
 
 // ------------------------------------------------------------- workload
 
@@ -181,10 +181,52 @@ fn sweep_plan(seed: u64, rate: f64, l: usize) -> FaultPlan {
     FaultPlan::uniform(seed, rate).with_crash(NodeId((seed % l as u64) as u16), 2 + seed % 6)
 }
 
+const L: usize = 3;
+
+/// One backend's half of a sweep cell: a fault-free baseline and a run
+/// under `plan` of the same ops, each on `make` of a fresh cluster, the
+/// second wrapped by `wrap`. Returns the wire and link counters, or what
+/// diverged.
+fn run_cell<B: Backend>(
+    method: MaintenanceMethod,
+    ops: &[Op],
+    plan: &FaultPlan,
+    make: fn(Cluster) -> B,
+    wrap: fn(B, FaultPlan) -> FaultTolerant<B>,
+) -> std::result::Result<(FaultStats, LinkStats), &'static str> {
+    let (c, mut view) = setup(L, method);
+    let mut bare = make(c);
+    if apply_ops(&mut bare, &mut view, ops).is_err() {
+        return Err("baseline run errored");
+    }
+    assert!(
+        view.check_consistent(bare.engine()).is_ok(),
+        "baseline inconsistent — harness bug"
+    );
+    let expected = state_snapshot(&bare, &view);
+
+    let (c, mut view) = setup(L, method);
+    let mut ft = wrap(make(c), plan.clone());
+    if apply_ops(&mut ft, &mut view, ops).is_err() {
+        return Err("faulted run errored");
+    }
+    if state_snapshot(&ft, &view) != expected {
+        return Err("state diverged from fault-free run");
+    }
+    if view.check_consistent(ft.engine()).is_err() {
+        return Err("faulted view inconsistent with recomputed join");
+    }
+    Ok((ft.wire_stats(), ft.link_stats()))
+}
+
 /// Run one sweep cell; panics with a one-env-var repro line on any
-/// divergence or error.
-fn check_case(seed: u64, rate: f64, backend: BackendKind, method: MaintenanceMethod) {
-    const L: usize = 3;
+/// divergence or error. Returns the cell's wire and link counters.
+fn check_case(
+    seed: u64,
+    rate: f64,
+    backend: BackendKind,
+    method: MaintenanceMethod,
+) -> (FaultStats, LinkStats) {
     let ops = gen_ops(seed, 15);
     let plan = sweep_plan(seed, rate, L);
     let repro = format!(
@@ -203,68 +245,28 @@ fn check_case(seed: u64, rate: f64, backend: BackendKind, method: MaintenanceMet
         )
     };
 
-    // Fault-free baseline on the same backend kind.
-    let (expected, baseline_view_ok) = match backend {
-        BackendKind::Sequential => {
-            let (mut c, mut view) = setup(L, method);
-            if apply_ops(&mut c, &mut view, &ops).is_err() {
-                fail("baseline run errored");
-            }
-            (state_snapshot(&c, &view), view.check_consistent(&c).is_ok())
-        }
-        BackendKind::Threaded => {
-            let (c, mut view) = setup(L, method);
-            let mut thr = ThreadedCluster::from_cluster(c);
-            if apply_ops(&mut thr, &mut view, &ops).is_err() {
-                fail("baseline run errored");
-            }
-            (
-                state_snapshot(&thr, &view),
-                view.check_consistent(thr.engine()).is_ok(),
-            )
-        }
-    };
-    assert!(baseline_view_ok, "baseline inconsistent — harness bug");
-
-    // The same workload under faults.
-    match backend {
-        BackendKind::Sequential => {
-            let (c, mut view) = setup(L, method);
-            let mut ft = FaultTolerant::sequential(c, plan.clone());
-            if apply_ops(&mut ft, &mut view, &ops).is_err() {
-                fail("faulted run errored");
-            }
-            if state_snapshot(&ft, &view) != expected {
-                fail("state diverged from fault-free run");
-            }
-            if view.check_consistent(ft.engine()).is_err() {
-                fail("faulted view inconsistent with recomputed join");
-            }
-            // Sanity: at the sweep's top rate the cell must actually
-            // have injected something (low rates can legitimately draw
-            // zero faults on low-traffic methods).
-            if rate >= 0.15 {
-                let s = ft.wire_stats();
-                assert!(
-                    s.drops + s.dups + s.delays > 0,
-                    "rate {rate} injected nothing — sweep is vacuous ({repro})"
-                );
-            }
-        }
-        BackendKind::Threaded => {
-            let (c, mut view) = setup(L, method);
-            let mut ft = FaultTolerant::threaded(ThreadedCluster::from_cluster(c), plan.clone());
-            if apply_ops(&mut ft, &mut view, &ops).is_err() {
-                fail("faulted run errored");
-            }
-            if state_snapshot(&ft, &view) != expected {
-                fail("state diverged from fault-free run");
-            }
-            if view.check_consistent(ft.engine()).is_err() {
-                fail("faulted view inconsistent with recomputed join");
-            }
-        }
+    let stats = match backend {
+        BackendKind::Sequential => run_cell(method, &ops, &plan, |c| c, FaultTolerant::sequential),
+        BackendKind::Threaded => run_cell(
+            method,
+            &ops,
+            &plan,
+            ThreadedCluster::from_cluster,
+            FaultTolerant::threaded,
+        ),
     }
+    .unwrap_or_else(|what| fail(what));
+    // Sanity: at the sweep's top rate the cell must actually have
+    // injected something (low rates can legitimately draw zero faults on
+    // low-traffic methods).
+    if rate >= 0.15 {
+        let s = stats.0;
+        assert!(
+            s.drops + s.dups + s.delays > 0,
+            "rate {rate} injected nothing — sweep is vacuous ({repro})"
+        );
+    }
+    stats
 }
 
 #[test]
@@ -304,10 +306,19 @@ fn fault_sweep() {
 
     for &seed in &seeds {
         for &rate in &rates {
-            for &backend in &backends {
-                for &method in &methods {
-                    check_case(seed, rate, backend, method);
-                }
+            for &method in &methods {
+                // Both backends ride one FIFO wire, so a plan draws the
+                // same faults and the link makes the same repairs on each.
+                let stats: Vec<_> = backends
+                    .iter()
+                    .map(|&backend| check_case(seed, rate, backend, method))
+                    .collect();
+                assert!(
+                    stats.windows(2).all(|w| w[0] == w[1]),
+                    "seed={seed} rate={rate} method={}: wire/link counters differ \
+                     across backends: {stats:?}",
+                    method_name(method)
+                );
             }
         }
     }
@@ -479,9 +490,9 @@ proptest! {
             prop_assert_eq!(a, b, "delivery order diverged");
         }
         let bare_snap = bare.ledger().snapshot();
-        let (sends, bytes) = pvm_net::TransportCounters::counters(&wrapped);
-        prop_assert_eq!(bare_snap.sends, sends);
-        prop_assert_eq!(bare_snap.bytes_sent, bytes);
+        let wire_snap = wrapped.inner().ledger().snapshot();
+        prop_assert_eq!(bare_snap.sends, wire_snap.sends);
+        prop_assert_eq!(bare_snap.bytes_sent, wire_snap.bytes_sent);
         prop_assert_eq!(wrapped.stats(), pvm_faults::FaultStats::default());
     }
 

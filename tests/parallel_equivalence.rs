@@ -130,33 +130,6 @@ proptest! {
     }
 }
 
-/// Batch size is transport plumbing only: any batch size yields the same
-/// charged costs and the same view.
-#[test]
-fn batch_size_is_cost_invisible() {
-    let ops: Vec<Op> = (0..12)
-        .map(|i| Op::Insert {
-            rel: i % 2,
-            jval: i as i64 % 3,
-        })
-        .collect();
-    let mut reference: Option<(Vec<Row>, Vec<CostSnapshot>, CostSnapshot)> = None;
-    for batch in [1, 3, 1024] {
-        let (cluster, mut view) = setup(3, MaintenanceMethod::AuxiliaryRelation);
-        let mut thr = ThreadedCluster::with_runtime(cluster, RuntimeConfig::with_batch_size(batch));
-        let (contents, report) = run_stream(&mut thr, &mut view, &ops);
-        let got = (contents, report.per_node, report.net);
-        match &reference {
-            None => reference = Some(got),
-            Some(r) => {
-                assert_eq!(r.0, got.0, "batch={batch}: contents");
-                assert_eq!(r.1, got.1, "batch={batch}: per-node costs");
-                assert_eq!(r.2, got.2, "batch={batch}: net costs");
-            }
-        }
-    }
-}
-
 /// The transactional path works on the threaded backend too: an atomic
 /// apply commits, and the view stays consistent.
 #[test]

@@ -21,7 +21,8 @@
 
 use proptest::prelude::*;
 use pvm::prelude::*;
-use pvm_faults::{FaultPlan, FaultTolerant, SplitMix64};
+use pvm_faults::{FaultPlan, FaultStats, FaultTolerant, SplitMix64};
+use pvm_net::LinkStats;
 
 const L: usize = 3;
 /// Members per shared group — three, so every projection shape below is
@@ -326,71 +327,71 @@ fn shared_group_matches_independent_everywhere() {
     }
 }
 
-/// One faulted cell: the shared path under injected message faults plus
-/// a scheduled node crash must leave the *entire* state — member views,
-/// pool AR/GI tables, base tables — bit-identical to a fault-free shared
-/// run on the same backend kind.
-fn check_faults_masked(method: MaintenanceMethod, backend: BackendKind, seed: u64) {
-    let ctx = format!("method={method:?} backend={backend:?} seed={seed}");
+/// One faulted cell on backend `B` (`make` builds it from a fresh
+/// cluster, `wrap` puts it under the plan): the shared path under
+/// injected message faults plus a scheduled node crash must leave the
+/// *entire* state — member views, pool AR/GI tables, base tables —
+/// bit-identical to a fault-free shared run on the same backend. Returns
+/// the wire and link counters.
+fn check_faults_masked<B: Backend>(
+    method: MaintenanceMethod,
+    seed: u64,
+    make: fn(Cluster) -> B,
+    wrap: fn(B, FaultPlan) -> FaultTolerant<B>,
+) -> (FaultStats, LinkStats) {
+    let ctx = format!(
+        "method={method:?} backend={} seed={seed}",
+        std::any::type_name::<B>()
+    );
     let ops = gen_ops(seed, 15);
     let plan = FaultPlan::uniform(seed, 0.2).with_crash(NodeId((seed % L as u64) as u16), 2 + seed % 6);
 
-    let (expected, got) = match backend {
-        BackendKind::Sequential => {
-            let mut base = setup_cluster();
-            let (cat, mut views) = create_shared(&mut base, method, BatchPolicy::Coalesced);
-            run_ops(&mut base, &mut views, Some(&cat), &ops).unwrap();
-            let expected = full_state(&base, &views);
+    let mut base = setup_cluster();
+    let (cat, mut views) = create_shared(&mut base, method, BatchPolicy::Coalesced);
+    let mut base = make(base);
+    run_ops(&mut base, &mut views, Some(&cat), &ops).unwrap();
+    let expected = full_state(&base, &views);
 
-            let mut c = setup_cluster();
-            let (cat, mut views) = create_shared(&mut c, method, BatchPolicy::Coalesced);
-            let mut ft = FaultTolerant::sequential(c, plan.clone());
-            run_ops(&mut ft, &mut views, Some(&cat), &ops)
-                .unwrap_or_else(|e| panic!("{ctx}: faulted run errored: {e}"));
-            let s = ft.wire_stats();
-            assert!(
-                s.drops + s.dups + s.delays > 0,
-                "{ctx}: plan injected nothing — cell is vacuous"
-            );
-            for v in &views {
-                v.check_consistent(ft.engine())
-                    .unwrap_or_else(|e| panic!("{ctx}: faulted member inconsistent: {e}"));
-            }
-            (expected, full_state(&ft, &views))
-        }
-        BackendKind::Threaded => {
-            let mut base = setup_cluster();
-            let (cat, mut views) = create_shared(&mut base, method, BatchPolicy::Coalesced);
-            let mut thr = ThreadedCluster::from_cluster(base);
-            run_ops(&mut thr, &mut views, Some(&cat), &ops).unwrap();
-            let expected = full_state(&thr, &views);
-
-            let mut c = setup_cluster();
-            let (cat, mut views) = create_shared(&mut c, method, BatchPolicy::Coalesced);
-            let mut ft = FaultTolerant::threaded(ThreadedCluster::from_cluster(c), plan.clone());
-            run_ops(&mut ft, &mut views, Some(&cat), &ops)
-                .unwrap_or_else(|e| panic!("{ctx}: faulted run errored: {e}"));
-            for v in &views {
-                v.check_consistent(ft.engine())
-                    .unwrap_or_else(|e| panic!("{ctx}: faulted member inconsistent: {e}"));
-            }
-            (expected, full_state(&ft, &views))
-        }
-    };
+    let mut c = setup_cluster();
+    let (cat, mut views) = create_shared(&mut c, method, BatchPolicy::Coalesced);
+    let mut ft = wrap(make(c), plan);
+    run_ops(&mut ft, &mut views, Some(&cat), &ops)
+        .unwrap_or_else(|e| panic!("{ctx}: faulted run errored: {e}"));
+    let s = ft.wire_stats();
+    assert!(
+        s.drops + s.dups + s.delays > 0,
+        "{ctx}: plan injected nothing — cell is vacuous"
+    );
+    for v in &views {
+        v.check_consistent(ft.engine())
+            .unwrap_or_else(|e| panic!("{ctx}: faulted member inconsistent: {e}"));
+    }
     assert_eq!(
-        got, expected,
+        full_state(&ft, &views),
+        expected,
         "{ctx}: faulted shared run diverged from the fault-free shared run"
     );
+    (s, ft.link_stats())
 }
 
 #[test]
 fn faults_masked_under_shared_multicast() {
     for (i, method) in METHODS.into_iter().enumerate() {
-        for (j, backend) in [BackendKind::Sequential, BackendKind::Threaded]
-            .into_iter()
-            .enumerate()
-        {
-            check_faults_masked(method, backend, 700 + (i * 2 + j) as u64);
+        for j in 0..2 {
+            let seed = 700 + (i * 2 + j) as u64;
+            let seq = check_faults_masked(method, seed, |c| c, FaultTolerant::sequential);
+            let thr = check_faults_masked(
+                method,
+                seed,
+                ThreadedCluster::from_cluster,
+                FaultTolerant::threaded,
+            );
+            // Both backends ride one FIFO wire, so the plan draws the
+            // same faults and the link makes the same repairs on each.
+            assert_eq!(
+                seq, thr,
+                "method={method:?} seed={seed}: wire/link counters differ across backends"
+            );
         }
     }
 }
