@@ -68,7 +68,7 @@ pub(crate) fn update_ars<B: Backend>(
     placed: &[(Row, pvm_types::GlobalRid)],
     insert: bool,
     batch: BatchPolicy,
-    gates: Option<&PartialGates>,
+    gates: Option<&PartialGates<'_>>,
 ) -> Result<()> {
     if ars.is_empty() {
         return Ok(());

@@ -81,7 +81,7 @@ impl Probes {
         placed: &[(Row, GlobalRid)],
         insert: bool,
         batch: BatchPolicy,
-        gates: Option<&PartialGates>,
+        gates: Option<&PartialGates<'_>>,
     ) -> Result<()> {
         match self {
             Probes::Base => Ok(()),
@@ -107,30 +107,31 @@ impl Probes {
 
 /// Hole sets a partial view threads into its maintenance programs.
 ///
-/// Borrowed by the per-node stage closures (stages carry the program's
-/// lifetime, so no `Arc` is needed): the hole sets are read-only during a
-/// batch, and the keys whose shipped view rows were actually dropped are
-/// collected behind a mutex with **set** semantics — node completion
-/// order differs across backends, but the resulting set does not, keeping
-/// partial bookkeeping deterministic.
-pub(crate) struct PartialGates {
+/// Borrows the view's live hole sets for one batch (stages carry the
+/// program's lifetime, so neither a copy nor an `Arc` is needed): the
+/// sets are read-only while the batch runs, and the keys whose shipped
+/// view rows were actually dropped are collected behind a mutex with
+/// **set** semantics — node completion order differs across backends,
+/// but the resulting set does not, keeping partial bookkeeping
+/// deterministic. [`PartialGates::into_dropped`] ends the borrow.
+pub(crate) struct PartialGates<'a> {
     /// View keys (partition-column values) that are currently holes:
     /// shipped view rows carrying these keys are dropped, not applied.
-    pub view_holes: HashSet<Value>,
+    pub view_holes: &'a HashSet<Value>,
     /// Per-structure (AR / GI table) join values that are currently
     /// holes: delta writes to these entries are skipped — the entry
     /// stays a hole and is rebuilt from base only on refill.
-    pub struct_holes: HashMap<TableId, HashSet<Value>>,
+    pub struct_holes: &'a HashMap<TableId, HashSet<Value>>,
     /// View keys whose rows were dropped this batch; the coordinator
     /// bumps their `dropped_at` epoch at commit.
     dropped: Mutex<BTreeSet<Value>>,
 }
 
-impl PartialGates {
+impl<'a> PartialGates<'a> {
     pub fn new(
-        view_holes: HashSet<Value>,
-        struct_holes: HashMap<TableId, HashSet<Value>>,
-    ) -> PartialGates {
+        view_holes: &'a HashSet<Value>,
+        struct_holes: &'a HashMap<TableId, HashSet<Value>>,
+    ) -> PartialGates<'a> {
         PartialGates {
             view_holes,
             struct_holes,
@@ -139,7 +140,7 @@ impl PartialGates {
     }
 
     /// The hole set of one auxiliary structure, if it has any holes.
-    pub fn structure_holes(&self, table: TableId) -> Option<&HashSet<Value>> {
+    pub fn structure_holes(&self, table: TableId) -> Option<&'a HashSet<Value>> {
         self.struct_holes.get(&table).filter(|h| !h.is_empty())
     }
 
@@ -150,9 +151,10 @@ impl PartialGates {
             .insert(key.clone());
     }
 
-    /// Drain the keys dropped during the batch (coordinator side).
-    pub fn take_dropped(&self) -> BTreeSet<Value> {
-        std::mem::take(&mut self.dropped.lock().expect("partial dropped lock"))
+    /// The keys dropped during the batch (coordinator side); consumes the
+    /// gates, so the hole sets are free to change again.
+    pub fn into_dropped(self) -> BTreeSet<Value> {
+        self.dropped.into_inner().expect("partial dropped lock")
     }
 }
 
@@ -816,7 +818,7 @@ pub(crate) fn apply_at_view<B: Backend>(
     mode: ChainMode,
     method: MethodTag,
     capture: bool,
-    gates: Option<&PartialGates>,
+    gates: Option<&PartialGates<'_>>,
 ) -> Result<(u64, Vec<(Row, bool)>)> {
     let pcol = handle.view_pcol;
     let per_node = backend.step(|ctx| {

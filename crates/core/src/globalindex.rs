@@ -399,7 +399,7 @@ pub(crate) fn update_gis<B: Backend>(
     placed: &[(Row, GlobalRid)],
     insert: bool,
     batch: BatchPolicy,
-    gates: Option<&chain::PartialGates>,
+    gates: Option<&chain::PartialGates<'_>>,
 ) -> Result<()> {
     if gis.is_empty() {
         return Ok(());

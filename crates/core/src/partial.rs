@@ -18,9 +18,12 @@
 //!   eviction deletes, point reads — are free functions here, invoked by
 //!   the partial-state half of `MaintainedView` at the bottom of this
 //!   file (the batch lifecycle itself lives in [`crate::view`]).
-//! * `crate::chain::PartialGates` carries an immutable snapshot of the
-//!   hole sets into one batch's stage closures; dropped keys flow back
-//!   and become `dropped_at` entries at commit.
+//! * `crate::chain::PartialGates` lends the live hole sets to one
+//!   batch's stage closures (borrowed, not copied); dropped keys flow
+//!   back and become `dropped_at` entries at commit.
+//! * Point work — a stored-view read, an eviction delete — runs on the
+//!   coordinator at only the key's home node, never as a step across all
+//!   `L` nodes.
 //!
 //! ## Exactness rules
 //!
@@ -45,8 +48,7 @@
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 use pvm_engine::{
-    hash_value, Backend, Cluster, NetPayload, PartialBudget, PartialPolicy, PartitionSpec,
-    SpaceSaving, TableId,
+    Backend, Cluster, NetPayload, PartialBudget, PartialPolicy, PartitionSpec, SpaceSaving, TableId,
 };
 use pvm_obs::MethodTag;
 use pvm_types::{NodeId, PvmError, Result, Row, Value};
@@ -177,14 +179,19 @@ impl PartialState {
     }
 
     /// Home node of a view partition key (the view table is
-    /// hash-partitioned on its partitioning attribute).
-    pub fn home(&self, v: &Value) -> usize {
-        (hash_value(v) % self.l as u64) as usize
+    /// hash-partitioned on its partitioning attribute) — the node
+    /// [`read_stored_key`] and [`delete_matching`] visit.
+    fn home(&self, v: &Value) -> usize {
+        // `l` comes from a live cluster, so routing cannot fail.
+        PartitionSpec::route_value(v, self.l).map_or(0, |n| n.index())
     }
 
-    /// Snapshot the hole sets for one batch's stage closures.
-    pub fn gates(&self) -> PartialGates {
-        PartialGates::new(self.holes.clone(), self.struct_holes.clone())
+    /// Lend the live hole sets to one batch's stage closures. Nothing is
+    /// copied: the sets do not change while the batch runs, and the
+    /// borrow ends when the caller takes the dropped keys out
+    /// ([`PartialGates::into_dropped`]).
+    pub fn gates(&self) -> PartialGates<'_> {
+        PartialGates::new(&self.holes, &self.struct_holes)
     }
 
     /// Record the keys a batch's gates dropped; they get their
@@ -470,56 +477,72 @@ pub(crate) fn run_refill<B: Backend>(
     backend.run_stages(chain::empty_staged(l), &program)
 }
 
-/// Delete every stored row of `table` whose `col` equals `key`, at every
-/// node — the eviction delete. Returns the number of rows removed.
+/// The one node storing `table`'s rows whose `col` equals `key`. A
+/// partial view (never skew-handled) and its ARs / GIs are
+/// hash-partitioned on their key column, so that is the key's hash home.
+fn key_home(cluster: &Cluster, table: TableId, col: usize, key: &Value) -> Result<NodeId> {
+    debug_assert_eq!(
+        cluster.def(table)?.partitioning,
+        PartitionSpec::hash(col),
+        "partial point work routes by hash on the key column"
+    );
+    PartitionSpec::route_value(key, cluster.node_count())
+}
+
+/// Delete every stored row of `table` whose `col` equals `key` — the
+/// eviction delete. Runs on the coordinator between steps, at only the
+/// key's home node, so it costs the key's rows, not a search on all `L`
+/// nodes. Returns the number of rows removed.
 pub(crate) fn delete_matching<B: Backend>(
     backend: &mut B,
     table: TableId,
     col: usize,
     key: &Value,
 ) -> Result<u64> {
-    let k = key.clone();
-    let per_node = backend.step(move |ctx| {
-        let keyrow = Row::new(vec![k.clone()]);
-        let mut removed = 0u64;
-        loop {
-            let matches = ctx.node.index_search(table, &[col], &keyrow)?;
-            if matches.is_empty() {
-                break;
-            }
-            let mut progressed = false;
-            for row in matches {
-                if ctx.node.delete_row(table, &row, &[col])? {
-                    removed += 1;
-                    progressed = true;
-                }
-            }
-            if !progressed {
-                break;
+    let cluster = backend.engine_mut();
+    let home = key_home(cluster, table, col, key)?;
+    let obs = cluster.obs_handle();
+    let node = cluster.node_mut(home)?;
+    let keyrow = Row::new(vec![key.clone()]);
+    let mut removed = 0u64;
+    loop {
+        let matches = node.index_search(table, &[col], &keyrow)?;
+        if matches.is_empty() {
+            break;
+        }
+        let mut progressed = false;
+        for row in matches {
+            if node.delete_row(table, &row, &[col])? {
+                removed += 1;
+                progressed = true;
             }
         }
-        if removed > 0 {
-            ctx.count_work(removed);
+        if !progressed {
+            break;
         }
-        Ok(removed)
-    })?;
-    Ok(per_node.into_iter().sum())
+    }
+    if removed > 0 {
+        pvm_engine::count_work(&obs, home, removed);
+    }
+    Ok(removed)
 }
 
 /// Point-read the stored view for one partition key (the non-serving
-/// read path): search every node's fragment, concatenate in node order.
+/// read path). Runs on the coordinator between steps, with no
+/// [`Backend::step`]: only the key's home node is searched, so the read
+/// charges one SEARCH (plus a FETCH per row on a heap view) there and
+/// nothing anywhere else.
 pub(crate) fn read_stored_key<B: Backend>(
     backend: &mut B,
     table: TableId,
     col: usize,
     key: &Value,
 ) -> Result<Vec<Row>> {
-    let k = key.clone();
-    let per_node = backend.step(move |ctx| {
-        ctx.node
-            .index_search(table, &[col], &Row::new(vec![k.clone()]))
-    })?;
-    Ok(per_node.into_iter().flatten().collect())
+    let cluster = backend.engine_mut();
+    let home = key_home(cluster, table, col, key)?;
+    cluster
+        .node_mut(home)?
+        .index_search(table, &[col], &Row::new(vec![key.clone()]))
 }
 
 impl MaintainedView {
@@ -768,8 +791,10 @@ impl MaintainedView {
 
     /// Point-read the view at its current epoch, upquerying on a miss:
     /// the partial read path. Serves from the MVCC snapshot tier when
-    /// enabled, else from the stored view table. Works on non-partial
-    /// views too (plain point read).
+    /// enabled (uncharged), else from the stored view table at only the
+    /// key's home node, with no step: one SEARCH plus a FETCH per row on a
+    /// heap view, charged to that node alone. Works on non-partial views
+    /// too (plain point read).
     pub fn read_key<B: Backend>(&mut self, backend: &mut B, key: &Value) -> Result<Vec<Row>> {
         let epoch = self.epoch;
         self.ensure_key_resident(backend, key, epoch)?;

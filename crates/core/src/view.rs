@@ -733,14 +733,15 @@ impl MaintainedView {
         // Partial state: rebuild the structure entries this delta will
         // probe (their source relation is the *other* one, untouched by
         // this delta, so the refill is exact), then gate the batch's
-        // stages on an immutable snapshot of the hole sets.
+        // stages on the live hole sets, borrowed for the batch.
         self.partial_refill(backend, rel, placed)?;
         let gates = self.partial.as_ref().map(PartialState::gates);
         let mut outcome = self.drive(backend, rel, placed, insert, gates.as_ref())?;
+        let dropped = gates.map(PartialGates::into_dropped);
         if let Some(p) = &mut self.partial {
             p.account_struct_delta(rel, placed, insert)?;
-            if let Some(g) = &gates {
-                p.note_batch_dropped(g.take_dropped());
+            if let Some(dropped) = dropped {
+                p.note_batch_dropped(dropped);
             }
         }
         self.note_outcome(backend, placed.len() as u64, &mut outcome);
@@ -757,7 +758,7 @@ impl MaintainedView {
         rel: usize,
         placed: &[(Row, GlobalRid)],
         insert: bool,
-        gates: Option<&PartialGates>,
+        gates: Option<&PartialGates<'_>>,
     ) -> Result<MaintenanceOutcome> {
         let handle = &self.handle;
         let tag = self.method_tag();
@@ -1778,6 +1779,29 @@ mod tests {
             let stats = view.partial_stats().unwrap();
             assert_eq!(stats.resident_bytes, stored_total, "{m:?}: ledger drift");
         }
+    }
+
+    #[test]
+    fn eviction_delete_runs_no_step_and_visits_only_the_home_node() {
+        let (mut cluster, _, _) = setup(4);
+        let view =
+            MaintainedView::create(&mut cluster, jv_def(), MaintenanceMethod::Naive).unwrap();
+        let key = Value::Int(7);
+        let home = PartitionSpec::route_value(&key, 4).unwrap().index();
+        let clock = cluster.obs_handle().now();
+        let before = cluster.node_snapshots();
+        let removed =
+            crate::partial::delete_matching(&mut cluster, view.view_table(), 0, &key).unwrap();
+        assert_eq!(removed, 5, "key 7 joins 5 B rows");
+        assert_eq!(cluster.obs_handle().now(), clock, "no step ran");
+        let after = cluster.node_snapshots();
+        for (n, (a, b)) in after.into_iter().zip(before).enumerate() {
+            let charged = a - b;
+            assert_eq!(charged.is_zero(), n != home, "node {n}: {charged:?}");
+        }
+        let rows = view.contents(&cluster).unwrap();
+        assert_eq!(rows.len(), 20 * 5 - 5);
+        assert!(rows.iter().all(|r| r[0] != key));
     }
 
     #[test]

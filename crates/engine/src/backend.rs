@@ -172,15 +172,10 @@ impl<'a> StepCtx<'a> {
         }
     }
 
-    /// Bump this node's work-share counter (skew detection); gated so an
-    /// untraced run pays only the `enabled` load.
+    /// Bump this node's work-share counter (skew detection); see
+    /// [`count_work`].
     pub fn count_work(&self, units: u64) {
-        if self.tracing() {
-            self.obs
-                .metrics()
-                .counter(&metric::work_share(self.id.index() as u32))
-                .add(units);
-        }
+        count_work(self.obs, self.id, units);
     }
 
     /// Take every message addressed to this node this step.
@@ -250,6 +245,17 @@ impl TraceEventSlot<'_> {
 
     pub fn emit(self) {
         self.obs.emit(self.ev);
+    }
+}
+
+/// Bump `node`'s work-share counter (skew detection), from a step or
+/// from coordinator-side point work; gated so an untraced run pays only
+/// the `enabled` load.
+pub fn count_work(obs: &Obs, node: NodeId, units: u64) {
+    if obs.enabled() {
+        obs.metrics()
+            .counter(&metric::work_share(node.index() as u32))
+            .add(units);
     }
 }
 

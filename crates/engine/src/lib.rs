@@ -25,7 +25,8 @@ pub mod sketch;
 pub mod wal;
 
 pub use backend::{
-    note_inbox, run_stages_lockstep, Backend, Stage, StepCtx, StepProgram, StepSink, TraceEventSlot,
+    count_work, note_inbox, run_stages_lockstep, Backend, Stage, StepCtx, StepProgram, StepSink,
+    TraceEventSlot,
 };
 pub use catalog::{Catalog, TableDef, TableId};
 pub use cluster::{Cluster, ClusterConfig};

@@ -269,6 +269,31 @@ impl ServeCore {
         }
     }
 
+    /// Number of view rows at `epoch`: the base's multiplicities plus one
+    /// per insert, minus one per delete, of each link up to `epoch` (a
+    /// delete always removes a present row, see [`fold`]). Walks the
+    /// chain under the read lock; clones and allocates nothing.
+    fn row_count_at(&self, epoch: u64) -> u64 {
+        let st = self.state.read().expect("serve state lock");
+        assert!(
+            st.base_epoch <= epoch,
+            "view '{}': GC folded past pinned epoch {epoch} (base at {})",
+            self.name,
+            st.base_epoch
+        );
+        let mut n: u64 = st.base.values().sum();
+        for link in st.links.iter().take_while(|l| l.epoch <= epoch) {
+            for (_, insert) in &link.changes {
+                if *insert {
+                    n += 1;
+                } else {
+                    n -= 1;
+                }
+            }
+        }
+        n
+    }
+
     /// Multiset of view rows as of `epoch`.
     fn counts_at(&self, epoch: u64) -> BTreeMap<Row, u64> {
         let (base, links) = self.chain_at(epoch);
@@ -461,9 +486,9 @@ impl Snapshot {
         out
     }
 
-    /// Number of view rows at this epoch.
+    /// Number of view rows at this epoch, without materializing them.
     pub fn row_count(&self) -> u64 {
-        self.core.counts_at(self.epoch).values().sum()
+        self.core.row_count_at(self.epoch)
     }
 
     fn note_read(&self, t0: std::time::Instant) {
@@ -593,6 +618,32 @@ mod tests {
         assert_eq!(s.epoch(), 0);
         assert_eq!(s.lookup(0, &Value::Int(1)), vec![row![1, 10], row![1, 10]]);
         assert_eq!(s.rows(), vec![row![1, 10], row![1, 10], row![2, 20]]);
+    }
+
+    #[test]
+    fn row_count_matches_rows_across_publish_gc_purge_and_install() {
+        let p = publisher(vec![row![1, 10], row![1, 10], row![2, 20]]);
+        let r = p.reader();
+        let s0 = r.snapshot(); // pins epoch 0: no link folds yet
+        p.publish(1, vec![(row![3, 30], true), (row![1, 10], false)]);
+        let s1 = r.snapshot();
+        p.publish(
+            2,
+            vec![
+                (row![1, 10], false),
+                (row![2, 21], true),
+                (row![2, 23], true),
+            ],
+        );
+        drop(s0); // link 1 folds into the base
+        p.purge_matching(0, &Value::Int(2));
+        p.install_rows(&[row![2, 22], row![4, 40]]);
+        p.publish(3, vec![(row![4, 41], true), (row![4, 42], true)]);
+        let s3 = r.snapshot();
+        for s in [&s1, &s3] {
+            assert_eq!(s.row_count(), s.rows().len() as u64, "epoch {}", s.epoch());
+        }
+        assert_eq!(s3.row_count(), 5);
     }
 
     #[test]

@@ -1059,7 +1059,14 @@ impl Session {
         let id = self.cluster.table_id(table)?;
         let schema = self.cluster.def(id)?.schema.clone();
         let pred = Self::build_predicate(&schema, predicate)?;
-        let rows: Vec<Row> = snap.rows().into_iter().filter(|r| pred.eval(r)).collect();
+        // An equality term reads only the rows it matches instead of a
+        // copy of the whole view; the whole predicate still filters them.
+        // Both reads return rows sorted, so the output order is the same.
+        let candidates = match pred.terms().iter().find(|t| t.op == CmpOp::Eq) {
+            Some(t) => snap.lookup(t.column, &t.literal),
+            None => snap.rows(),
+        };
+        let rows: Vec<Row> = candidates.into_iter().filter(|r| pred.eval(r)).collect();
         let epoch = snap.epoch();
         let (schema, rows) = Self::hide_count(schema, rows)?;
         let n = rows.len();
@@ -1637,8 +1644,10 @@ mod tests {
         );
         // A delta on b probes the rebuilt (a, c) AR through g0's chain —
         // with stale bindings this fails (the old table is dropped).
-        s.execute_one("INSERT INTO b VALUES (300, 2, 'nb')").unwrap();
-        s.execute_one("INSERT INTO a VALUES (301, 3, 'na')").unwrap();
+        s.execute_one("INSERT INTO b VALUES (300, 2, 'nb')")
+            .unwrap();
+        s.execute_one("INSERT INTO a VALUES (301, 3, 'na')")
+            .unwrap();
         s.execute_one("DELETE FROM b WHERE id = 4").unwrap();
         for v in ["jv1", "jv2", "jv3", "jv4"] {
             s.execute_one(&format!("CHECK VIEW {v}")).unwrap();
@@ -1676,22 +1685,33 @@ mod tests {
         )
         .unwrap();
         assert_eq!(
-            shared_groups(&mut s).iter().filter(|(_, g)| g == "g0").count(),
+            shared_groups(&mut s)
+                .iter()
+                .filter(|(_, g)| g == "g0")
+                .count(),
             3
         );
         s.execute_one("DROP VIEW g2").unwrap();
         // Two members left: still a group, still maintained together.
         assert_eq!(
-            shared_groups(&mut s).iter().filter(|(_, g)| g == "g0").count(),
+            shared_groups(&mut s)
+                .iter()
+                .filter(|(_, g)| g == "g0")
+                .count(),
             2
         );
-        s.execute_one("INSERT INTO b VALUES (300, 3, 'nb')").unwrap();
+        s.execute_one("INSERT INTO b VALUES (300, 3, 'nb')")
+            .unwrap();
         s.execute_one("CHECK VIEW g1").unwrap();
         s.execute_one("CHECK VIEW g3").unwrap();
         s.execute_one("DROP VIEW g1").unwrap();
         // A group of one is no group; the survivor keeps its pool GIs.
-        assert_eq!(shared_groups(&mut s), vec![("g3".to_string(), "-".to_string())]);
-        s.execute_one("INSERT INTO a VALUES (301, 3, 'na')").unwrap();
+        assert_eq!(
+            shared_groups(&mut s),
+            vec![("g3".to_string(), "-".to_string())]
+        );
+        s.execute_one("INSERT INTO a VALUES (301, 3, 'na')")
+            .unwrap();
         s.execute_one("CHECK VIEW g3").unwrap();
         s.execute_one("DROP VIEW g3").unwrap();
         // Last pool-bound view gone: the pool's tables are reclaimed.
@@ -1797,6 +1817,47 @@ mod tests {
     }
 
     #[test]
+    fn served_equality_select_matches_the_filtered_full_read() {
+        let mut s = session();
+        s.execute(
+            "CREATE VIEW jv USING AUXILIARY RELATION AS \
+             SELECT x.id, x.c, y.id FROM a x, b y WHERE x.c = y.d PARTITION ON x.id; \
+             CREATE VIEW agg USING NAIVE AS \
+             SELECT x.c, COUNT(*), SUM(y.d) FROM a x, b y WHERE x.c = y.d GROUP BY x.c",
+        )
+        .unwrap();
+        s.execute_one("INSERT INTO a VALUES (7, 2, 'dup')").unwrap();
+        let mut rows = |sql: &str| s.execute_one(sql).unwrap().rows.unwrap().1;
+        let all = rows("SELECT * FROM jv");
+        for k in [0i64, 7, 13, 99] {
+            let key = Value::Int(k);
+            let got = rows(&format!("SELECT * FROM jv WHERE a.id = {k}"));
+            let want: Vec<Row> = all.iter().filter(|r| r[0] == key).cloned().collect();
+            assert_eq!(got, want, "key {k}");
+            // The rest of the predicate still filters the key's rows.
+            let got = rows(&format!("SELECT * FROM jv WHERE b.id > 9 AND a.id = {k}"));
+            let want: Vec<Row> = want.into_iter().filter(|r| r[2] > Value::Int(9)).collect();
+            assert_eq!(got, want, "key {k} with b.id > 9");
+            // An equality off the partition column takes the same path.
+            let got = rows(&format!("SELECT * FROM jv WHERE a.c = {k}"));
+            let want: Vec<Row> = all.iter().filter(|r| r[1] == key).cloned().collect();
+            assert_eq!(got, want, "a.c = {k}");
+        }
+        // The hidden `__count` of an aggregate view stays hidden on the
+        // equality path.
+        let groups = rows("SELECT * FROM agg");
+        for g in 0..6i64 {
+            let got = rows(&format!("SELECT * FROM agg WHERE c = {g}"));
+            let want: Vec<Row> = groups
+                .iter()
+                .filter(|r| r[0] == Value::Int(g))
+                .cloned()
+                .collect();
+            assert_eq!(got, want, "group {g}");
+        }
+    }
+
+    #[test]
     fn snapshot_session_discipline() {
         let mut s = session();
         s.execute_one(
@@ -1883,7 +1944,11 @@ mod tests {
         assert_eq!(rows[0].values()[1], Value::from("auxiliary relation"));
         assert_eq!(rows[0].values()[2], Value::Int(1));
         assert!(matches!(rows[0].values()[3], Value::Int(n) if n > 0));
-        assert_eq!(rows[0].values()[10], Value::from("-"), "lone view is ungrouped");
+        assert_eq!(
+            rows[0].values()[10],
+            Value::from("-"),
+            "lone view is ungrouped"
+        );
 
         // pvm_nodes: one row per node, shares sum to ~1 once work exists.
         let out = s.execute_one("SELECT * FROM pvm_nodes").unwrap();

@@ -443,6 +443,87 @@ fn fault_counters_surface_in_obs() {
     );
 }
 
+/// Rows and per-node charge of an unserved point read of each key in
+/// `0..12` (keys 10 and 11 match nothing), after a short maintenance
+/// stream.
+type PointRead = (Vec<Row>, Vec<CostSnapshot>);
+
+fn point_reads<B: Backend>(backend: &mut B, view: &mut MaintainedView) -> Vec<PointRead> {
+    apply_ops(backend, view, &gen_ops(7, 6)).unwrap();
+    (0..12)
+        .map(|k| {
+            let key = Value::Int(k);
+            let before = backend.engine().node_snapshots();
+            let net = backend.net_snapshot();
+            let clock = backend.engine().obs_handle().now();
+            let rows = view.read_key(backend, &key).unwrap();
+            assert_eq!(
+                backend.engine().obs_handle().now(),
+                clock,
+                "key {k}: a point read runs no step"
+            );
+            assert_eq!(
+                backend.net_snapshot(),
+                net,
+                "key {k}: a point read sends nothing"
+            );
+            let after = backend.engine().node_snapshots();
+            let charged = after.into_iter().zip(before).map(|(a, b)| a - b).collect();
+            (rows, charged)
+        })
+        .collect()
+}
+
+/// An unserved point read runs no step and visits only the key's home
+/// node: one SEARCH plus one FETCH per row of the heap view there,
+/// nothing on the other nodes, no message — with identical rows and per-node charges on the
+/// sequential, threaded and fault-tolerant backends.
+#[test]
+fn unserved_point_read_charges_only_the_home_node() {
+    const NODES: usize = 4;
+    let method = MaintenanceMethod::AuxiliaryRelation;
+    let plan = || FaultPlan::uniform(5, 0.2);
+    let runs = [
+        {
+            let (mut c, mut v) = setup(NODES, method);
+            point_reads(&mut c, &mut v)
+        },
+        {
+            let (c, mut v) = setup(NODES, method);
+            point_reads(&mut ThreadedCluster::from_cluster(c), &mut v)
+        },
+        {
+            let (c, mut v) = setup(NODES, method);
+            point_reads(&mut FaultTolerant::sequential(c, plan()), &mut v)
+        },
+        {
+            let (c, mut v) = setup(NODES, method);
+            let thr = ThreadedCluster::from_cluster(c);
+            point_reads(&mut FaultTolerant::threaded(thr, plan()), &mut v)
+        },
+    ];
+    for (k, (rows, charged)) in runs[0].iter().enumerate() {
+        let home = PartitionSpec::route_value(&Value::Int(k as i64), NODES)
+            .unwrap()
+            .index();
+        for (n, c) in charged.iter().enumerate() {
+            if n == home {
+                let paper_ops = (c.searches, c.fetches, c.inserts, c.sends);
+                assert_eq!(paper_ops, (1, rows.len() as u64, 0, 0), "key {k}");
+            } else {
+                assert!(c.is_zero(), "key {k}: node {n} charged {c:?}");
+            }
+        }
+    }
+    assert!(runs[0].iter().any(|(rows, _)| !rows.is_empty()));
+    for (i, run) in runs.iter().enumerate().skip(1) {
+        assert_eq!(
+            run, &runs[0],
+            "backend {i} diverged from the sequential reads"
+        );
+    }
+}
+
 // ------------------------------------------- zero-fault identity checks
 
 #[derive(Debug, Clone, PartialEq)]

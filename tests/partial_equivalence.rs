@@ -205,3 +205,79 @@ fn upquery_reflects_interleaved_deletes() {
         assert_eq!(got, want, "{method:?}");
     }
 }
+
+/// Evict a key between two batches, then maintain a delta on it. The
+/// batch gates borrow the live hole sets, so the second batch must see
+/// the new hole and drop the key's view rows at the gate: nothing is
+/// stored for it, its `dropped_at` fence moves to the second batch's
+/// epoch, and a current read upqueries the exact result.
+fn evict_between_batches_then_gate<B: Backend>(backend: &mut B, view: &mut MaintainedView) {
+    view.apply(backend, 1, &Delta::insert_one(row![200, 0, "b"]))
+        .unwrap();
+    // Between the batches: upquery holes until the budget evicts a key
+    // that was resident through the first batch.
+    let holes_before = view.partial_holes();
+    let mut victim = None;
+    for h in &holes_before {
+        view.read_key(backend, h).unwrap();
+        victim = view
+            .partial_holes()
+            .into_iter()
+            .find(|k| !holes_before.contains(k));
+        if victim.is_some() {
+            break;
+        }
+    }
+    let victim = victim.expect("an upquery pushed a resident key out");
+    let Value::Int(id) = victim else {
+        panic!("view keys are ints, got {victim:?}");
+    };
+    let fence = view.epoch();
+    // The second batch's view rows carry the victim key (j = 0 joins
+    // b-rows 0, 3, 6, 9 and 200).
+    view.apply(backend, 0, &Delta::insert_one(row![id, 0, "dup"]))
+        .unwrap();
+    assert!(
+        view.partial_holes().contains(&victim),
+        "key {id} stays a hole"
+    );
+    let stored = backend.engine().scan_all(view.view_table()).unwrap();
+    assert!(
+        stored.iter().all(|r| r[0] != victim),
+        "key {id}'s delta was applied past the gate"
+    );
+    let err = view
+        .ensure_key_resident(backend, &victim, fence)
+        .unwrap_err();
+    assert!(
+        err.to_string().contains("snapshot too old"),
+        "the gate did not move key {id}'s fence: {err}"
+    );
+    let mut got = view.read_key(backend, &victim).unwrap();
+    got.sort();
+    let mut want: Vec<Row> = view
+        .recompute_expected(backend.engine())
+        .unwrap()
+        .into_iter()
+        .filter(|r| r[0] == victim)
+        .collect();
+    want.sort();
+    assert!(!want.is_empty());
+    assert_eq!(got, want, "key {id} after the upquery");
+}
+
+#[test]
+fn key_evicted_between_batches_is_dropped_at_the_next_gate() {
+    for method in methods() {
+        let (mut cluster, mut view) = setup(method);
+        view.enable_partial(&mut cluster, PartialPolicy::with_budget(BUDGET))
+            .unwrap();
+        evict_between_batches_then_gate(&mut cluster, &mut view);
+
+        let (cluster, mut view) = setup(method);
+        let mut thr = ThreadedCluster::from_cluster(cluster);
+        view.enable_partial(&mut thr, PartialPolicy::with_budget(BUDGET))
+            .unwrap();
+        evict_between_batches_then_gate(&mut thr, &mut view);
+    }
+}
