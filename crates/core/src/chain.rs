@@ -23,87 +23,12 @@ use pvm_engine::{Backend, Cluster, NetPayload, NodeState, StepProgram, TableId};
 use pvm_obs::{metric, MethodTag, Phase, TraceEvent, COORD};
 use pvm_types::{GlobalRid, NodeId, PvmError, Result, Row, Value};
 
-use crate::auxrel::{self, ArInfo};
-use crate::globalindex::{self, GiInfo};
+use crate::auxrel;
+use crate::globalindex;
 use crate::layout::Layout;
-use crate::naive;
 use crate::planner::PlanStep;
-use crate::view::{MaintenanceMethod, ViewHandle};
-
-/// The probe structures of one maintained view, keyed by `(relation
-/// index, base join-attribute column)` — what distinguishes the three
-/// methods. A join attribute its base relation is partitioned on has no
-/// entry: the base relation itself serves those probes.
-#[derive(Debug, Clone)]
-pub(crate) enum Probes {
-    /// Naive: the base relations and their join-attribute indices.
-    Base,
-    /// One auxiliary relation per entry.
-    Ars(HashMap<(usize, usize), ArInfo>),
-    /// One global index per entry.
-    Gis(HashMap<(usize, usize), GiInfo>),
-}
-
-impl Probes {
-    /// Create (and populate) the private structures `method` needs.
-    pub fn install(
-        cluster: &mut Cluster,
-        handle: &ViewHandle,
-        method: MaintenanceMethod,
-    ) -> Result<Probes> {
-        Ok(match method {
-            MaintenanceMethod::Naive => {
-                naive::install(cluster, handle)?;
-                Probes::Base
-            }
-            MaintenanceMethod::AuxiliaryRelation => Probes::Ars(auxrel::install(cluster, handle)?),
-            MaintenanceMethod::GlobalIndex => Probes::Gis(globalindex::install(cluster, handle)?),
-        })
-    }
-
-    /// The structure tables (AR tables, GI tables), sorted.
-    pub fn tables(&self) -> Vec<TableId> {
-        let mut out: Vec<TableId> = match self {
-            Probes::Base => Vec::new(),
-            Probes::Ars(ars) => ars.values().map(|info| info.table).collect(),
-            Probes::Gis(gis) => gis.values().map(|info| info.table).collect(),
-        };
-        out.sort();
-        out
-    }
-
-    /// Propagate an already-applied base update on relation `rel` into
-    /// that relation's structures (the *aux* phase).
-    pub fn update<B: Backend>(
-        &self,
-        backend: &mut B,
-        rel: usize,
-        placed: &[(Row, GlobalRid)],
-        insert: bool,
-        batch: BatchPolicy,
-        gates: Option<&PartialGates<'_>>,
-    ) -> Result<()> {
-        match self {
-            Probes::Base => Ok(()),
-            Probes::Ars(ars) => {
-                let mine: Vec<ArInfo> = ars
-                    .iter()
-                    .filter(|((r, _), _)| *r == rel)
-                    .map(|(_, info)| info.clone())
-                    .collect();
-                auxrel::update_ars(backend, &mine, placed, insert, batch, gates)
-            }
-            Probes::Gis(gis) => {
-                let mine: Vec<(usize, TableId)> = gis
-                    .iter()
-                    .filter(|((r, _), _)| *r == rel)
-                    .map(|(&(_, c), info)| (c, info.table))
-                    .collect();
-                globalindex::update_gis(backend, &mine, placed, insert, batch, gates)
-            }
-        }
-    }
-}
+use crate::structure::{Probes, StructureKind};
+use crate::view::ViewHandle;
 
 /// Hole sets a partial view threads into its maintenance programs.
 ///
@@ -282,25 +207,6 @@ impl ProbeTarget {
                 .then(|| def.partitioning.clone()),
         })
     }
-
-    /// [`ProbeTarget::base`] for the AR / GI methods, which never
-    /// broadcast: a step with no `structure` must find its base relation
-    /// partitioned on the attribute (install guaranteed it).
-    pub fn routed_base(
-        cluster: &Cluster,
-        handle: &ViewHandle,
-        step: &PlanStep,
-        structure: &str,
-    ) -> Result<ProbeTarget> {
-        let target = ProbeTarget::base(cluster, handle.base[step.rel], step.probe_col)?;
-        if target.routing.is_none() {
-            return Err(PvmError::InvalidOperation(format!(
-                "no {structure} for ({}, {}) and base not partitioned on it",
-                step.rel, step.probe_col
-            )));
-        }
-        Ok(target)
-    }
 }
 
 /// Append the join chain for a delta on relation `rel` to `program`: the
@@ -324,20 +230,21 @@ pub(crate) fn push_chain<'p, B: Backend>(
     let arity = cluster.def(handle.base[rel])?.schema.arity();
     let mut layout = Layout::single(rel, (0..arity).collect());
     for step in &crate::plan_with_stats(cluster, handle, rel)? {
-        let target = match probes {
-            Probes::Base => ProbeTarget::base(cluster, handle.base[step.rel], step.probe_col)?,
-            Probes::Ars(ars) => auxrel::probe_target(cluster, handle, ars, step)?,
-            Probes::Gis(gis) => match gis.get(&(step.rel, step.probe_col)) {
-                Some(info) => {
+        let target = match probes.0.get(&(step.rel, step.probe_col)) {
+            None => ProbeTarget::base(cluster, handle.base[step.rel], step.probe_col)?,
+            Some(s) => match &s.kind {
+                StructureKind::Ar { keep_cols, key_pos } => {
+                    auxrel::probe_target(cluster, s.table, keep_cols, *key_pos)?
+                }
+                StructureKind::Gi => {
                     let base_table = handle.base[step.rel];
                     program = globalindex::push_gi_probe_step(
-                        backend, program, &layout, step, info.table, base_table, batch,
+                        backend, program, &layout, step, s.table, base_table, batch,
                     )?;
                     let base_arity = cluster.def(base_table)?.schema.arity();
                     layout.push(step.rel, (0..base_arity).collect());
                     continue;
                 }
-                None => ProbeTarget::routed_base(cluster, handle, step, "global index")?,
             },
         };
         let carried = target.carried.clone();
@@ -485,24 +392,11 @@ pub(crate) fn push_probe_step<'p>(
                 }
             }
         }
-        for (dst, rows) in by_dst.into_iter().enumerate() {
-            if rows.is_empty() {
-                continue;
-            }
-            if ctx.tracing() {
-                ctx.obs()
-                    .metrics()
-                    .histogram(metric::BATCH_ROWS_PER_MSG)
-                    .observe(rows.len() as u64);
-            }
-            ctx.send(
-                NodeId::from(dst),
-                NetPayload::DeltaRows {
-                    table: target.table,
-                    rows,
-                },
-            )?;
-        }
+        let messages = by_dst.into_iter().map(|rows| NetPayload::DeltaRows {
+            table: target.table,
+            rows,
+        });
+        send_per_destination(ctx, messages.collect())?;
         Ok(Vec::new())
     });
     let layout = layout.clone();
@@ -599,9 +493,36 @@ pub(crate) fn push_probe_step<'p>(
     }))
 }
 
+/// Send each destination's coalesced message — `by_dst[i]` is node
+/// `i`'s — skipping empty ones, and observe its size when tracing.
+pub(crate) fn send_per_destination(
+    ctx: &mut pvm_engine::StepCtx<'_>,
+    by_dst: Vec<NetPayload>,
+) -> Result<()> {
+    for (dst, payload) in by_dst.into_iter().enumerate() {
+        let rows = payload.row_count();
+        if rows == 0 {
+            continue;
+        }
+        if ctx.tracing() {
+            ctx.obs()
+                .metrics()
+                .histogram(metric::BATCH_ROWS_PER_MSG)
+                .observe(rows as u64);
+        }
+        ctx.send(NodeId::from(dst), payload)?;
+    }
+    Ok(())
+}
+
 /// Trace one partial's routing decision: its join value and the number
 /// of nodes it goes to. Only called when tracing is enabled.
-fn trace_route(ctx: &pvm_engine::StepCtx<'_>, method: MethodTag, v: &Value, fanout: u64) {
+pub(crate) fn trace_route(
+    ctx: &pvm_engine::StepCtx<'_>,
+    method: MethodTag,
+    v: &Value,
+    fanout: u64,
+) {
     ctx.trace(Phase::Route, method)
         .key(v.to_string())
         .count(fanout)
@@ -776,24 +697,11 @@ pub(crate) fn push_ship_stage<'p, B: Backend>(
             };
             by_dst[dst.index()].push(view_row);
         }
-        for (dst, rows) in by_dst.into_iter().enumerate() {
-            if rows.is_empty() {
-                continue;
-            }
-            if ctx.tracing() {
-                ctx.obs()
-                    .metrics()
-                    .histogram(metric::BATCH_ROWS_PER_MSG)
-                    .observe(rows.len() as u64);
-            }
-            ctx.send(
-                NodeId::from(dst),
-                NetPayload::ResultRows {
-                    table: handle.view_table,
-                    rows,
-                },
-            )?;
-        }
+        let messages = by_dst.into_iter().map(|rows| NetPayload::ResultRows {
+            table: handle.view_table,
+            rows,
+        });
+        send_per_destination(ctx, messages.collect())?;
         Ok(Vec::new())
     }))
 }

@@ -20,6 +20,10 @@
 //! than an auxiliary relation's σπ copy, at the price of the fan-out and
 //! the fetches.
 //!
+//! The GI is built, pooled and updated by the code it shares with the
+//! auxiliary relation; this module holds the part that differs, the
+//! two-hop probe.
+//!
 //! **Delivery assumptions.** The fan-out step is the most
 //! delivery-sensitive of the three methods: the rid lists shipped to the
 //! `K` fetch nodes must each arrive **exactly once, next step**, and the
@@ -30,37 +34,16 @@
 
 use std::collections::HashMap;
 
-use pvm_engine::{Backend, Cluster, NetPayload, TableDef, TableId};
+use pvm_engine::{Backend, NetPayload, TableId};
 use pvm_obs::{metric, MethodTag, Phase};
-use pvm_types::{Column, CostKind, GlobalRid, NodeId, PvmError, Result, Rid, Row, Schema, Value};
+use pvm_types::{CostKind, GlobalRid, NodeId, PvmError, Result, Rid, Row, Value};
 
 use crate::chain::{self, BatchPolicy};
 use crate::layout::Layout;
 use crate::planner::PlanStep;
-use crate::view::ViewHandle;
 
-/// One global index.
-#[derive(Debug, Clone)]
-pub struct GiInfo {
-    pub table: TableId,
-}
-
-/// Deterministic GI table name.
-pub(crate) fn gi_name(view: &str, base: &str, col: usize) -> String {
-    format!("{view}__gi_{base}_{col}")
-}
-
-/// Build one GI entry row: `(value, node, page, slot)`.
-pub(crate) fn gi_entry(value: Value, grid: GlobalRid) -> Row {
-    Row::new(vec![
-        value,
-        Value::Int(grid.node.0 as i64),
-        Value::Int(grid.rid.page.0 as i64),
-        Value::Int(grid.rid.slot.0 as i64),
-    ])
-}
-
-/// Decode a GI entry row back to its global rid.
+/// Decode a GI entry row (built by [`crate::structure::Structure::entry`])
+/// back to its global rid.
 fn decode_entry(row: &Row) -> Result<GlobalRid> {
     let node = row.try_get(1)?.as_int().ok_or_else(bad_entry)?;
     let page = row.try_get(2)?.as_int().ok_or_else(bad_entry)?;
@@ -73,66 +56,6 @@ fn decode_entry(row: &Row) -> Result<GlobalRid> {
 
 fn bad_entry() -> PvmError {
     PvmError::Corrupt("malformed global-index entry".into())
-}
-
-/// Create one global index named `name` over `base_table`'s column `c`
-/// and populate it from every node's current fragment (capturing local
-/// rids). Shared by per-view [`install`] and the cross-view
-/// [`crate::minimize::GiPool`].
-pub(crate) fn create_gi(
-    cluster: &mut Cluster,
-    name: String,
-    base_table: TableId,
-    c: usize,
-) -> Result<TableId> {
-    let def = cluster.def(base_table)?.clone();
-    let key_type = def
-        .schema
-        .column(c)
-        .ok_or_else(|| PvmError::InvalidReference(format!("column {c}")))?
-        .dtype;
-    let gi_schema = Schema::new(vec![
-        Column::new("key", key_type),
-        Column::int("node"),
-        Column::int("page"),
-        Column::int("slot"),
-    ])
-    .into_ref();
-    let gi_table = cluster.create_table(TableDef::hash_clustered(name, gi_schema, 0))?;
-    let mut entries = Vec::new();
-    for n in cluster.nodes() {
-        for (rid, row) in n.storage(base_table)?.scan()? {
-            entries.push(gi_entry(row[c].clone(), GlobalRid::new(n.id(), rid)));
-        }
-    }
-    cluster.insert(gi_table, entries)?;
-    Ok(gi_table)
-}
-
-/// Create (and populate) the global indices the view needs, keyed by
-/// `(relation index, base join-attribute column)`.
-pub(crate) fn install(
-    cluster: &mut Cluster,
-    handle: &ViewHandle,
-) -> Result<HashMap<(usize, usize), GiInfo>> {
-    let mut gis = HashMap::new();
-    for (rel, &table) in handle.base.iter().enumerate() {
-        let def = cluster.def(table)?.clone();
-        for c in handle.def.join_attrs_of(rel) {
-            if def.partitioning.is_on(c) {
-                chain::ensure_join_index(cluster, table, c)?;
-                continue;
-            }
-            let gi_table = create_gi(
-                cluster,
-                gi_name(&handle.def.name, &def.name, c),
-                table,
-                c,
-            )?;
-            gis.insert((rel, c), GiInfo { table: gi_table });
-        }
-    }
-    Ok(gis)
 }
 
 /// Append one two-hop GI probe step to a phase program: route partials to
@@ -193,26 +116,11 @@ pub(crate) fn push_gi_probe_step<'p>(
                 }
             }
         }
-        if batch == BatchPolicy::Coalesced {
-            for (dst, rows) in by_dst.into_iter().enumerate() {
-                if rows.is_empty() {
-                    continue;
-                }
-                if ctx.tracing() {
-                    ctx.obs()
-                        .metrics()
-                        .histogram(metric::BATCH_ROWS_PER_MSG)
-                        .observe(rows.len() as u64);
-                }
-                ctx.send(
-                    NodeId::from(dst),
-                    NetPayload::DeltaRows {
-                        table: gi_table,
-                        rows,
-                    },
-                )?;
-            }
-        }
+        let messages = by_dst.into_iter().map(|rows| NetPayload::DeltaRows {
+            table: gi_table,
+            rows,
+        });
+        chain::send_per_destination(ctx, messages.collect())?;
         Ok(Vec::new())
     });
 
@@ -289,26 +197,13 @@ pub(crate) fn push_gi_probe_step<'p>(
                 }
             }
         }
-        if batch == BatchPolicy::Coalesced {
-            for (dst, items) in items_by_dst.into_iter().enumerate() {
-                if items.is_empty() {
-                    continue;
-                }
-                if ctx.tracing() {
-                    ctx.obs()
-                        .metrics()
-                        .histogram(metric::BATCH_ROWS_PER_MSG)
-                        .observe(items.len() as u64);
-                }
-                ctx.send(
-                    NodeId::from(dst),
-                    NetPayload::RowsWithRids {
-                        table: base_table,
-                        items,
-                    },
-                )?;
-            }
-        }
+        let messages = items_by_dst
+            .into_iter()
+            .map(|items| NetPayload::RowsWithRids {
+                table: base_table,
+                items,
+            });
+        chain::send_per_destination(ctx, messages.collect())?;
         ctx.count_work(probed);
         if ctx.tracing() {
             ctx.trace_span(Phase::Probe, MethodTag::GlobalIndex)
@@ -385,115 +280,4 @@ pub(crate) fn push_gi_probe_step<'p>(
         }
         Ok(out)
     }))
-}
-
-/// Route each placed delta row's GI entry to its home node(s) and apply
-/// it there. `gis` pairs each GI table with the base column it indexes.
-/// All GIs ride **one** stage program (route stage + send-free apply
-/// stage per GI) so a pipelined backend overlaps one GI's apply with the
-/// next one's routing. Shared by per-view maintenance and the cross-view
-/// [`crate::minimize::GiPool`].
-pub(crate) fn update_gis<B: Backend>(
-    backend: &mut B,
-    gis: &[(usize, TableId)],
-    placed: &[(Row, GlobalRid)],
-    insert: bool,
-    batch: BatchPolicy,
-    gates: Option<&chain::PartialGates<'_>>,
-) -> Result<()> {
-    if gis.is_empty() {
-        return Ok(());
-    }
-    let l = backend.node_count();
-    let mut program = pvm_engine::StepProgram::new();
-    for &(c, gi_table) in gis {
-        let spec = backend.engine().def(gi_table)?.partitioning.clone();
-        program = program.stage(move |ctx, _| {
-            let mut by_dst: Vec<Vec<Row>> = vec![Vec::new(); l];
-            for (row, grid) in placed {
-                if grid.node != ctx.id() {
-                    continue;
-                }
-                let entry = gi_entry(row[c].clone(), *grid);
-                // Replicated heavy entries go to every spread-set
-                // node; everything else has a single home.
-                match batch {
-                    BatchPolicy::Coalesced => {
-                        for dst in spec.route_all(&entry, l, 0)? {
-                            by_dst[dst.index()].push(entry.clone());
-                        }
-                    }
-                    BatchPolicy::PerRow => {
-                        for dst in spec.route_all(&entry, l, 0)? {
-                            ctx.send(
-                                dst,
-                                NetPayload::DeltaRows {
-                                    table: gi_table,
-                                    rows: vec![entry.clone()],
-                                },
-                            )?;
-                        }
-                    }
-                }
-            }
-            if batch == BatchPolicy::Coalesced {
-                for (dst, rows) in by_dst.into_iter().enumerate() {
-                    if rows.is_empty() {
-                        continue;
-                    }
-                    if ctx.tracing() {
-                        ctx.obs()
-                            .metrics()
-                            .histogram(metric::BATCH_ROWS_PER_MSG)
-                            .observe(rows.len() as u64);
-                    }
-                    ctx.send(
-                        NodeId::from(dst),
-                        NetPayload::DeltaRows {
-                            table: gi_table,
-                            rows,
-                        },
-                    )?;
-                }
-            }
-            Ok(Vec::new())
-        });
-        let holes = gates.and_then(|g| g.structure_holes(gi_table));
-        program = program.local_stage(move |ctx, _| {
-            let mut applied = 0u64;
-            for env in ctx.drain() {
-                let NetPayload::DeltaRows { table: t, rows } = env.payload else {
-                    return Err(PvmError::InvalidOperation(
-                        "unexpected payload during GI update".into(),
-                    ));
-                };
-                for r in rows {
-                    if let Some(h) = holes {
-                        // Entry column 0 is the join value (gi_entry):
-                        // evicted values stay holes until refilled.
-                        if h.contains(r.try_get(0)?) {
-                            continue;
-                        }
-                    }
-                    if insert {
-                        ctx.node.insert(t, r)?;
-                    } else {
-                        ctx.node.delete_row(t, &r, &[0])?;
-                    }
-                    applied += 1;
-                }
-            }
-            if applied > 0 {
-                ctx.count_work(applied);
-                if ctx.tracing() {
-                    ctx.trace_span(Phase::IndexUpdate, MethodTag::GlobalIndex)
-                        .count(applied)
-                        .emit();
-                }
-            }
-            Ok(Vec::new())
-        });
-    }
-    backend.run_stages(vec![Vec::new(); l], &program)?;
-    Ok(())
 }

@@ -25,9 +25,11 @@
 //! Deltas ([`Delta`]) cover inserts, deletes, and updates; views may join
 //! any number of relations (§2.2's multi-relation algorithm, with the
 //! statistics-driven choice among alternative auxiliary-relation chains
-//! implemented in [`planner`]). [`minimize`] implements the §2.1.2 storage
-//! minimization and cross-view sharing of auxiliary relations, and
-//! [`advisor`] the conclusion's cost-based method selection.
+//! implemented in [`planner`]). An AR and a GI are one kind of structure,
+//! built, shared and updated by one code path; only their probes differ.
+//! [`minimize`] implements the §2.1.2 storage minimization and cross-view
+//! sharing of auxiliary relations (and global indices), and [`advisor`]
+//! the conclusion's cost-based method selection.
 
 pub mod advisor;
 pub mod aggregate;
@@ -42,6 +44,7 @@ pub mod partial;
 pub mod planner;
 pub mod share;
 pub mod skew;
+pub(crate) mod structure;
 pub mod view;
 pub mod viewdef;
 
@@ -93,7 +96,7 @@ pub use aggregate::{AggFunc, AggShape, AggSpec};
 pub use chain::{BatchPolicy, JoinPolicy};
 pub use delta::Delta;
 pub use layout::Layout;
-pub use minimize::{ArPool, GiPool};
+pub use minimize::StructurePool;
 pub use planner::{plan_chain, PlanStep};
 pub use pvm_model::Recommendation;
 pub use share::{plan_groups, GroupSignature, SharedCatalog};

@@ -9,8 +9,9 @@
 //! 2. **Cross-view sharing** — views over the same base relation that
 //!    partition their ARs on the same attribute can share one AR holding
 //!    the union of their column needs instead of storing redundant copies:
-//!    [`merge_requirements`]. The paper's JV1/JV2 example (both keeping
-//!    `A.c, A.e`) is the motivating redundancy.
+//!    [`merge_requirements`], executed by [`StructurePool`], which shares
+//!    global indices the same way. The paper's JV1/JV2 example (both
+//!    keeping `A.c, A.e`) is the motivating redundancy.
 
 use std::collections::BTreeMap;
 
@@ -85,27 +86,26 @@ pub fn columns_saved(reqs: &[ArRequirement]) -> usize {
     before - after
 }
 
-use std::collections::HashMap;
+use pvm_engine::{Backend, Cluster};
+use pvm_types::{GlobalRid, Result, Row};
 
-use pvm_engine::{Backend, Cluster, TableDef};
-use pvm_types::{GlobalRid, PvmError, Result, Row};
+use crate::chain::BatchPolicy;
+use crate::structure::{self, Structure, StructureKind};
+use crate::view::MaintenanceMethod;
 
-use crate::auxrel::{self, ArInfo};
-
-/// A **materialized** pool of auxiliary relations shared across views —
-/// §2.1.2's "keep only one auxiliary relation `AR_A` for all the views
-/// that use the same attribute `A.c`", executed.
+/// A **materialized** pool of maintenance structures shared across views
+/// — §2.1.2's "keep only one auxiliary relation `AR_A` for all the views
+/// that use the same attribute `A.c`", executed, for auxiliary relations
+/// (the `ars` pool of a [`crate::SharedCatalog`]) and global indices (its
+/// `gis` pool) alike: one structure per `(base, attr)`.
 ///
-/// Lifecycle — the pool is the `ars` half of a
-/// [`crate::SharedCatalog`]:
+/// Lifecycle:
 ///
-/// 1. [`ArPool::plan`] each view definition (requirements accumulate and
-///    merge);
-/// 2. [`ArPool::materialize`] once (creates and bulk-loads the merged
-///    ARs) — or [`ArPool::enroll`] definitions one at a time;
-/// 3. create each view with [`crate::MaintainedView::create_pooled`];
-/// 4. on every base update, call [`crate::maintain`] with the catalog, so
-///    each shared AR is updated **once**, not once per view.
+/// 1. [`StructurePool::enroll`] each view definition (creating, or for
+///    ARs widening, the pool's structures);
+/// 2. create each view with [`crate::MaintainedView::create_pooled`];
+/// 3. on every base update, call [`crate::maintain`] with the catalog, so
+///    each shared structure is updated **once**, not once per view.
 ///
 /// ```
 /// use pvm_core::{maintain, Delta, JoinViewDef, MaintainedView, MaintenanceMethod, SharedCatalog};
@@ -122,80 +122,43 @@ use crate::auxrel::{self, ArInfo};
 /// let v1 = JoinViewDef::two_way("v1", "a", "b", 1, 1, 2, 2);
 /// let v2 = JoinViewDef::two_way("v2", "a", "b", 1, 1, 2, 2);
 /// let mut catalog = SharedCatalog::new();
-/// catalog.ars.plan(&cluster, &v1).unwrap();
-/// catalog.ars.plan(&cluster, &v2).unwrap();
-/// catalog.ars.materialize(&mut cluster).unwrap();
+/// // The first enrollment creates the two ARs; the identical second one
+/// // needs nothing new.
+/// assert_eq!(catalog.ars.enroll(&mut cluster, &v1).unwrap().len(), 2);
+/// assert!(catalog.ars.enroll(&mut cluster, &v2).unwrap().is_empty());
 /// // Both views bind to the SAME two merged ARs.
 /// let ar = MaintenanceMethod::AuxiliaryRelation;
 /// let mut va = MaintainedView::create_pooled(&mut cluster, v1, ar, &catalog).unwrap();
 /// let mut vb = MaintainedView::create_pooled(&mut cluster, v2, ar, &catalog).unwrap();
-/// assert_eq!(catalog.ars.requirements().len(), 2);
+/// assert_eq!(va.method_tables(), vb.method_tables());
 /// // One base update, one update per shared AR, both views maintained.
 /// let delta = Delta::insert_one(row![1, 7]);
 /// let outs = maintain(&mut cluster, Some(&catalog), &mut [&mut va, &mut vb], "b", &delta).unwrap();
 /// assert_eq!(outs.iter().map(|o| o.view_rows).sum::<u64>(), 2);
 /// ```
-#[derive(Debug, Default)]
-pub struct ArPool {
-    /// Merged requirements, keyed by (base table name, join attribute).
-    reqs: Vec<ArRequirement>,
-    /// Materialized ARs, same key.
-    ars: HashMap<(String, usize), ArInfo>,
-    materialized: bool,
+#[derive(Debug)]
+pub struct StructurePool {
+    /// Which structures the pool keeps: ARs or GIs.
+    method: MaintenanceMethod,
+    /// Materialized structures, keyed by (base table name, join attribute).
+    structures: BTreeMap<(String, usize), Structure>,
 }
 
-impl ArPool {
-    pub fn new() -> Self {
-        ArPool::default()
+impl StructurePool {
+    pub(crate) fn new(method: MaintenanceMethod) -> Self {
+        StructurePool {
+            method,
+            structures: BTreeMap::new(),
+        }
     }
 
-    /// Register a view's AR needs. Must be called before
-    /// [`ArPool::materialize`].
-    pub fn plan(&mut self, cluster: &Cluster, def: &crate::JoinViewDef) -> Result<()> {
-        if self.materialized {
-            return Err(PvmError::InvalidOperation(
-                "ArPool::plan after materialize".into(),
-            ));
-        }
-        def.validate(cluster)?;
-        let mut part_lookup = Vec::new();
-        for name in &def.relations {
-            let id = cluster.table_id(name)?;
-            part_lookup.push(cluster.def(id)?.partitioning.clone());
-        }
-        let new = ar_requirements(def, |rel, col| part_lookup[rel].is_on(col));
-        self.reqs.extend(new);
-        self.reqs = merge_requirements(&self.reqs);
-        Ok(())
-    }
-
-    /// The merged requirements so far.
-    pub fn requirements(&self) -> &[ArRequirement] {
-        &self.reqs
-    }
-
-    /// Create and bulk-load every merged AR.
-    pub fn materialize(&mut self, cluster: &mut Cluster) -> Result<()> {
-        if self.materialized {
-            return Err(PvmError::InvalidOperation(
-                "ArPool already materialized".into(),
-            ));
-        }
-        for req in &self.reqs {
-            let info = materialize_ar(cluster, req)?;
-            self.ars.insert((req.base.clone(), req.attr), info);
-        }
-        self.materialized = true;
-        Ok(())
-    }
-
-    /// Register one more view with an **already-materialized** pool,
-    /// creating or widening pool ARs in place (a first call on an empty
-    /// pool plans and materializes). A widened AR — the new view needs
-    /// columns the stored σπ copy lacks — is dropped and rebuilt from the
-    /// base relation under the same pool table name.
+    /// Register one view with the pool, creating the structures it needs
+    /// that the pool lacks. A pool AR whose keep set the view widens — it
+    /// needs columns the stored σπ copy lacks — is dropped and rebuilt
+    /// from the base relation under the same pool table name; a GI's entry
+    /// is fixed, so a GI never widens.
     ///
-    /// Returns the `(base, attr)` keys whose AR table changed (created or
+    /// Returns the `(base, attr)` keys whose table changed (created or
     /// rebuilt), in sorted order: every view already bound to the pool
     /// must rebind those keys before its next maintenance —
     /// [`crate::SharedCatalog::enroll_group`] is the caller that does.
@@ -204,56 +167,47 @@ impl ArPool {
         cluster: &mut Cluster,
         def: &crate::JoinViewDef,
     ) -> Result<Vec<(String, usize)>> {
-        if !self.materialized {
-            self.plan(cluster, def)?;
-            self.materialize(cluster)?;
-            let mut keys: Vec<(String, usize)> = self.ars.keys().cloned().collect();
-            keys.sort();
-            return Ok(keys);
-        }
         def.validate(cluster)?;
         let mut part_lookup = Vec::new();
         for name in &def.relations {
             let id = cluster.table_id(name)?;
             part_lookup.push(cluster.def(id)?.partitioning.clone());
         }
-        let mut all = self.reqs.clone();
-        all.extend(ar_requirements(def, |rel, col| part_lookup[rel].is_on(col)));
-        let merged = merge_requirements(&all);
+        // A GI is needed exactly where an AR is; only its entry differs.
+        let reqs = ar_requirements(def, |rel, col| part_lookup[rel].is_on(col));
         let mut changed = Vec::new();
-        for req in &merged {
+        for mut req in merge_requirements(&reqs) {
             let key = (req.base.clone(), req.attr);
-            let unchanged = self.ars.contains_key(&key)
-                && self
-                    .reqs
-                    .iter()
-                    .any(|r| r.base == req.base && r.attr == req.attr && r.keep == req.keep);
-            if unchanged {
-                continue;
+            let old = self.structures.get(&key);
+            if let Some(StructureKind::Ar { keep_cols, .. }) = old.map(|s| &s.kind) {
+                req.keep.extend(keep_cols);
+                req.keep.sort_unstable();
+                req.keep.dedup();
             }
-            if let Some(old) = self.ars.remove(&key) {
+            let kind = StructureKind::of(self.method, req.keep, req.attr)
+                .expect("pools hold AR or GI structures");
+            if let Some(old) = old {
+                if old.kind == kind {
+                    continue;
+                }
                 cluster.drop_table(old.table)?;
             }
-            let info = materialize_ar(cluster, req)?;
-            self.ars.insert(key.clone(), info);
+            let base = cluster.table_id(&req.base)?;
+            let name = structure::table_name("pool", &kind, &req.base, req.attr);
+            let s = Structure::create(cluster, name, base, req.attr, kind)?;
+            self.structures.insert(key.clone(), s);
             changed.push(key);
         }
-        self.reqs = merged;
-        changed.sort();
         Ok(changed)
     }
 
-    /// The shared AR for `(base, attr)`, if materialized.
-    pub(crate) fn ar_for(&self, base: &str, attr: usize) -> Option<&ArInfo> {
-        self.ars.get(&(base.to_owned(), attr))
+    /// The shared structure for `(base, attr)`, if materialized.
+    pub(crate) fn get(&self, base: &str, attr: usize) -> Option<&Structure> {
+        self.structures.get(&(base.to_owned(), attr))
     }
 
-    pub fn is_materialized(&self) -> bool {
-        self.materialized
-    }
-
-    /// Propagate one already-applied base delta into every pool AR of
-    /// `relation` — exactly once, regardless of how many views share
+    /// Propagate one already-applied base delta into every pool structure
+    /// of `relation` — exactly once, regardless of how many views share
     /// them. `batch` governs the update's messaging granularity; pass
     /// the member views' common policy (they share this one structure
     /// update, so a mixed-policy membership has no single honest
@@ -264,276 +218,34 @@ impl ArPool {
         relation: &str,
         placed: &[(Row, GlobalRid)],
         insert: bool,
-        batch: crate::chain::BatchPolicy,
+        batch: BatchPolicy,
     ) -> Result<()> {
-        let mine: Vec<ArInfo> = self
-            .ars
+        let mine: Vec<&Structure> = self
+            .structures
             .iter()
             .filter(|((base, _), _)| base == relation)
-            .map(|(_, info)| info.clone())
+            .map(|(_, s)| s)
             .collect();
-        // Pooled ARs are shared across views and never partial: no gates.
-        auxrel::update_ars(backend, &mine, placed, insert, batch, None)
+        // Pooled structures are shared across views and never partial:
+        // no gates.
+        structure::update(backend, &mine, placed, insert, batch, None)
     }
 
-    /// Total pages occupied by the pool's ARs.
+    /// Total pages occupied by the pool's structures.
     pub fn storage_pages(&self, cluster: &Cluster) -> Result<usize> {
         let mut pages = 0;
-        for info in self.ars.values() {
-            pages += cluster.total_pages(info.table)?;
+        for s in self.structures.values() {
+            pages += cluster.total_pages(s.table)?;
         }
         Ok(pages)
     }
 
-    /// Drop every pool AR table and reset the pool to empty. Called when
-    /// the last pool-bound view is destroyed.
+    /// Drop every pool table and reset the pool to empty. Called when the
+    /// last pool-bound view is destroyed.
     pub fn release(&mut self, cluster: &mut Cluster) -> Result<()> {
-        for (_, info) in std::mem::take(&mut self.ars) {
-            cluster.drop_table(info.table)?;
+        for (_, s) in std::mem::take(&mut self.structures) {
+            cluster.drop_table(s.table)?;
         }
-        self.reqs.clear();
-        self.materialized = false;
-        Ok(())
-    }
-}
-
-/// Create and bulk-load one pool AR from its merged requirement.
-fn materialize_ar(cluster: &mut Cluster, req: &ArRequirement) -> Result<ArInfo> {
-    let base_id = cluster.table_id(&req.base)?;
-    let base_def = cluster.def(base_id)?.clone();
-    let key_pos = req
-        .keep
-        .iter()
-        .position(|&k| k == req.attr)
-        .expect("join attribute always kept");
-    let schema = base_def.schema.project(&req.keep)?.into_ref();
-    let table = cluster.create_table(TableDef::hash_clustered(
-        format!("pool__ar_{}_{}", req.base, req.attr),
-        schema,
-        key_pos,
-    ))?;
-    let rows: Vec<Row> = cluster
-        .scan_all(base_id)?
-        .iter()
-        .map(|r| r.project(&req.keep))
-        .collect::<Result<_>>()?;
-    cluster.insert(table, rows)?;
-    Ok(ArInfo {
-        table,
-        keep_cols: req.keep.clone(),
-        key_pos,
-    })
-}
-
-/// One global-index requirement: base relation `base` indexed on its
-/// column `attr`. GIs have a fixed `(value, node, page, slot)` schema,
-/// so — unlike [`ArRequirement`] — there is no keep set to merge: two
-/// views needing the same `(base, attr)` GI need the *identical* GI.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct GiRequirement {
-    pub base: String,
-    pub attr: usize,
-}
-
-/// The GI requirements of one view (mirrors [`ar_requirements`]):
-/// one per `(base relation, join attribute)` pair unless the base is
-/// already partitioned on the attribute.
-pub fn gi_requirements(
-    def: &JoinViewDef,
-    mut is_partitioned_on: impl FnMut(usize, usize) -> bool,
-) -> Vec<GiRequirement> {
-    let mut out = Vec::new();
-    for (rel, base) in def.relations.iter().enumerate() {
-        for attr in def.join_attrs_of(rel) {
-            if !is_partitioned_on(rel, attr) {
-                out.push(GiRequirement {
-                    base: base.clone(),
-                    attr,
-                });
-            }
-        }
-    }
-    out.sort();
-    out.dedup();
-    out
-}
-
-/// A **materialized** pool of global indices shared across views — the
-/// GI analogue of [`ArPool`], extending §2.1.2's cross-view sharing to
-/// the global-index method. Because a GI's contents depend only on
-/// `(base, attr)`, sharing is exact: no union/widening step exists, and
-/// [`GiPool::enroll`] never invalidates an existing member's binding.
-///
-/// Lifecycle mirrors [`ArPool`] (this pool is the `gis` half of a
-/// [`crate::SharedCatalog`]): [`GiPool::plan`] + [`GiPool::materialize`]
-/// (or [`GiPool::enroll`] incrementally), bind views with
-/// [`crate::MaintainedView::create_pooled`], and maintain them through
-/// [`crate::maintain`] with the catalog.
-#[derive(Debug, Default)]
-pub struct GiPool {
-    reqs: Vec<GiRequirement>,
-    /// Materialized GIs, keyed by (base table name, join attribute).
-    gis: HashMap<(String, usize), crate::globalindex::GiInfo>,
-    materialized: bool,
-}
-
-impl GiPool {
-    pub fn new() -> Self {
-        GiPool::default()
-    }
-
-    /// Register a view's GI needs. Must be called before
-    /// [`GiPool::materialize`].
-    pub fn plan(&mut self, cluster: &Cluster, def: &crate::JoinViewDef) -> Result<()> {
-        if self.materialized {
-            return Err(PvmError::InvalidOperation(
-                "GiPool::plan after materialize".into(),
-            ));
-        }
-        def.validate(cluster)?;
-        let mut part_lookup = Vec::new();
-        for name in &def.relations {
-            let id = cluster.table_id(name)?;
-            part_lookup.push(cluster.def(id)?.partitioning.clone());
-        }
-        self.reqs
-            .extend(gi_requirements(def, |rel, col| part_lookup[rel].is_on(col)));
-        self.reqs.sort();
-        self.reqs.dedup();
-        Ok(())
-    }
-
-    /// The merged requirements so far.
-    pub fn requirements(&self) -> &[GiRequirement] {
-        &self.reqs
-    }
-
-    /// Create and populate every required GI.
-    pub fn materialize(&mut self, cluster: &mut Cluster) -> Result<()> {
-        if self.materialized {
-            return Err(PvmError::InvalidOperation(
-                "GiPool already materialized".into(),
-            ));
-        }
-        for req in &self.reqs {
-            let base_id = cluster.table_id(&req.base)?;
-            let table = crate::globalindex::create_gi(
-                cluster,
-                format!("pool__gi_{}_{}", req.base, req.attr),
-                base_id,
-                req.attr,
-            )?;
-            self.gis.insert(
-                (req.base.clone(), req.attr),
-                crate::globalindex::GiInfo { table },
-            );
-        }
-        self.materialized = true;
-        Ok(())
-    }
-
-    /// Register one more view with an **already-materialized** pool,
-    /// creating any GIs it needs that the pool lacks (a first call on an
-    /// empty pool plans and materializes). Returns the newly created
-    /// `(base, attr)` keys in sorted order; existing members' bindings
-    /// stay valid (GIs never widen).
-    pub fn enroll(
-        &mut self,
-        cluster: &mut Cluster,
-        def: &crate::JoinViewDef,
-    ) -> Result<Vec<(String, usize)>> {
-        if !self.materialized {
-            self.plan(cluster, def)?;
-            self.materialize(cluster)?;
-            let mut keys: Vec<(String, usize)> = self.gis.keys().cloned().collect();
-            keys.sort();
-            return Ok(keys);
-        }
-        def.validate(cluster)?;
-        let mut part_lookup = Vec::new();
-        for name in &def.relations {
-            let id = cluster.table_id(name)?;
-            part_lookup.push(cluster.def(id)?.partitioning.clone());
-        }
-        let mut created = Vec::new();
-        for req in gi_requirements(def, |rel, col| part_lookup[rel].is_on(col)) {
-            let key = (req.base.clone(), req.attr);
-            if self.gis.contains_key(&key) {
-                continue;
-            }
-            let base_id = cluster.table_id(&req.base)?;
-            let table = crate::globalindex::create_gi(
-                cluster,
-                format!("pool__gi_{}_{}", req.base, req.attr),
-                base_id,
-                req.attr,
-            )?;
-            self.gis
-                .insert(key.clone(), crate::globalindex::GiInfo { table });
-            self.reqs.push(req);
-            created.push(key);
-        }
-        self.reqs.sort();
-        self.reqs.dedup();
-        created.sort();
-        Ok(created)
-    }
-
-    /// The shared GI for `(base, attr)`, if materialized.
-    pub(crate) fn gi_for(&self, base: &str, attr: usize) -> Option<&crate::globalindex::GiInfo> {
-        self.gis.get(&(base.to_owned(), attr))
-    }
-
-    pub fn is_materialized(&self) -> bool {
-        self.materialized
-    }
-
-    /// Propagate one already-applied base delta into every pool GI of
-    /// `relation` — exactly once, regardless of how many views share
-    /// them. `batch` governs messaging granularity exactly as in
-    /// [`ArPool::apply_base_delta`].
-    pub fn apply_base_delta<B: Backend>(
-        &self,
-        backend: &mut B,
-        relation: &str,
-        placed: &[(Row, GlobalRid)],
-        insert: bool,
-        batch: crate::chain::BatchPolicy,
-    ) -> Result<()> {
-        let mut mine: Vec<(usize, pvm_engine::TableId)> = self
-            .gis
-            .iter()
-            .filter(|((base, _), _)| base == relation)
-            .map(|((_, attr), info)| (*attr, info.table))
-            .collect();
-        mine.sort();
-        crate::globalindex::update_gis(
-            backend,
-            &mine,
-            placed,
-            insert,
-            batch,
-            None, // pooled GIs are shared across views and never partial
-        )
-    }
-
-    /// Total pages occupied by the pool's GIs.
-    pub fn storage_pages(&self, cluster: &Cluster) -> Result<usize> {
-        let mut pages = 0;
-        for info in self.gis.values() {
-            pages += cluster.total_pages(info.table)?;
-        }
-        Ok(pages)
-    }
-
-    /// Drop every pool GI table and reset the pool to empty. Called when
-    /// the last pool-bound view is destroyed.
-    pub fn release(&mut self, cluster: &mut Cluster) -> Result<()> {
-        for (_, info) in std::mem::take(&mut self.gis) {
-            cluster.drop_table(info.table)?;
-        }
-        self.reqs.clear();
-        self.materialized = false;
         Ok(())
     }
 }
@@ -667,23 +379,5 @@ mod tests {
         let mut sorted = keys.clone();
         sorted.sort();
         assert_eq!(keys, sorted, "deterministic (base, attr) order");
-    }
-
-    #[test]
-    fn gi_requirements_dedup_and_skip_copartitioned() {
-        let reqs = gi_requirements(&jv1(), |rel, _| rel == 0);
-        assert_eq!(
-            reqs,
-            vec![GiRequirement {
-                base: "b".into(),
-                attr: 0
-            }]
-        );
-        // Same view twice: identical GI needs collapse.
-        let mut twice = gi_requirements(&jv1(), |_, _| false);
-        twice.extend(gi_requirements(&jv1(), |_, _| false));
-        twice.sort();
-        twice.dedup();
-        assert_eq!(twice, gi_requirements(&jv1(), |_, _| false));
     }
 }

@@ -1,7 +1,8 @@
 //! The naive maintenance method (§2.1.1).
 //!
 //! No extra structures beyond an index on each join attribute of each base
-//! relation. A delta tuple is joined with the other relations where they
+//! relation (made by `Probes::install`, which creates no structure for
+//! this method). A delta tuple is joined with the other relations where they
 //! physically are:
 //!
 //! * if the probed relation happens to be partitioned on the join
@@ -19,21 +20,3 @@
 //! these guarantees are restored *under* the driver by the reliability
 //! layer (`pvm_net::reliable`, driven by `pvm-faults`), so the chain
 //! logic itself stays delivery-oblivious.
-
-use pvm_engine::Cluster;
-use pvm_types::Result;
-
-use crate::chain;
-use crate::view::ViewHandle;
-
-/// Ensure every base relation has an index on each of its join attributes
-/// (the paper's `J_A` / `J_B`). Relations clustered on the attribute keep
-/// their clustered index; everything else gets a non-clustered secondary.
-pub(crate) fn install(cluster: &mut Cluster, handle: &ViewHandle) -> Result<()> {
-    for (rel, &table) in handle.base.iter().enumerate() {
-        for c in handle.def.join_attrs_of(rel) {
-            chain::ensure_join_index(cluster, table, c)?;
-        }
-    }
-    Ok(())
-}

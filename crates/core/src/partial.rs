@@ -51,56 +51,29 @@ use pvm_engine::{
     Backend, Cluster, NetPayload, PartialBudget, PartialPolicy, PartitionSpec, SpaceSaving, TableId,
 };
 use pvm_obs::MethodTag;
-use pvm_types::{NodeId, PvmError, Result, Row, Value};
+use pvm_types::{GlobalRid, NodeId, PvmError, Result, Rid, Row, Value};
 
 use pvm_storage::Organization;
 
-use crate::chain::{self, BatchPolicy, ChainMode, JoinPolicy, PartialGates, Probes};
-use crate::globalindex::gi_entry;
-use crate::view::{MaintainedView, ViewHandle};
-
-/// How one maintenance structure stores its entries.
-#[derive(Debug, Clone)]
-pub(crate) enum StructKind {
-    /// σπ copy of the source relation: entries are projections onto
-    /// `keep_cols`, keyed at `key_pos` within the kept set.
-    Ar {
-        keep_cols: Vec<usize>,
-        key_pos: usize,
-    },
-    /// Global index: entries are `(value, node, page, slot)` rows, keyed
-    /// at column 0.
-    Gi,
-}
+use crate::chain::{self, BatchPolicy, ChainMode, JoinPolicy, PartialGates};
+use crate::structure::{Probes, Structure, StructureKind};
+use crate::view::{MaintainedView, MaintenanceMethod, ViewHandle};
 
 /// One evictable maintenance structure of a two-relation partial view.
 #[derive(Debug, Clone)]
 pub(crate) struct StructInfo {
-    /// The AR / GI table holding the entries.
-    pub table: TableId,
+    /// The AR / GI: its table, join column and entry kind.
+    pub s: Structure,
     /// The base relation the entries are derived from.
     pub source_rel: usize,
     pub source_table: TableId,
-    /// Column of `source_rel` that is the entry key (the join attribute).
-    pub join_col: usize,
     /// Column of the *other* relation whose delta rows probe this
     /// structure (well-defined because structure holes are gated to
     /// two-relation views).
     pub probe_col_other: usize,
-    pub kind: StructKind,
     /// The structure table's partitioning — routes refilled entries and
     /// mirrors byte accounting on the coordinator.
     pub spec: PartitionSpec,
-}
-
-impl StructInfo {
-    /// Stored-entry column holding the key value.
-    pub fn key_col(&self) -> usize {
-        match &self.kind {
-            StructKind::Ar { key_pos, .. } => *key_pos,
-            StructKind::Gi => 0,
-        }
-    }
 }
 
 /// Point-in-time counters for introspection (`pvm_views`, bench).
@@ -159,8 +132,8 @@ pub(crate) struct PartialState {
 impl PartialState {
     pub fn new(policy: PartialPolicy, l: usize, structs: Vec<StructInfo>) -> PartialState {
         let mut struct_holes = HashMap::new();
-        for s in &structs {
-            struct_holes.insert(s.table, HashSet::new());
+        for info in &structs {
+            struct_holes.insert(info.s.table, HashSet::new());
         }
         PartialState {
             budget: PartialBudget::new(l, policy.budget_bytes),
@@ -215,24 +188,21 @@ impl PartialState {
         insert: bool,
     ) -> Result<()> {
         let mut ops: Vec<(TableId, Value, usize, u64)> = Vec::new();
-        for s in &self.structs {
-            if s.source_rel != rel {
+        for info in &self.structs {
+            if info.source_rel != rel {
                 continue;
             }
-            let holes = self.struct_holes.get(&s.table);
+            let holes = self.struct_holes.get(&info.s.table);
             for (row, grid) in placed {
-                let v = &row[s.join_col];
+                let v = &row[info.s.col];
                 if holes.is_some_and(|h| h.contains(v)) {
                     continue;
                 }
-                let entry = match &s.kind {
-                    StructKind::Ar { keep_cols, .. } => row.project(keep_cols)?,
-                    StructKind::Gi => gi_entry(v.clone(), *grid),
-                };
-                let dsts = s.spec.route_all(&entry, self.l, 0)?;
+                let entry = info.s.entry(row, *grid)?;
+                let dsts = info.spec.route_all(&entry, self.l, 0)?;
                 let node = dsts.first().map_or(0, |d| d.index());
                 let bytes = entry.byte_size() as u64 * dsts.len() as u64;
-                ops.push((s.table, v.clone(), node, bytes));
+                ops.push((info.s.table, v.clone(), node, bytes));
             }
         }
         for (table, v, node, bytes) in ops {
@@ -297,7 +267,7 @@ impl PartialState {
 }
 
 /// Discover the evictable structures of a two-relation view: one
-/// [`StructInfo`] per AR / GI table, with the probe column of the
+/// [`StructInfo`] per AR / GI, with the probe column of the
 /// opposite relation resolved from the join edge.
 pub(crate) fn collect_structs(
     cluster: &Cluster,
@@ -315,38 +285,19 @@ pub(crate) fn collect_structs(
             .map(|vc| vc.col)
             .ok_or_else(|| PvmError::InvalidReference(format!("no join edge on ({rel}, {col})")))
     };
-    let entries: Vec<((usize, usize), TableId, StructKind)> = match probes {
-        Probes::Base => Vec::new(),
-        Probes::Ars(ars) => ars
-            .iter()
-            .map(|(&key, info)| {
-                let kind = StructKind::Ar {
-                    keep_cols: info.keep_cols.clone(),
-                    key_pos: info.key_pos,
-                };
-                (key, info.table, kind)
-            })
-            .collect(),
-        Probes::Gis(gis) => gis
-            .iter()
-            .map(|(&key, info)| (key, info.table, StructKind::Gi))
-            .collect(),
-    };
     let mut out = Vec::new();
-    for ((rel, col), table, kind) in entries {
+    for (&(rel, col), s) in &probes.0 {
         out.push(StructInfo {
-            table,
+            s: s.clone(),
             source_rel: rel,
             source_table: handle.base[rel],
-            join_col: col,
             probe_col_other: other_col(rel, col)?,
-            kind,
-            spec: cluster.def(table)?.partitioning.clone(),
+            spec: cluster.def(s.table)?.partitioning.clone(),
         });
     }
-    // HashMap iteration order is arbitrary; fix it so every backend (and
-    // every run) accounts and refills in the same order.
-    out.sort_by_key(|s| s.table);
+    // Fix one order so every backend (and every run) accounts and
+    // refills the same way.
+    out.sort_by_key(|info| info.s.table);
     Ok(out)
 }
 
@@ -393,7 +344,7 @@ pub(crate) fn run_upquery<B: Backend>(
         backend,
         program,
         handle,
-        &Probes::Base,
+        &Probes::default(),
         anchor.rel,
         policy,
         batch,
@@ -414,37 +365,31 @@ pub(crate) fn run_upquery<B: Backend>(
 /// relation of a two-way join).
 pub(crate) fn run_refill<B: Backend>(
     backend: &mut B,
-    s: &StructInfo,
+    info: &StructInfo,
     needed: &BTreeSet<Value>,
 ) -> Result<Vec<Vec<Row>>> {
     let l = backend.node_count();
-    let spec = s.spec.clone();
-    let source = s.source_table;
-    let jcol = s.join_col;
-    let table = s.table;
-    let kind = s.kind.clone();
+    let (s, spec, source) = (&info.s, &info.spec, info.source_table);
     let values: Vec<Value> = needed.iter().cloned().collect();
     let mut program = pvm_engine::StepProgram::new();
     program = program.stage(move |ctx, _| {
         let mut by_dst: Vec<Vec<Row>> = vec![Vec::new(); l];
         for v in &values {
             let keyrow = Row::new(vec![v.clone()]);
-            match &kind {
-                StructKind::Ar { keep_cols, .. } => {
-                    for row in ctx.node.index_search(source, &[jcol], &keyrow)? {
-                        let entry = row.project(keep_cols)?;
-                        for dst in spec.route_all(&entry, l, 0)? {
-                            by_dst[dst.index()].push(entry.clone());
-                        }
-                    }
-                }
-                StructKind::Gi => {
-                    for (rid, _) in ctx.node.index_search_rids(source, &[jcol], &keyrow)? {
-                        let entry = gi_entry(v.clone(), pvm_types::GlobalRid::new(ctx.id(), rid));
-                        for dst in spec.route_all(&entry, l, 0)? {
-                            by_dst[dst.index()].push(entry.clone());
-                        }
-                    }
+            // A GI entry needs each match's rid, which only a secondary
+            // index search yields; an AR entry needs the row alone, and
+            // its source may be clustered on the join attribute.
+            let matches: Vec<(Rid, Row)> = match s.kind {
+                StructureKind::Gi => ctx.node.index_search_rids(source, &[s.col], &keyrow)?,
+                StructureKind::Ar { .. } => (ctx.node.index_search(source, &[s.col], &keyrow)?)
+                    .into_iter()
+                    .map(|row| (Rid::new(0, 0), row))
+                    .collect(),
+            };
+            for (rid, row) in matches {
+                let entry = s.entry(&row, GlobalRid::new(ctx.id(), rid))?;
+                for dst in spec.route_all(&entry, l, 0)? {
+                    by_dst[dst.index()].push(entry.clone());
                 }
             }
         }
@@ -452,7 +397,13 @@ pub(crate) fn run_refill<B: Backend>(
             if rows.is_empty() {
                 continue;
             }
-            ctx.send(NodeId::from(dst), NetPayload::DeltaRows { table, rows })?;
+            ctx.send(
+                NodeId::from(dst),
+                NetPayload::DeltaRows {
+                    table: s.table,
+                    rows,
+                },
+            )?;
         }
         Ok(Vec::new())
     });
@@ -593,7 +544,7 @@ impl MaintainedView {
         // Upqueries probe the base relations naive-style regardless of
         // the view's method, so every join attribute — and the anchor
         // (partitioning) attribute — must be indexed.
-        crate::naive::install(cluster, &self.handle)?;
+        Probes::install(cluster, &self.handle, MaintenanceMethod::Naive)?;
         let anchor = self.handle.def.partition_attr();
         crate::chain::ensure_join_index(cluster, self.handle.base[anchor.rel], anchor.col)?;
         let structs = if self.handle.def.relation_count() == 2 {
@@ -606,16 +557,16 @@ impl MaintainedView {
         // GI refill captures rids, which only a *secondary* index search
         // yields; a source relation clustered on the join attribute
         // satisfies `ensure_join_index` without one.
-        for s in &structs {
-            if let StructKind::Gi = s.kind {
-                let def = cluster.def(s.source_table)?;
+        for info in &structs {
+            if info.s.kind == StructureKind::Gi {
+                let (col, def) = (info.s.col, cluster.def(info.source_table)?);
                 let clustered = matches!(
                     &def.organization,
-                    Organization::Clustered { key } if key.as_slice() == [s.join_col]
+                    Organization::Clustered { key } if key.as_slice() == [col]
                 );
                 if clustered {
-                    let name = format!("{}_pq{}", def.name, s.join_col);
-                    cluster.create_secondary_index(s.source_table, name, vec![s.join_col])?;
+                    let name = format!("{}_pq{col}", def.name);
+                    cluster.create_secondary_index(info.source_table, name, vec![col])?;
                 }
             }
         }
@@ -627,7 +578,7 @@ impl MaintainedView {
         let seeds: Vec<(TableId, usize)> = state
             .structs
             .iter()
-            .map(|s| (s.table, s.key_col()))
+            .map(|info| (info.s.table, info.s.key_pos()))
             .collect();
         for n in cluster.nodes() {
             let node = n.id().index();
@@ -851,8 +802,8 @@ impl MaintainedView {
                     .expect("partial")
                     .structs
                     .iter()
-                    .find(|s| s.table == *table)
-                    .map(|s| s.key_col())
+                    .find(|info| info.s.table == *table)
+                    .map(|info| info.s.key_pos())
                 else {
                     continue;
                 };
@@ -894,13 +845,13 @@ impl MaintainedView {
             return Ok(());
         }
         let mut jobs: Vec<(StructInfo, BTreeSet<Value>)> = Vec::new();
-        for s in &p.structs {
-            if s.source_rel == rel {
+        for info in &p.structs {
+            if info.source_rel == rel {
                 // The delta's own structures are *updated* (hole-gated),
                 // never probed by this delta.
                 continue;
             }
-            let Some(holes) = p.struct_holes.get(&s.table) else {
+            let Some(holes) = p.struct_holes.get(&info.s.table) else {
                 continue;
             };
             if holes.is_empty() {
@@ -908,28 +859,26 @@ impl MaintainedView {
             }
             let mut needed = BTreeSet::new();
             for (row, _) in placed {
-                let v = &row[s.probe_col_other];
+                let v = &row[info.probe_col_other];
                 if holes.contains(v) {
                     needed.insert(v.clone());
                 }
             }
             if !needed.is_empty() {
-                jobs.push((s.clone(), needed));
+                jobs.push((info.clone(), needed));
             }
         }
-        for (s, needed) in jobs {
-            let installed = run_refill(backend, &s, &needed)?;
+        for (info, needed) in jobs {
+            let installed = run_refill(backend, &info, &needed)?;
             let p = self.partial.as_mut().expect("partial");
+            let (table, key_pos) = (info.s.table, info.s.key_pos());
             for (node, rows) in installed.iter().enumerate() {
                 for row in rows {
-                    p.budget.charge(
-                        (s.table, row[s.key_col()].clone()),
-                        node,
-                        row.byte_size() as u64,
-                    );
+                    p.budget
+                        .charge((table, row[key_pos].clone()), node, row.byte_size() as u64);
                 }
             }
-            if let Some(h) = p.struct_holes.get_mut(&s.table) {
+            if let Some(h) = p.struct_holes.get_mut(&table) {
                 for v in &needed {
                     h.remove(v);
                 }

@@ -45,14 +45,13 @@
 //! through `SharedCatalog::resolve`, so the "every bound view rebinds
 //! after a pool table is rebuilt" invariant is enforced in this module.
 
-use std::collections::HashMap;
-
 use pvm_engine::{Backend, Cluster, NetPayload, PartitionSpec, TableId};
 use pvm_obs::{metric, Phase};
 use pvm_types::{GlobalRid, NodeId, PvmError, Result, Row};
 
-use crate::chain::{self, BatchPolicy, ChainMode, JoinPolicy, Probes};
-use crate::minimize::{ArPool, GiPool};
+use crate::chain::{self, BatchPolicy, ChainMode, JoinPolicy};
+use crate::minimize::StructurePool;
+use crate::structure::Probes;
 use crate::view::{self, MaintainedView, MaintenanceMethod, MaintenanceOutcome};
 use crate::viewdef::{JoinViewDef, ViewColumn};
 
@@ -170,10 +169,19 @@ pub fn plan_groups(
 /// The shared maintenance structures of a whole view catalog: one AR
 /// pool and one GI pool, updated **once** per base delta regardless of
 /// how many views are bound to them.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct SharedCatalog {
-    pub ars: ArPool,
-    pub gis: GiPool,
+    pub ars: StructurePool,
+    pub gis: StructurePool,
+}
+
+impl Default for SharedCatalog {
+    fn default() -> Self {
+        SharedCatalog {
+            ars: StructurePool::new(MaintenanceMethod::AuxiliaryRelation),
+            gis: StructurePool::new(MaintenanceMethod::GlobalIndex),
+        }
+    }
 }
 
 impl SharedCatalog {
@@ -223,44 +231,28 @@ impl SharedCatalog {
         def: &JoinViewDef,
         base: &[TableId],
     ) -> Result<Probes> {
-        // (relation, attribute, base name) of every structure needed.
-        let mut needs = Vec::new();
+        let (pool, what) = match method {
+            MaintenanceMethod::Naive => return Ok(Probes::default()),
+            MaintenanceMethod::AuxiliaryRelation => (&self.ars, "AR"),
+            MaintenanceMethod::GlobalIndex => (&self.gis, "GI"),
+        };
+        let mut probes = Probes::default();
         for (rel, &table) in base.iter().enumerate() {
             let tdef = cluster.def(table)?;
             for c in def.join_attrs_of(rel) {
-                if !tdef.partitioning.is_on(c) {
-                    needs.push((rel, c, tdef.name.as_str()));
+                if tdef.partitioning.is_on(c) {
+                    continue;
                 }
+                let s = pool.get(&tdef.name, c).ok_or_else(|| {
+                    PvmError::NotFound(format!(
+                        "pool {what} for ({}, {c}) — enroll view '{}' into the catalog first",
+                        tdef.name, def.name
+                    ))
+                })?;
+                probes.0.insert((rel, c), s.clone());
             }
         }
-        fn bind<'a, T: Clone + 'a>(
-            needs: &[(usize, usize, &str)],
-            what: &str,
-            view: &str,
-            lookup: impl Fn(&str, usize) -> Option<&'a T>,
-        ) -> Result<HashMap<(usize, usize), T>> {
-            needs
-                .iter()
-                .map(|&(rel, c, base)| {
-                    let info = lookup(base, c).ok_or_else(|| {
-                        PvmError::NotFound(format!(
-                            "pool {what} for ({base}, {c}) — plan/enroll view '{view}' (and \
-                             materialize the pool) first"
-                        ))
-                    })?;
-                    Ok(((rel, c), info.clone()))
-                })
-                .collect()
-        }
-        Ok(match method {
-            MaintenanceMethod::Naive => Probes::Base,
-            MaintenanceMethod::AuxiliaryRelation => {
-                Probes::Ars(bind(&needs, "AR", &def.name, |b, c| self.ars.ar_for(b, c))?)
-            }
-            MaintenanceMethod::GlobalIndex => {
-                Probes::Gis(bind(&needs, "GI", &def.name, |b, c| self.gis.gi_for(b, c))?)
-            }
-        })
+        Ok(probes)
     }
 
     /// Move a signature group — `members` indexes into `views`, all of
@@ -293,11 +285,11 @@ impl SharedCatalog {
         let mut changed = false;
         for &i in members {
             let def = views[i].def();
+            // GIs never widen, so for them `changed` only ever reports
+            // creations.
             changed |= match method {
                 MaintenanceMethod::Naive => return Ok(()),
                 MaintenanceMethod::AuxiliaryRelation => !self.ars.enroll(cluster, def)?.is_empty(),
-                // GIs never widen (contents depend solely on (base, attr)),
-                // so `changed` here only ever reports creations.
                 MaintenanceMethod::GlobalIndex => !self.gis.enroll(cluster, def)?.is_empty(),
             };
         }

@@ -31,8 +31,8 @@ use std::collections::HashMap;
 use pvm_engine::{Backend, Cluster, PartitionSpec, SpaceSaving, SpreadMode, TableId};
 use pvm_types::{PvmError, Result, Row, Value};
 
-use crate::chain::Probes;
-use crate::view::MaintainedView;
+use crate::structure::StructureKind;
+use crate::view::{MaintainedView, MaintenanceMethod};
 use crate::viewdef::JoinViewDef;
 
 /// Tuning knobs for heavy-light skew handling.
@@ -283,37 +283,20 @@ impl MaintainedView {
                     .into(),
             ));
         }
-        match &self.probes {
-            Probes::Base => {
-                return Err(PvmError::InvalidOperation(
-                    "naive maintenance has no auxiliary structures to spread; \
-                     skew handling applies to AR / GI views"
-                        .into(),
-                ));
-            }
-            Probes::Ars(ars) => {
-                for info in ars.values() {
-                    let spec = PartitionSpec::heavy_light(
-                        info.key_pos,
-                        Vec::new(),
-                        config.spread,
-                        SpreadMode::Salt,
-                    );
-                    cluster.repartition(info.table, spec)?;
-                }
-            }
-            Probes::Gis(gis) => {
-                for info in gis.values() {
-                    // GI entries are (key, node, page, slot): key is column 0.
-                    let spec = PartitionSpec::heavy_light(
-                        0,
-                        Vec::new(),
-                        config.spread,
-                        SpreadMode::Replicate,
-                    );
-                    cluster.repartition(info.table, spec)?;
-                }
-            }
+        if self.method == MaintenanceMethod::Naive {
+            return Err(PvmError::InvalidOperation(
+                "naive maintenance has no auxiliary structures to spread; \
+                 skew handling applies to AR / GI views"
+                    .into(),
+            ));
+        }
+        for s in self.probes.0.values() {
+            let mode = match s.kind {
+                StructureKind::Ar { .. } => SpreadMode::Salt,
+                StructureKind::Gi => SpreadMode::Replicate,
+            };
+            let spec = PartitionSpec::heavy_light(s.key_pos(), Vec::new(), config.spread, mode);
+            cluster.repartition(s.table, spec)?;
         }
         self.skew = Some(SkewState::new(&self.handle.def, config));
         Ok(())
@@ -351,23 +334,11 @@ impl MaintainedView {
         let config = skew.config;
         let mut report = RebalanceReport::default();
         let mut plans: Vec<(TableId, PartitionSpec, usize)> = Vec::new();
-        if let Probes::Ars(ars) = &self.probes {
-            for (&(rel, c), info) in ars {
-                let heavy = skew.heavy_for(rel, c);
-                let n = heavy.len();
-                let spec = PartitionSpec::heavy_light(
-                    info.key_pos,
-                    heavy,
-                    config.spread,
-                    SpreadMode::Salt,
-                );
-                plans.push((info.table, spec, n));
-            }
-        }
-        if let Probes::Gis(gis) = &self.probes {
-            for (&(rel, c), info) in gis {
-                let heavy = skew.heavy_for(rel, c);
-                let n = heavy.len();
+        for (&(rel, c), s) in &self.probes.0 {
+            let heavy = skew.heavy_for(rel, c);
+            let n = heavy.len();
+            let mode = match s.kind {
+                StructureKind::Ar { .. } => SpreadMode::Salt,
                 // A GI is *written* by deltas on its own relation (entry
                 // per delta tuple) and *probed* by deltas on the other
                 // relations of the class. Replicating heavy entries is
@@ -376,15 +347,17 @@ impl MaintainedView {
                 // a write-dominant GI salts its heavy entries instead —
                 // writes spread, and the rarer probes fan out over the
                 // spread set and union disjoint entry lists.
-                let (own, cross) = skew.traffic_split(rel, c);
-                let mode = if own > cross {
-                    SpreadMode::Salt
-                } else {
-                    SpreadMode::Replicate
-                };
-                let spec = PartitionSpec::heavy_light(0, heavy, config.spread, mode);
-                plans.push((info.table, spec, n));
-            }
+                StructureKind::Gi => {
+                    let (own, cross) = skew.traffic_split(rel, c);
+                    if own > cross {
+                        SpreadMode::Salt
+                    } else {
+                        SpreadMode::Replicate
+                    }
+                }
+            };
+            let spec = PartitionSpec::heavy_light(s.key_pos(), heavy, config.spread, mode);
+            plans.push((s.table, spec, n));
         }
         plans.sort_by_key(|(t, _, _)| *t);
         for (table, spec, heavy_values) in plans {

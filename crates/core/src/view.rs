@@ -13,11 +13,12 @@ use pvm_storage::Organization;
 use pvm_types::{GlobalRid, PvmError, Result, Row};
 
 use crate::aggregate::AggShape;
-use crate::chain::{self, BatchPolicy, ChainMode, JoinPolicy, PartialGates, Probes};
+use crate::chain::{self, BatchPolicy, ChainMode, JoinPolicy, PartialGates};
 use crate::delta::Delta;
 use crate::partial::PartialState;
 use crate::share::{self, SharedCatalog};
 use crate::skew::SkewState;
+use crate::structure::Probes;
 use crate::viewdef::JoinViewDef;
 
 /// The three maintenance methods of the paper.
@@ -484,8 +485,8 @@ impl MaintainedView {
     }
 
     /// True when this view's maintenance structures belong to a
-    /// [`SharedCatalog`] pool (ARs from its [`crate::minimize::ArPool`],
-    /// GIs from its [`crate::minimize::GiPool`]) —
+    /// [`SharedCatalog`] pool (ARs from its `ars` pool, GIs from its
+    /// `gis` pool) —
     /// [`MaintainedView::destroy`] leaves those tables alone.
     pub fn is_pool_shared(&self) -> bool {
         self.pooled

@@ -32,6 +32,18 @@ pub enum NetPayload {
     },
 }
 
+impl NetPayload {
+    /// How many rows the message carries (a rid-list item counts as its
+    /// row).
+    pub fn row_count(&self) -> usize {
+        match self {
+            NetPayload::DeltaRows { rows, .. } | NetPayload::ResultRows { rows, .. } => rows.len(),
+            NetPayload::RowWithRids { .. } => 1,
+            NetPayload::RowsWithRids { items, .. } => items.len(),
+        }
+    }
+}
+
 impl MessageSize for NetPayload {
     fn byte_size(&self) -> usize {
         match self {

@@ -69,10 +69,10 @@ pub use pvm_workload as workload;
 /// Everything a typical user needs, in one import.
 pub mod prelude {
     pub use pvm_core::{
-        advise, maintain, plan_groups, Advice, ArPool, BatchCostRecord, BatchPolicy, Delta, GiPool,
-        GroupSignature, JoinPolicy, JoinViewDef, MaintainedView, MaintenanceMethod,
-        MaintenanceOutcome, PartialPolicy, PartialStats, RebalanceReport, SharedCatalog,
-        SkewConfig, SkewState, ViewColumn, ViewEdge,
+        advise, maintain, plan_groups, Advice, BatchCostRecord, BatchPolicy, Delta, GroupSignature,
+        JoinPolicy, JoinViewDef, MaintainedView, MaintenanceMethod, MaintenanceOutcome,
+        PartialPolicy, PartialStats, RebalanceReport, SharedCatalog, SkewConfig, SkewState,
+        StructurePool, ViewColumn, ViewEdge,
     };
     pub use pvm_engine::{
         Backend, Cluster, ClusterConfig, PartitionSpec, SpaceSaving, SpreadMode, TableDef, TableId,

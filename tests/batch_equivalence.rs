@@ -169,6 +169,38 @@ fn run_sequential(
     (state_snapshot(&c, &view), view_rows, sends)
 }
 
+/// Each structure table of `view`, named without its owning view's
+/// prefix, with its sorted contents.
+fn structures(c: &Cluster, view: &MaintainedView) -> Vec<(String, Vec<Row>)> {
+    view.method_tables()
+        .into_iter()
+        .map(|t| {
+            let name = c.def(t).unwrap().name.clone();
+            let (_, structure) = name.split_once("__").unwrap();
+            let mut rows = c.scan_all(t).unwrap();
+            rows.sort();
+            (structure.to_string(), rows)
+        })
+        .collect()
+}
+
+/// Drop + rebuild == maintained: after the stream, every AR / GI the
+/// view maintained must equal the one a fresh view installs over the
+/// final base tables.
+fn check_structures_rebuild(method: MaintenanceMethod, batch: BatchPolicy, ops: &[Op]) {
+    let (mut c, mut view) = setup(3, method);
+    view.set_batch_policy(batch);
+    apply_ops(&mut c, &mut view, ops).unwrap();
+    let mut def = view.def().clone();
+    def.name = "rebuilt".into();
+    let rebuilt = MaintainedView::create(&mut c, def, method).unwrap();
+    assert_eq!(
+        structures(&c, &view),
+        structures(&c, &rebuilt),
+        "{method:?}/{batch:?}: maintained structures differ from a rebuild"
+    );
+}
+
 // ------------------------------------------------------------ the sweep
 
 #[test]
@@ -359,5 +391,6 @@ proptest! {
         let (got, got_rows, _) = run_sequential(method, policy, BatchPolicy::Coalesced, &ops);
         prop_assert_eq!(got, oracle, "state diverged ({:?}/{:?})", method, policy);
         prop_assert_eq!(got_rows, oracle_rows, "view_rows diverged ({:?}/{:?})", method, policy);
+        check_structures_rebuild(method, BatchPolicy::Coalesced, &ops);
     }
 }

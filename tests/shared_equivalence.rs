@@ -121,6 +121,36 @@ fn create_independent(
         .collect()
 }
 
+/// A catalog with every definition of [`defs`] enrolled for `method`.
+fn enroll_all(cluster: &mut Cluster, method: MaintenanceMethod) -> SharedCatalog {
+    let mut catalog = SharedCatalog::new();
+    for def in &defs() {
+        match method {
+            MaintenanceMethod::AuxiliaryRelation => catalog.ars.enroll(cluster, def).unwrap(),
+            MaintenanceMethod::GlobalIndex => catalog.gis.enroll(cluster, def).unwrap(),
+            MaintenanceMethod::Naive => Vec::new(),
+        };
+    }
+    catalog
+}
+
+/// Every pool table of the cluster by name, with its sorted contents.
+fn pool_tables(c: &Cluster) -> Vec<(String, Vec<Row>)> {
+    let mut out: Vec<(String, Vec<Row>)> = c
+        .catalog()
+        .ids()
+        .map(|t| (c.def(t).unwrap().name.clone(), t))
+        .filter(|(name, _)| name.starts_with("pool__"))
+        .map(|(name, t)| {
+            let mut rows = c.scan_all(t).unwrap();
+            rows.sort();
+            (name, rows)
+        })
+        .collect();
+    out.sort();
+    out
+}
+
 /// The same N views bound to one pool; asserts they form a single
 /// fully-shared group on both base relations.
 fn create_shared(
@@ -128,20 +158,7 @@ fn create_shared(
     method: MaintenanceMethod,
     batch: BatchPolicy,
 ) -> (SharedCatalog, Vec<MaintainedView>) {
-    let mut catalog = SharedCatalog::new();
-    match method {
-        MaintenanceMethod::AuxiliaryRelation => {
-            for def in &defs() {
-                catalog.ars.enroll(cluster, def).unwrap();
-            }
-        }
-        MaintenanceMethod::GlobalIndex => {
-            for def in &defs() {
-                catalog.gis.enroll(cluster, def).unwrap();
-            }
-        }
-        MaintenanceMethod::Naive => {}
-    }
+    let catalog = enroll_all(cluster, method);
     let mut views: Vec<MaintainedView> = defs()
         .into_iter()
         .map(|d| {
@@ -431,6 +448,16 @@ proptest! {
             for v in &shr {
                 prop_assert!(v.check_consistent(&shr_cluster).is_ok());
             }
+            // Drop + rebuild == maintained, for the pooled structures.
+            let maintained = pool_tables(&shr_cluster);
+            let mut catalog = catalog;
+            catalog.release(&mut shr_cluster).unwrap();
+            enroll_all(&mut shr_cluster, method);
+            prop_assert_eq!(
+                pool_tables(&shr_cluster),
+                maintained,
+                "method {:?}: pool structures differ from a rebuild", method
+            );
         }
     }
 }

@@ -187,18 +187,11 @@ fn pooled_ars_are_created_once_and_merged() {
         ViewColumn::new(1, 0),
     ];
 
-    let mut pool = ArPool::new();
-    pool.plan(&cluster, &jv1).unwrap();
-    pool.plan(&cluster, &jv2).unwrap();
-    // a needs {0,1} ∪ {0,1,3} = {0,1,3}; b needs {0,1} for both.
-    let a_req = pool.requirements().iter().find(|r| r.base == "a").unwrap();
-    assert_eq!(a_req.keep, vec![0, 1, 3]);
-    assert_eq!(
-        pool.requirements().len(),
-        2,
-        "one merged requirement per (base, attr)"
-    );
-    pool.materialize(&mut cluster).unwrap();
+    let mut catalog = SharedCatalog::new();
+    catalog.ars.enroll(&mut cluster, &jv1).unwrap();
+    // jv2 widens a's AR; b's is already there.
+    let changed = catalog.ars.enroll(&mut cluster, &jv2).unwrap();
+    assert_eq!(changed, vec![("a".to_string(), 1)]);
 
     let ar_tables: Vec<String> = cluster
         .catalog()
@@ -211,12 +204,16 @@ fn pooled_ars_are_created_once_and_merged() {
         2,
         "exactly one shared AR per (base, attr): {ar_tables:?}"
     );
+    // a needs {0,1} ∪ {0,1,3} = {0,1,3}; b needs {0,1} for both.
+    let kept = |name: &str| -> Vec<String> {
+        let id = cluster.table_id(name).unwrap();
+        let schema = &cluster.def(id).unwrap().schema;
+        schema.columns().iter().map(|c| c.name.clone()).collect()
+    };
+    assert_eq!(kept("pool__ar_a_1"), ["id", "j", "c3"]);
+    assert_eq!(kept("pool__ar_b_1"), ["id", "j"]);
 
     // Views bind to the pool; no private __ar_ tables appear.
-    let catalog = SharedCatalog {
-        ars: pool,
-        ..Default::default()
-    };
     let ar = MaintenanceMethod::AuxiliaryRelation;
     let v1 = MaintainedView::create_pooled(&mut cluster, jv1, ar, &catalog).unwrap();
     let v2 = MaintainedView::create_pooled(&mut cluster, jv2, ar, &catalog).unwrap();
@@ -242,14 +239,9 @@ fn pooled_maintenance_updates_each_ar_once_and_stays_consistent() {
         ViewColumn::new(1, 0),
     ];
 
-    let mut pool = ArPool::new();
-    pool.plan(&cluster, &jv1).unwrap();
-    pool.plan(&cluster, &jv2).unwrap();
-    pool.materialize(&mut cluster).unwrap();
-    let catalog = SharedCatalog {
-        ars: pool,
-        ..Default::default()
-    };
+    let mut catalog = SharedCatalog::new();
+    catalog.ars.enroll(&mut cluster, &jv1).unwrap();
+    catalog.ars.enroll(&mut cluster, &jv2).unwrap();
     let ar = MaintenanceMethod::AuxiliaryRelation;
     let mut v1 = MaintainedView::create_pooled(&mut cluster, jv1, ar, &catalog).unwrap();
     let mut v2 = MaintainedView::create_pooled(&mut cluster, jv2, ar, &catalog).unwrap();
@@ -314,11 +306,10 @@ fn pooled_storage_beats_private_storage() {
 
     // Pooled ARs.
     let mut c_pool = setup(2);
-    let mut pool = ArPool::new();
-    pool.plan(&c_pool, &jv1).unwrap();
-    pool.plan(&c_pool, &jv2).unwrap();
-    pool.materialize(&mut c_pool).unwrap();
-    let pooled_pages = pool.storage_pages(&c_pool).unwrap();
+    let mut catalog = SharedCatalog::new();
+    catalog.ars.enroll(&mut c_pool, &jv1).unwrap();
+    catalog.ars.enroll(&mut c_pool, &jv2).unwrap();
+    let pooled_pages = catalog.storage_pages(&c_pool).unwrap();
 
     assert!(
         pooled_pages < private_pages,
@@ -331,13 +322,10 @@ fn pool_lifecycle_errors() {
     let mut cluster = setup(2);
     let mut catalog = SharedCatalog::new();
     let ar = MaintenanceMethod::AuxiliaryRelation;
-    // Views cannot bind before materialization.
+    // Views cannot bind before enrollment.
     assert!(MaintainedView::create_pooled(&mut cluster, narrow_def(), ar, &catalog).is_err());
-    catalog.ars.plan(&cluster, &narrow_def()).unwrap();
-    catalog.ars.materialize(&mut cluster).unwrap();
-    // No double materialization, no late planning.
-    assert!(catalog.ars.materialize(&mut cluster).is_err());
-    assert!(catalog.ars.plan(&cluster, &narrow_def()).is_err());
+    catalog.ars.enroll(&mut cluster, &narrow_def()).unwrap();
+    assert!(MaintainedView::create_pooled(&mut cluster, narrow_def(), ar, &catalog).is_ok());
     // A view the pool never saw fails to bind.
     let mut other = JoinViewDef::two_way("other", "a", "b", 2, 2, 8, 8);
     other.partition_column = 0;
