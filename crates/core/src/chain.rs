@@ -4,7 +4,7 @@
 //! they differ only in how each step locates the matching tuples of the
 //! next relation. This module owns the common pieces: per-node staging of
 //! partials, filter evaluation for cyclic join graphs, and the final
-//! routing of completed join rows to the view's home nodes.
+//! ship and apply of completed join rows at the views' home nodes.
 //!
 //! Everything here is expressed as [`StepProgram`] stages — one closure
 //! per node per stage, sends delivered at the next stage — so the same
@@ -12,23 +12,29 @@
 //! stage) and on the threaded runtime's watermark-pipelined scheduler
 //! with identical counted costs. [`push_chain`] is the one place the
 //! planner's steps become probe stages (resolved against the view's
-//! [`Probes`]); `push_ship_stage` appends the single-view ship. The driver
-//! runs the whole program with one [`Backend::run_stages`] call, letting
-//! fast nodes run ahead of slow ones across every hop of the chain.
+//! [`Probes`]); [`push_ship`] appends the one ship stage, for a lone view,
+//! a shared group or an upquery alike, and [`apply_shipped`] is the one
+//! apply step. The driver runs the whole program with one
+//! [`Backend::run_stages`] call, letting fast nodes run ahead of slow ones
+//! across every hop of the chain.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Mutex;
 
-use pvm_engine::{Backend, Cluster, NetPayload, NodeState, StepProgram, TableId};
+use pvm_engine::{
+    Backend, Cluster, MeterReport, NetPayload, NodeState, PartitionSpec, StepProgram, TableId,
+};
 use pvm_obs::{metric, MethodTag, Phase, TraceEvent, COORD};
 use pvm_types::{GlobalRid, NodeId, PvmError, Result, Row, Value};
 
+use crate::aggregate::AggShape;
 use crate::auxrel;
 use crate::globalindex;
 use crate::layout::Layout;
 use crate::planner::PlanStep;
 use crate::structure::{Probes, StructureKind};
 use crate::view::ViewHandle;
+use crate::viewdef::ViewColumn;
 
 /// Hole sets a partial view threads into its maintenance programs.
 ///
@@ -101,32 +107,26 @@ pub(crate) fn ensure_join_index(cluster: &mut Cluster, table: TableId, col: usiz
     Ok(())
 }
 
-/// Logical-clock reading taken at the start of a driver phase; pair with
-/// [`coord_phase`] to bracket the phase on the trace timeline.
-pub(crate) fn phase_mark<B: Backend>(backend: &B) -> u64 {
-    backend.engine().obs_handle().now()
-}
-
-/// Emit a coordinator-scope span for a driver phase that ran from logical
-/// mark `t0` (see [`phase_mark`]) to now. Steps executed inside the phase
-/// carry clock values `t0+1 ..= now`, so the span covers
-/// `[t0 + 1, now + 1)`. Phases that ran no steps emit nothing.
-pub(crate) fn coord_phase<B: Backend>(backend: &B, phase: Phase, method: MethodTag, t0: u64) {
+/// Run one driver phase under a meter and return `f`'s result with the
+/// phase's cost report. When tracing, a coordinator-scope span brackets
+/// the phase on the trace timeline: steps executed inside carry logical
+/// clock values `t0+1 ..= now`, so the span covers `[t0 + 1, now + 1)`.
+/// A phase that ran no steps emits nothing.
+pub(crate) fn metered<B: Backend, T>(
+    backend: &mut B,
+    phase: Phase,
+    method: MethodTag,
+    f: impl FnOnce(&mut B) -> Result<T>,
+) -> Result<(T, MeterReport)> {
+    let guard = backend.start_meter();
     let obs = backend.engine().obs_handle();
-    if !obs.enabled() {
-        return;
-    }
+    let t0 = obs.now();
+    let out = f(backend)?;
     let t1 = obs.now();
-    if t1 > t0 {
+    if obs.enabled() && t1 > t0 {
         obs.emit(TraceEvent::span(phase, COORD, t0 + 1, t1 + 1).with_method(method));
     }
-}
-
-/// Whether the chain's output is inserted into or deleted from the view.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ChainMode {
-    Insert,
-    Delete,
+    Ok((out, backend.finish_meter(&guard)))
 }
 
 /// Partial join rows staged at each node.
@@ -654,27 +654,90 @@ fn hash_join_encoded<'a>(
     Ok(out)
 }
 
-/// Append the final compute stage: project completed partials to view
-/// rows and ship them to the view's home nodes (the model's `K·SEND`
-/// toward node k). One message per producing node per destination. The
-/// shipped rows are this program's residual output — delivered at the
-/// next backend step, where [`apply_at_view`] drains them.
-pub(crate) fn push_ship_stage<'p, B: Backend>(
-    backend: &B,
+/// One member view of a ship-and-apply: where its rows go and how they
+/// land. A lone view ships to one sink, a shared group
+/// ([`crate::share`]) to one per member. View tables are hash-partitioned
+/// on their partition column ([`crate::MaintainedView::create`]), so a
+/// row's home is the hash of the column it is routed by.
+pub(crate) struct Sink<'g> {
+    handle: &'g ViewHandle,
+    /// Position, in the shipped row, of the column the member is routed
+    /// by: its partition attribute, or an aggregate's first group column.
+    route_pos: usize,
+    /// The member's view row, as positions of the shipped row.
+    cols: Vec<usize>,
+    capture: bool,
+    gates: Option<&'g PartialGates<'g>>,
+}
+
+/// What an apply step did for one sink: the view rows affected, and the
+/// physical view-row changes it captured (`true` = insert).
+pub(crate) type Applied = (u64, Vec<(Row, bool)>);
+
+/// The sinks of `members` — each a view handle, its capture flag and its
+/// partial gates — and the columns every joined partial ships: the first
+/// member's projection unchanged, then each column a later member reads
+/// that is not shipped yet. For one member the shipped row is the view
+/// row.
+pub(crate) fn sinks<'g>(
+    members: impl IntoIterator<Item = (&'g ViewHandle, bool, Option<&'g PartialGates<'g>>)>,
+) -> (Vec<ViewColumn>, Vec<Sink<'g>>) {
+    let mut shipped: Vec<ViewColumn> = Vec::new();
+    let mut sinks = Vec::new();
+    for (handle, capture, gates) in members {
+        if sinks.is_empty() {
+            shipped = handle.def.projection.clone();
+        }
+        let cols: Vec<usize> = handle
+            .def
+            .projection
+            .iter()
+            .map(|vc| match shipped.iter().position(|c| c == vc) {
+                Some(pos) => pos,
+                None => {
+                    shipped.push(*vc);
+                    shipped.len() - 1
+                }
+            })
+            .collect();
+        let route_col = handle
+            .agg
+            .as_ref()
+            .map_or(handle.view_pcol, |a| a.group_by[0]);
+        sinks.push(Sink {
+            handle,
+            route_pos: cols[route_col],
+            cols,
+            capture,
+            gates,
+        });
+    }
+    (shipped, sinks)
+}
+
+/// Append the final compute stage: project each completed partial once,
+/// at the sender, to the `shipped` columns and send it to the home node
+/// of every sink (the model's `K·SEND` toward node k). Rows are batched
+/// per destination set in first-appearance order — a lone view's sets
+/// are single nodes, sent in node order. A set of one is a plain send; a
+/// larger set is a multicast, charged per destination, that the
+/// pipelined runtime encodes once. The shipped rows are delivered at the
+/// next backend step, where [`apply_shipped`] drains them.
+pub(crate) fn push_ship<'p>(
     program: StepProgram<'p>,
-    handle: &'p ViewHandle,
     layout: &Layout,
+    shipped: &[ViewColumn],
+    sinks: &[Sink<'_>],
+    l: usize,
     method: MethodTag,
 ) -> Result<StepProgram<'p>> {
-    let l = backend.node_count();
-    let view_spec = backend
-        .engine()
-        .def(handle.view_table)?
-        .partitioning
-        .clone();
-    let layout = layout.clone();
+    let positions: Vec<usize> = shipped
+        .iter()
+        .map(|&vc| layout.position(vc))
+        .collect::<Result<_>>()?;
+    let routes: Vec<usize> = sinks.iter().map(|s| s.route_pos).collect();
+    let table = sinks[0].handle.view_table;
     Ok(program.stage(move |ctx, partials| {
-        let layout = &layout;
         if partials.is_empty() {
             return Ok(Vec::new());
         }
@@ -683,112 +746,79 @@ pub(crate) fn push_ship_stage<'p, B: Backend>(
                 .count(partials.len() as u64)
                 .emit();
         }
-        let mut by_dst: Vec<Vec<Row>> = vec![Vec::new(); l];
+        let mut batches: Vec<(Vec<NodeId>, Vec<Row>)> = Vec::new();
+        let mut dsts: Vec<NodeId> = Vec::with_capacity(routes.len());
         for partial in &partials {
-            let view_row = layout.project(partial, &handle.def.projection)?;
-            // Aggregate views route by the group key's hash (stored rows
-            // lead with the group columns; shipped rows are still in
-            // projection layout).
-            let dst = match &handle.agg {
-                Some(shape) => {
-                    pvm_engine::PartitionSpec::route_value(view_row.try_get(shape.group_by[0])?, l)?
+            let row = partial.project(&positions)?;
+            dsts.clear();
+            for &pos in &routes {
+                let dst = PartitionSpec::route_value(row.try_get(pos)?, l)?;
+                if !dsts.contains(&dst) {
+                    dsts.push(dst);
                 }
-                None => view_spec.route(&view_row, l, 0)?,
-            };
-            by_dst[dst.index()].push(view_row);
+            }
+            dsts.sort_unstable();
+            match batches.iter_mut().find(|(set, _)| *set == dsts) {
+                Some((_, rows)) => rows.push(row),
+                None => batches.push((dsts.clone(), vec![row])),
+            }
         }
-        let messages = by_dst.into_iter().map(|rows| NetPayload::ResultRows {
-            table: handle.view_table,
-            rows,
-        });
-        send_per_destination(ctx, messages.collect())?;
+        if routes.len() == 1 {
+            // Node order, as every per-destination send of a chain goes.
+            batches.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        }
+        for (dsts, rows) in batches {
+            if ctx.tracing() {
+                let h = ctx.obs().metrics().histogram(metric::BATCH_ROWS_PER_MSG);
+                for _ in 0..dsts.len() {
+                    h.observe(rows.len() as u64);
+                }
+            }
+            let payload = NetPayload::ResultRows { table, rows };
+            match dsts.as_slice() {
+                [dst] => ctx.send(*dst, payload)?,
+                _ => ctx.multicast(&dsts, &payload)?,
+            }
+        }
         Ok(Vec::new())
     }))
 }
 
-/// Drain shipped view rows at every node and apply them (the *view*
-/// phase). Returns the number of view rows affected plus — when
-/// `capture` is set — the physical view-row changes (`true` = insert,
-/// `false` = delete) for the serving tier. Concatenating per-node
-/// captures in node order is deterministic on both backends: routing
-/// sends a given view row to exactly one node, and within a node the
-/// apply order follows the drained payload order, which is fixed by the
-/// step barrier. With `capture` off this path clones nothing.
-///
-/// When `gates` is supplied (the view is partial), shipped rows whose
-/// partition-column key is a hole are dropped — neither applied nor
-/// captured — and the key is recorded so the coordinator can bump its
-/// `dropped_at` epoch. Aggregate views never carry gates (partial state
-/// is gated to non-aggregate views at `enable_partial`).
-pub(crate) fn apply_at_view<B: Backend>(
+/// Drain the shipped rows at every node and apply each to every sink
+/// homed there (the *view* phase). With one sink the sender already
+/// routed and projected the row, so it is applied as shipped; with more,
+/// each sink re-hashes its route column and projects its own view row.
+/// Returns one [`Applied`] per sink, its captures concatenated in node
+/// order — deterministic on both backends, as a sink's view row lands on
+/// one node and a node applies in drained payload order.
+pub(crate) fn apply_shipped<B: Backend>(
     backend: &mut B,
-    handle: &ViewHandle,
-    mode: ChainMode,
+    sinks: &[Sink<'_>],
+    insert: bool,
     method: MethodTag,
-    capture: bool,
-    gates: Option<&PartialGates<'_>>,
-) -> Result<(u64, Vec<(Row, bool)>)> {
-    let pcol = handle.view_pcol;
+) -> Result<Vec<Applied>> {
+    let l = backend.node_count();
     let per_node = backend.step(|ctx| {
-        let mut affected = 0u64;
-        let mut captured: Vec<(Row, bool)> = Vec::new();
+        let mut out: Vec<Applied> = vec![(0, Vec::new()); sinks.len()];
         for env in ctx.drain() {
-            let NetPayload::ResultRows { table, rows } = env.payload else {
-                return Err(pvm_types::PvmError::InvalidOperation(
+            let NetPayload::ResultRows { rows, .. } = env.payload else {
+                return Err(PvmError::InvalidOperation(
                     "unexpected payload at view-apply".into(),
                 ));
             };
-            debug_assert_eq!(table, handle.view_table);
-            match &handle.agg {
-                None => {
-                    for row in rows {
-                        if let Some(g) = gates {
-                            let key = row.try_get(pcol)?;
-                            if g.view_holes.contains(key) {
-                                g.note_dropped(key);
-                                continue;
-                            }
-                        }
-                        match mode {
-                            ChainMode::Insert => {
-                                if capture {
-                                    captured.push((row.clone(), true));
-                                }
-                                ctx.node.insert(handle.view_table, row)?;
-                                affected += 1;
-                            }
-                            ChainMode::Delete => {
-                                if ctx.node.delete_row(handle.view_table, &row, &[pcol])? {
-                                    if capture {
-                                        captured.push((row, false));
-                                    }
-                                    affected += 1;
-                                }
-                            }
-                        }
-                    }
+            for row in rows {
+                if let [sink] = sinks {
+                    sink.apply(ctx.node, row, insert, &mut out[0])?;
+                    continue;
                 }
-                Some(shape) => {
-                    let sign = match mode {
-                        ChainMode::Insert => 1,
-                        ChainMode::Delete => -1,
-                    };
-                    let group_cols = shape.stored_group_positions();
-                    for projected in rows {
-                        fold_into_group(
-                            ctx.node,
-                            handle.view_table,
-                            shape,
-                            &group_cols,
-                            &projected,
-                            sign,
-                            capture.then_some(&mut captured),
-                        )?;
-                        affected += 1;
+                for (sink, out) in sinks.iter().zip(&mut out) {
+                    if PartitionSpec::route_value(row.try_get(sink.route_pos)?, l)? == ctx.id() {
+                        sink.apply(ctx.node, row.project(&sink.cols)?, insert, out)?;
                     }
                 }
             }
         }
+        let affected: u64 = out.iter().map(|(a, _)| a).sum();
         if affected > 0 {
             ctx.count_work(affected);
             if ctx.tracing() {
@@ -797,15 +827,61 @@ pub(crate) fn apply_at_view<B: Backend>(
                     .emit();
             }
         }
-        Ok((affected, captured))
+        Ok(out)
     })?;
-    let mut total = 0u64;
-    let mut changes = Vec::new();
-    for (affected, captured) in per_node {
-        total += affected;
-        changes.extend(captured);
+    let mut totals: Vec<Applied> = vec![(0, Vec::new()); sinks.len()];
+    for node_out in per_node {
+        for (total, (affected, mut captured)) in totals.iter_mut().zip(node_out) {
+            total.0 += affected;
+            total.1.append(&mut captured);
+        }
     }
-    Ok((total, changes))
+    Ok(totals)
+}
+
+impl Sink<'_> {
+    /// Apply one view row at `node`: drop it at a partial hole (noting the
+    /// key for its `dropped_at` epoch), fold it into its aggregate group,
+    /// or insert / delete it — recording the change when capturing.
+    fn apply(
+        &self,
+        node: &mut NodeState,
+        row: Row,
+        insert: bool,
+        (affected, captured): &mut Applied,
+    ) -> Result<()> {
+        let (table, pcol) = (self.handle.view_table, self.handle.view_pcol);
+        if let Some(g) = self.gates {
+            let key = row.try_get(pcol)?;
+            if g.view_holes.contains(key) {
+                g.note_dropped(key);
+                return Ok(());
+            }
+        }
+        let captured = self.capture.then_some(captured);
+        match &self.handle.agg {
+            Some(shape) => {
+                let sign = if insert { 1 } else { -1 };
+                fold_into_group(node, table, shape, &row, sign, captured)?;
+            }
+            None if insert => {
+                if let Some(c) = captured {
+                    c.push((row.clone(), true));
+                }
+                node.insert(table, row)?;
+            }
+            None => {
+                if !node.delete_row(table, &row, &[pcol])? {
+                    return Ok(());
+                }
+                if let Some(c) = captured {
+                    c.push((row, false));
+                }
+            }
+        }
+        *affected += 1;
+        Ok(())
+    }
 }
 
 /// Upsert one shipped join row into its aggregate group at `node`.
@@ -815,17 +891,17 @@ pub(crate) fn apply_at_view<B: Backend>(
 fn fold_into_group(
     node: &mut NodeState,
     view_table: TableId,
-    shape: &crate::aggregate::AggShape,
-    group_cols: &[usize],
+    shape: &AggShape,
     projected: &Row,
     sign: i64,
     captured: Option<&mut Vec<(Row, bool)>>,
 ) -> Result<()> {
+    let group_cols = shape.stored_group_positions();
     let key = Row::new(shape.group_key(projected)?);
-    let existing = node.index_search(view_table, group_cols, &key)?;
+    let existing = node.index_search(view_table, &group_cols, &key)?;
     match existing.first() {
         Some(stored) => {
-            node.delete_row(view_table, stored, group_cols)?;
+            node.delete_row(view_table, stored, &group_cols)?;
             let updated = shape.fold(stored, projected, sign)?;
             if let Some(cap) = captured {
                 cap.push((stored.clone(), false));
@@ -856,7 +932,6 @@ fn fold_into_group(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::viewdef::ViewColumn;
     use pvm_types::row;
 
     #[test]

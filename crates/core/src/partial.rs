@@ -55,7 +55,7 @@ use pvm_types::{GlobalRid, NodeId, PvmError, Result, Rid, Row, Value};
 
 use pvm_storage::Organization;
 
-use crate::chain::{self, BatchPolicy, ChainMode, JoinPolicy, PartialGates};
+use crate::chain::{self, BatchPolicy, JoinPolicy, PartialGates};
 use crate::structure::{Probes, Structure, StructureKind};
 use crate::view::{MaintainedView, MaintenanceMethod, ViewHandle};
 
@@ -350,11 +350,11 @@ pub(crate) fn run_upquery<B: Backend>(
         batch,
         method,
     )?;
-    let program = chain::push_ship_stage(backend, program, handle, &layout, method)?;
+    let (shipped, sinks) = chain::sinks([(handle, true, None)]);
+    let program = chain::push_ship(program, &layout, &shipped, &sinks, l, method)?;
     backend.run_stages(chain::empty_staged(l), &program)?;
-    let (_, changes) =
-        chain::apply_at_view(backend, handle, ChainMode::Insert, method, true, None)?;
-    Ok(changes)
+    let mut applied = chain::apply_shipped(backend, &sinks, true, method)?;
+    Ok(applied.swap_remove(0).1)
 }
 
 /// Rebuild one structure's entries for `needed` key values from its

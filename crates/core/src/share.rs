@@ -1,4 +1,5 @@
-//! Probe-once shared maintenance across a catalog of views.
+//! Probe-once shared maintenance across a catalog of views, and the one
+//! maintenance driver every view runs through.
 //!
 //! §2.1.2 observes that many views commonly join the same base relations
 //! on the same attributes, differing only in which columns they project.
@@ -10,34 +11,26 @@
 //! relations, (normalized) join edges, policies, and probe structures —
 //! pool-shared ARs or GIs, or none for the naive method) share the route
 //! → probe → ship → apply chain too, so the per-delta SEARCH and SEND
-//! bill stops growing with the number of views. For each base delta,
-//! `maintain` hands every group of two or more to `run_group`, which
-//! runs the chain **once**:
+//! bill stops growing with the number of views.
 //!
-//! 1. the common route/probe hops execute exactly as a single view's
-//!    would (same `crate::chain::push_chain`), carrying the *full*
-//!    joined partials;
-//! 2. a group **ship** stage routes each joined partial to the union of
-//!    every member's home node (each member hashes its own partition
-//!    attribute out of the partial) — one multicast per destination set,
-//!    `Arc`-shared on the pipelined runtime, charged per destination;
-//! 3. a group **apply** stage projects the partial per member at the
-//!    member's home node and installs it, capturing per-member changes
-//!    for serving views.
+//! `maintain` hands every group to `maintain_group`, and a view that
+//! shares with nobody — every view when `maintain` is given no catalog —
+//! is a group of one. The driver runs the chain **once** per group: the
+//! route/probe hops of `crate::chain::push_chain`, then one ship stage
+//! that projects each joined partial at the sender to the union of the
+//! members' columns and sends it to the union of their home nodes (one
+//! multicast per destination set, `Arc`-shared on the pipelined runtime,
+//! charged per destination), then one apply step that installs each
+//! member's projection at its home node. The first member's projection
+//! ships first and unchanged, so a group of one ships exactly its view
+//! rows.
 //!
-//! A group of one — and every view when `maintain` is given no catalog —
-//! takes the per-view driver instead: sender-side projection and ship,
-//! strictly cheaper when nobody shares the partials.
-//!
-//! Member view rows are bit-identical to independent maintenance: each
-//! member's projection is applied at the same home node an independent
-//! ship would have chosen (the signature requires plain hash-partitioned
-//! view tables, so `route == hash(partition attribute)`), and per-node
+//! Member view rows are bit-identical to independent maintenance: each is
+//! applied at the home node its own ship would have chosen, and per-node
 //! apply order follows drained payload order, making contents equal as
-//! multisets. Cost accounting stays honest — every logical destination of
-//! a multicast is a charged SEND, and the shared chain's reports land on
-//! the group's first member (the same convention `maintain` uses for the
-//! shared base phase), so totals across members equal real work done.
+//! multisets. The chain's reports land on the group's first member (the
+//! same convention `maintain` uses for the shared base phase), so totals
+//! across members equal real work done.
 //!
 //! [`SharedCatalog`] also owns **pool binding**: the constructor
 //! [`MaintainedView::create_pooled`] and the migration of a whole group of
@@ -45,12 +38,13 @@
 //! through `SharedCatalog::resolve`, so the "every bound view rebinds
 //! after a pool table is rebuilt" invariant is enforced in this module.
 
-use pvm_engine::{Backend, Cluster, NetPayload, PartitionSpec, TableId};
+use pvm_engine::{Backend, Cluster, PartitionSpec, TableId};
 use pvm_obs::{metric, Phase};
-use pvm_types::{GlobalRid, NodeId, PvmError, Result, Row};
+use pvm_types::{GlobalRid, PvmError, Result, Row};
 
-use crate::chain::{self, BatchPolicy, ChainMode, JoinPolicy};
+use crate::chain::{self, BatchPolicy, JoinPolicy, PartialGates};
 use crate::minimize::StructurePool;
+use crate::partial::PartialState;
 use crate::structure::Probes;
 use crate::view::{self, MaintainedView, MaintenanceMethod, MaintenanceOutcome};
 use crate::viewdef::{JoinViewDef, ViewColumn};
@@ -328,25 +322,28 @@ pub(crate) fn pool_batch_policy(views: &[&mut MaintainedView], relation: &str) -
     }
 }
 
-/// Per-member data the group ship/apply stages need, cloned out of the
-/// handles so the stage closures borrow nothing from the views.
-struct Member {
-    view_table: TableId,
-    view_pcol: usize,
-    /// Position of the member's partition attribute in the chain's final
-    /// (full-partial) layout.
-    pcol_pos: usize,
-    projection: Vec<ViewColumn>,
-    capture: bool,
-}
-
-/// Run one group's probe-once chain for a prepared base delta: the common
-/// route/probe hops once, then ship each joined partial to the union of
-/// member home nodes and apply every member's projection there. Returns
-/// one outcome per member (in `members` order); the chain's compute and
-/// view reports land on the first member, the rest get empty reports, so
-/// summed costs equal work actually done.
-pub(crate) fn run_group<B: Backend>(
+/// Maintain `members` (indices into `views`) for one phase of a base
+/// update that has **already been applied** — `placed` pairs each delta
+/// row with the global rid it occupied (insert) or vacated (delete) —
+/// inside the batches [`view::maintain`] opened. The one driver: a shared
+/// group runs it once for all its members, a lone view as a group of one.
+/// In order:
+///
+/// 1. per member: skew observation and partial refill, then its live hole
+///    sets lent to the stages as gates;
+/// 2. the *aux* phase: a non-pooled member's own structures of the
+///    updated relation (a pool's were updated once already; naive has
+///    none);
+/// 3. the *compute* phase: the first member's route/probe chain, once,
+///    and the ship stage ([`chain::push_ship`]);
+/// 4. the *view* phase: the apply step ([`chain::apply_shipped`]);
+/// 5. per member: partial accounting, the keys its gates dropped, and the
+///    outcome noted into its batch.
+///
+/// Returns one outcome per member, in `members` order. The phase reports
+/// land on the first member and the rest get empty ones, so summed costs
+/// equal work actually done.
+pub(crate) fn maintain_group<B: Backend>(
     backend: &mut B,
     views: &mut [&mut MaintainedView],
     members: &[usize],
@@ -354,199 +351,98 @@ pub(crate) fn run_group<B: Backend>(
     placed: &[(Row, GlobalRid)],
     insert: bool,
 ) -> Result<Vec<MaintenanceOutcome>> {
-    let l = backend.node_count();
-    let first: &MaintainedView = views[members[0]];
-    let tag = first.method_tag();
-
-    // Phase: compute — the one shared chain, built exactly as the
-    // per-view driver builds it; only the final ship differs.
-    let guard = backend.start_meter();
-    let mark = chain::phase_mark(backend);
-    let staged = chain::stage_delta(l, placed)?;
-    let (mut program, layout) = chain::push_chain(
-        backend,
-        pvm_engine::StepProgram::new(),
-        &first.handle,
-        &first.probes,
-        rel,
-        first.join_policy(),
-        first.batch_policy(),
-        tag,
-    )?;
-    // Resolve every member's partition-attribute position in the final
-    // layout (pool AR keep-sets are merged over all members, so each
-    // member's projection columns are present in the carried partials).
-    let ship: Vec<Member> = members
-        .iter()
-        .map(|&i| {
-            let v: &MaintainedView = views[i];
-            let h = &v.handle;
-            Ok(Member {
-                view_table: h.view_table,
-                view_pcol: h.view_pcol,
-                pcol_pos: layout.position(h.def.partition_attr())?,
-                projection: h.def.projection.clone(),
-                capture: v.is_capturing(),
+    for &i in members {
+        let v = &mut *views[i];
+        if let Some(skew) = &mut v.skew {
+            // Inserts and deletes both cause routed probes and structure
+            // updates, so both count as traffic.
+            skew.observe_rows(rel, placed.iter().map(|(r, _)| r))?;
+        }
+        v.partial_refill(backend, rel, placed)?;
+    }
+    let (mut outcomes, dropped) = {
+        let group: Vec<&MaintainedView> = members.iter().map(|&i| &*views[i]).collect();
+        let gates: Vec<Option<PartialGates<'_>>> = group
+            .iter()
+            .map(|v| v.partial.as_ref().map(PartialState::gates))
+            .collect();
+        let (first, tag) = (group[0], group[0].method_tag());
+        let ((), aux) = chain::metered(backend, Phase::Aux, tag, |backend| {
+            for (v, g) in group.iter().zip(&gates) {
+                if !v.pooled {
+                    v.probes
+                        .update(backend, rel, placed, insert, v.batch, g.as_ref())?;
+                }
+            }
+            Ok(())
+        })?;
+        // One stage program covering every probe hop plus the ship, so a
+        // pipelined backend overlaps the hops instead of barriering
+        // between them.
+        let (sinks, compute) = chain::metered(backend, Phase::Compute, tag, |backend| {
+            let l = backend.node_count();
+            let (program, layout) = chain::push_chain(
+                backend,
+                pvm_engine::StepProgram::new(),
+                &first.handle,
+                &first.probes,
+                rel,
+                first.policy,
+                first.batch,
+                tag,
+            )?;
+            let (shipped, sinks) = chain::sinks(
+                group
+                    .iter()
+                    .zip(&gates)
+                    .map(|(v, g)| (&v.handle, v.is_capturing(), g.as_ref())),
+            );
+            let program = chain::push_ship(program, &layout, &shipped, &sinks, l, tag)?;
+            backend.run_stages(chain::stage_delta(l, placed)?, &program)?;
+            Ok(sinks)
+        })?;
+        // A shared chain ran once instead of `group.len()` times; record
+        // the (estimated) savings — independent runs would each have
+        // probed the same structures and shipped their own copies.
+        let obs = backend.engine().obs_handle();
+        if group.len() >= 2 && obs.enabled() {
+            let saved = (group.len() - 1) as u64;
+            let m = obs.metrics();
+            m.histogram(metric::SHARE_GROUP_SIZE)
+                .observe(group.len() as u64);
+            m.counter(metric::SHARE_PROBES_SAVED)
+                .add(saved * compute.total().searches);
+            m.counter(metric::SHARE_SENDS_SAVED)
+                .add(saved * compute.sends());
+        }
+        let (applied, view) = chain::metered(backend, Phase::View, tag, |backend| {
+            chain::apply_shipped(backend, &sinks, insert, tag)
+        })?;
+        let idle = MaintenanceOutcome::idle(view::empty_report(backend));
+        let mut outcomes: Vec<MaintenanceOutcome> = applied
+            .into_iter()
+            .map(|(view_rows, view_changes)| MaintenanceOutcome {
+                view_rows,
+                view_changes,
+                ..idle.clone()
             })
-        })
-        .collect::<Result<_>>()?;
-    // Group ship: one destination set per joined partial (the union of
-    // member homes, sorted), batched by identical set in first-appearance
-    // order — deterministic send order on both backends. Full partials
-    // ship, tagged with the first member's view table; the group apply
-    // below projects per member. Every listed destination is a charged
-    // SEND; the pipelined runtime shares one encoded payload across them.
-    let first_table = ship[0].view_table;
-    let positions: Vec<usize> = ship.iter().map(|m| m.pcol_pos).collect();
-    program = program.stage(move |ctx, partials| {
-        let positions = &positions;
-        if partials.is_empty() {
-            return Ok(Vec::new());
-        }
-        if ctx.tracing() {
-            ctx.trace_span(Phase::Ship, tag)
-                .count(partials.len() as u64)
-                .emit();
-        }
-        let mut batches: Vec<(Vec<NodeId>, Vec<Row>)> = Vec::new();
-        for partial in &partials {
-            let mut dsts: Vec<NodeId> = Vec::new();
-            for &pos in positions {
-                let dst = PartitionSpec::route_value(partial.try_get(pos)?, l)?;
-                if !dsts.contains(&dst) {
-                    dsts.push(dst);
-                }
-            }
-            dsts.sort();
-            match batches.iter_mut().find(|(s, _)| *s == dsts) {
-                Some((_, rows)) => rows.push(partial.clone()),
-                None => batches.push((dsts, vec![partial.clone()])),
-            }
-        }
-        for (dsts, rows) in batches {
-            if ctx.tracing() {
-                let h = ctx.obs().metrics().histogram(metric::BATCH_ROWS_PER_MSG);
-                for _ in 0..dsts.len() {
-                    h.observe(rows.len() as u64);
-                }
-            }
-            let payload = NetPayload::ResultRows {
-                table: first_table,
-                rows,
-            };
-            if dsts.len() == 1 {
-                ctx.send(dsts[0], payload)?;
-            } else {
-                ctx.multicast(&dsts, &payload)?;
-            }
-        }
-        Ok(Vec::new())
-    });
-    backend.run_stages(staged, &program)?;
-    chain::coord_phase(backend, Phase::Compute, tag, mark);
-    let compute = backend.finish_meter(&guard);
-
-    // The shared chain ran once instead of `members.len()` times; record
-    // the (estimated) savings — independent runs would each have probed
-    // the same structures and shipped their own copies.
-    let obs = backend.engine().obs_handle();
-    if obs.enabled() {
-        let saved = (members.len() - 1) as u64;
-        obs.metrics()
-            .histogram(metric::SHARE_GROUP_SIZE)
-            .observe(members.len() as u64);
-        obs.metrics()
-            .counter(metric::SHARE_PROBES_SAVED)
-            .add(saved * compute.total().searches);
-        obs.metrics()
-            .counter(metric::SHARE_SENDS_SAVED)
-            .add(saved * compute.sends());
-    }
-
-    // Phase: group view apply — drain the multicast partials once per
-    // node and install each member's projection of the rows homed there.
-    let guard = backend.start_meter();
-    let mark = chain::phase_mark(backend);
-    let mode = if insert {
-        ChainMode::Insert
-    } else {
-        ChainMode::Delete
+            .collect();
+        (outcomes[0].aux, outcomes[0].compute, outcomes[0].view) = (aux, compute, view);
+        let dropped: Vec<_> = gates
+            .into_iter()
+            .map(|g| g.map(PartialGates::into_dropped))
+            .collect();
+        (outcomes, dropped)
     };
-    let apply_layout = layout;
-    let per_node = backend.step(|ctx| {
-        let mut per_member: Vec<(u64, Vec<(Row, bool)>)> = vec![(0, Vec::new()); ship.len()];
-        for env in ctx.drain() {
-            let NetPayload::ResultRows { rows, .. } = env.payload else {
-                return Err(PvmError::InvalidOperation(
-                    "unexpected payload at group view-apply".into(),
-                ));
-            };
-            for row in rows {
-                for (m, member) in ship.iter().enumerate() {
-                    let dst = PartitionSpec::route_value(row.try_get(member.pcol_pos)?, l)?;
-                    if dst != ctx.id() {
-                        continue;
-                    }
-                    let view_row = apply_layout.project(&row, &member.projection)?;
-                    match mode {
-                        ChainMode::Insert => {
-                            if member.capture {
-                                per_member[m].1.push((view_row.clone(), true));
-                            }
-                            ctx.node.insert(member.view_table, view_row)?;
-                            per_member[m].0 += 1;
-                        }
-                        ChainMode::Delete => {
-                            if ctx
-                                .node
-                                .delete_row(member.view_table, &view_row, &[member.view_pcol])?
-                            {
-                                if member.capture {
-                                    per_member[m].1.push((view_row, false));
-                                }
-                                per_member[m].0 += 1;
-                            }
-                        }
-                    }
-                }
+    for ((&i, out), dropped) in members.iter().zip(&mut outcomes).zip(dropped) {
+        let v = &mut *views[i];
+        if let Some(p) = &mut v.partial {
+            p.account_struct_delta(rel, placed, insert)?;
+            if let Some(dropped) = dropped {
+                p.note_batch_dropped(dropped);
             }
         }
-        let affected: u64 = per_member.iter().map(|(a, _)| *a).sum();
-        if affected > 0 {
-            ctx.count_work(affected);
-            if ctx.tracing() {
-                ctx.trace_span(Phase::ViewApply, tag).count(affected).emit();
-            }
-        }
-        Ok(per_member)
-    })?;
-    chain::coord_phase(backend, Phase::View, tag, mark);
-    let view_report = backend.finish_meter(&guard);
-
-    // Fold per-node results in node order — deterministic on both
-    // backends for the same reason as `chain::apply_at_view`.
-    let mut totals: Vec<(u64, Vec<(Row, bool)>)> = vec![(0, Vec::new()); members.len()];
-    for node_result in per_node {
-        for (m, (affected, mut captured)) in node_result.into_iter().enumerate() {
-            totals[m].0 += affected;
-            totals[m].1.append(&mut captured);
-        }
-    }
-    let mut outcomes = Vec::with_capacity(members.len());
-    for (m, (view_rows, view_changes)) in totals.into_iter().enumerate() {
-        let (compute_r, view_r) = if m == 0 {
-            (compute.clone(), view_report.clone())
-        } else {
-            (view::empty_report(backend), view::empty_report(backend))
-        };
-        outcomes.push(MaintenanceOutcome {
-            base: view::empty_report(backend),
-            aux: view::empty_report(backend),
-            compute: compute_r,
-            view: view_r,
-            view_rows,
-            view_changes,
-        });
+        v.note_outcome(backend, placed.len() as u64, out);
     }
     Ok(outcomes)
 }

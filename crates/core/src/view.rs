@@ -4,16 +4,14 @@
 //! (The partial-state and skew-handling parts of `MaintainedView` live in
 //! [`crate::partial`] and [`crate::skew`].)
 
-use std::collections::HashMap;
-
 use pvm_engine::{exec, Backend, Cluster, MeterReport, PartitionSpec, TableDef, TableId};
-use pvm_obs::{MethodTag, Phase};
+use pvm_obs::MethodTag;
 use pvm_serve::{ServePublisher, ServeReader};
 use pvm_storage::Organization;
-use pvm_types::{GlobalRid, PvmError, Result, Row};
+use pvm_types::{PvmError, Result, Row};
 
 use crate::aggregate::AggShape;
-use crate::chain::{self, BatchPolicy, ChainMode, JoinPolicy, PartialGates};
+use crate::chain::{self, BatchPolicy, JoinPolicy};
 use crate::delta::Delta;
 use crate::partial::PartialState;
 use crate::share::{self, SharedCatalog};
@@ -126,6 +124,18 @@ impl MaintenanceOutcome {
     /// few-node vs. single-node, the paper's headline distinction.
     pub fn compute_active_nodes(&self) -> usize {
         self.compute.active_nodes()
+    }
+
+    /// Every phase reporting `report`, nothing maintained.
+    pub(crate) fn idle(report: MeterReport) -> MaintenanceOutcome {
+        MaintenanceOutcome {
+            base: report.clone(),
+            aux: report.clone(),
+            compute: report.clone(),
+            view: report,
+            view_rows: 0,
+            view_changes: Vec::new(),
+        }
     }
 
     pub(crate) fn merge(mut self, other: MaintenanceOutcome) -> MaintenanceOutcome {
@@ -713,120 +723,10 @@ impl MaintainedView {
         }
     }
 
-    /// Maintain this view for one phase of a base update that has
-    /// **already been applied** — `placed` pairs each delta row with the
-    /// global rid it occupied (insert) or vacated (delete) — inside the
-    /// batch [`maintain`] opened. The returned outcome's `base` phase is
-    /// empty.
-    fn apply_prepared<B: Backend>(
-        &mut self,
-        backend: &mut B,
-        rel: usize,
-        placed: &[(Row, GlobalRid)],
-        insert: bool,
-    ) -> Result<MaintenanceOutcome> {
-        if let Some(skew) = &mut self.skew {
-            // Inserts and deletes both cause routed probes and structure
-            // updates, so both count as traffic. Observed straight off
-            // `placed` — no cloned row staging.
-            skew.observe_rows(rel, placed.iter().map(|(r, _)| r))?;
-        }
-        // Partial state: rebuild the structure entries this delta will
-        // probe (their source relation is the *other* one, untouched by
-        // this delta, so the refill is exact), then gate the batch's
-        // stages on the live hole sets, borrowed for the batch.
-        self.partial_refill(backend, rel, placed)?;
-        let gates = self.partial.as_ref().map(PartialState::gates);
-        let mut outcome = self.drive(backend, rel, placed, insert, gates.as_ref())?;
-        let dropped = gates.map(PartialGates::into_dropped);
-        if let Some(p) = &mut self.partial {
-            p.account_struct_delta(rel, placed, insert)?;
-            if let Some(dropped) = dropped {
-                p.note_batch_dropped(dropped);
-            }
-        }
-        self.note_outcome(backend, placed.len() as u64, &mut outcome);
-        Ok(outcome)
-    }
-
-    /// The per-view driver, one algorithm for all three methods: update
-    /// this view's own structures of the updated relation, run the join
-    /// chain through `probes`, ship the result rows to the view's home
-    /// nodes, apply them there.
-    fn drive<B: Backend>(
-        &self,
-        backend: &mut B,
-        rel: usize,
-        placed: &[(Row, GlobalRid)],
-        insert: bool,
-        gates: Option<&PartialGates<'_>>,
-    ) -> Result<MaintenanceOutcome> {
-        let handle = &self.handle;
-        let tag = self.method_tag();
-        // Base phase is performed by the caller.
-        let base = empty_report(backend);
-
-        // Phase: update the structures of the updated relation — unless
-        // a pool owns them (then the pool's single update already
-        // happened and this view charges nothing). Naive has none.
-        let guard = backend.start_meter();
-        let mark = chain::phase_mark(backend);
-        if !self.pooled {
-            self.probes
-                .update(backend, rel, placed, insert, self.batch, gates)?;
-        }
-        chain::coord_phase(backend, Phase::Aux, tag, mark);
-        let aux = backend.finish_meter(&guard);
-
-        // Phase: compute the view changes — one stage program covering
-        // every probe hop plus the final ship, so a pipelined backend
-        // overlaps the hops instead of barriering between them.
-        let guard = backend.start_meter();
-        let mark = chain::phase_mark(backend);
-        let staged = chain::stage_delta(backend.node_count(), placed)?;
-        let (program, layout) = chain::push_chain(
-            backend,
-            pvm_engine::StepProgram::new(),
-            handle,
-            &self.probes,
-            rel,
-            self.policy,
-            self.batch,
-            tag,
-        )?;
-        let program = chain::push_ship_stage(backend, program, handle, &layout, tag)?;
-        backend.run_stages(staged, &program)?;
-        chain::coord_phase(backend, Phase::Compute, tag, mark);
-        let compute = backend.finish_meter(&guard);
-
-        // Phase: apply the changes to the view.
-        let guard = backend.start_meter();
-        let mark = chain::phase_mark(backend);
-        let mode = if insert {
-            ChainMode::Insert
-        } else {
-            ChainMode::Delete
-        };
-        let (view_rows, view_changes) =
-            chain::apply_at_view(backend, handle, mode, tag, self.is_capturing(), gates)?;
-        chain::coord_phase(backend, Phase::View, tag, mark);
-        let view = backend.finish_meter(&guard);
-
-        Ok(MaintenanceOutcome {
-            base,
-            aux,
-            compute,
-            view,
-            view_rows,
-            view_changes,
-        })
-    }
-
-    /// Fold one phase's maintenance outcome into the open batch — the
-    /// same bookkeeping whether this view drove the chain itself or a
-    /// shared group ran it once for all members ([`crate::share`]):
-    /// captured view changes drain into the batch, and the obs-gated cost
-    /// record absorbs the outcome.
+    /// Fold one phase's maintenance outcome into the open batch (the
+    /// [`crate::share`] driver does so for every member): captured view
+    /// changes drain into the batch, and the obs-gated cost record
+    /// absorbs the outcome.
     pub(crate) fn note_outcome<B: Backend>(
         &mut self,
         backend: &B,
@@ -1033,8 +933,8 @@ pub(crate) fn update_base<B: Backend>(
 /// 3. `catalog`'s pool ARs / GIs over `relation` are each updated
 ///    **once**, however many views are bound to them;
 /// 4. every shared-signature group ([`crate::share`]) runs its route →
-///    probe → ship chain **once** for all its members;
-/// 5. every other joining view runs its own chain;
+///    probe → ship → apply chain **once** for all its members;
+/// 5. every other joining view runs the same driver as a group of one;
 /// 6. all batches commit (or, on error, all abort), and partial views are
 ///    brought back under budget.
 ///
@@ -1097,11 +997,21 @@ fn maintain_phases<B: Backend>(
     relation: &str,
     delta: &Delta,
 ) -> Result<Vec<MaintenanceOutcome>> {
-    // Signatures cannot change mid-delta, so plan the groups once.
-    let groups = match catalog {
+    // Signatures cannot change mid-delta, so plan once: the shared groups,
+    // then every other joining view as a group of one, in input order.
+    let mut groups = match catalog {
         Some(_) => share::plan_groups(backend.engine(), views, relation)?,
         None => Vec::new(),
     };
+    let grouped = groups.concat();
+    groups.extend(
+        (0..views.len())
+            .filter(|i| {
+                !grouped.contains(i) && views[*i].handle.def.relation_index(relation).is_ok()
+            })
+            .map(|i| vec![i]),
+    );
+    let first_joining = groups.iter().flatten().min().copied();
     let mut outcomes: Vec<Option<MaintenanceOutcome>> = views.iter().map(|_| None).collect();
     let (deletes, inserts) = delta.phases();
     for (rows, insert) in [(deletes, false), (inserts, true)] {
@@ -1113,83 +1023,50 @@ fn maintain_phases<B: Backend>(
             catalog.apply_base_delta(backend, relation, &placed, insert, batch)?;
         }
         let pool_aux = backend.finish_meter(&guard);
-        let mut shared_phases = Some((base, pool_aux));
-        // Probe-once groups first: one chain per group, results fanned to
-        // every member.
-        let mut group_out: HashMap<usize, MaintenanceOutcome> = HashMap::new();
         for members in &groups {
             let rel = views[members[0]].handle.def.relation_index(relation)?;
-            let outs = share::run_group(backend, views, members, rel, &placed, insert)?;
-            for (&i, mut out) in members.iter().zip(outs) {
-                views[i].note_outcome(backend, placed.len() as u64, &mut out);
-                group_out.insert(i, out);
+            let outs = share::maintain_group(backend, views, members, rel, &placed, insert)?;
+            for (&i, out) in members.iter().zip(outs) {
+                outcomes[i] = Some(match outcomes[i].take() {
+                    Some(prev) => prev.merge(out),
+                    None => out,
+                });
             }
         }
-        for (i, view) in views.iter_mut().enumerate() {
-            let Ok(rel) = view.handle.def.relation_index(relation) else {
-                continue;
-            };
-            let mut out = match group_out.remove(&i) {
-                Some(out) => out,
-                None => view.apply_prepared(backend, rel, &placed, insert)?,
-            };
-            if let Some((base, pool_aux)) = shared_phases.take() {
-                if let Some(cost) = view.open_batch.as_mut().and_then(|b| b.cost.as_mut()) {
+        match first_joining {
+            // The shared base phase and the pool's structure updates land
+            // on the first joining view — merged into (not replacing) its
+            // own aux phase, so a view with private structures still
+            // reports its own aux cost.
+            Some(i) => {
+                if let Some(cost) = views[i].open_batch.as_mut().and_then(|b| b.cost.as_mut()) {
                     cost.add_base(&base);
                 }
-                out.base = base;
-                // Merged into (not replacing) the view's own aux phase:
-                // an ungrouped view with private structures still
-                // reports its own aux cost.
+                let out = outcomes[i].as_mut().expect("a joining view has an outcome");
+                merge_reports(&mut out.base, &base);
                 merge_reports(&mut out.aux, &pool_aux);
             }
-            outcomes[i] = Some(match outcomes[i].take() {
-                Some(prev) => prev.merge(out),
-                None => out,
-            });
-        }
-        if let (Some((base, _)), Some(first @ None)) = (shared_phases, outcomes.first_mut()) {
             // No view joined the relation; surface the base report anyway
             // on the first slot if present.
-            *first = Some(MaintenanceOutcome {
-                base,
-                aux: empty_report(backend),
-                compute: empty_report(backend),
-                view: empty_report(backend),
-                view_rows: 0,
-                view_changes: Vec::new(),
-            });
+            None => {
+                if let Some(first @ None) = outcomes.first_mut() {
+                    *first = Some(MaintenanceOutcome {
+                        base,
+                        ..MaintenanceOutcome::idle(empty_report(backend))
+                    });
+                }
+            }
         }
     }
+    // A view the relation does not join reports nothing maintained.
+    let untouched = MaintenanceOutcome::idle(MeterReport {
+        per_node: Vec::new(),
+        net: Default::default(),
+    });
     Ok(outcomes
         .into_iter()
-        .map(|o| o.unwrap_or_else(untouched_outcome))
+        .map(|o| o.unwrap_or_else(|| untouched.clone()))
         .collect())
-}
-
-/// The outcome reported for a view the delta's relation does not join:
-/// empty reports, nothing maintained.
-fn untouched_outcome() -> MaintenanceOutcome {
-    MaintenanceOutcome {
-        base: MeterReport {
-            per_node: Vec::new(),
-            net: Default::default(),
-        },
-        aux: MeterReport {
-            per_node: Vec::new(),
-            net: Default::default(),
-        },
-        compute: MeterReport {
-            per_node: Vec::new(),
-            net: Default::default(),
-        },
-        view: MeterReport {
-            per_node: Vec::new(),
-            net: Default::default(),
-        },
-        view_rows: 0,
-        view_changes: Vec::new(),
-    }
 }
 
 pub(crate) fn empty_report<B: Backend>(backend: &B) -> MeterReport {

@@ -533,7 +533,7 @@ impl Cluster {
     /// reconstructed mid-transaction). Returns the number of DML records
     /// replayed.
     pub fn crash_node(&mut self, id: NodeId) -> Result<usize> {
-        let Some(wal) = &self.wal else {
+        let Some(wal) = self.wal.clone() else {
             return Err(PvmError::InvalidOperation(
                 "crash_node requires WAL logging (ClusterConfig::with_wal)".into(),
             ));
@@ -544,13 +544,34 @@ impl Cluster {
             ));
         }
         self.node(id)?; // range check before we commit to anything
+        let log = wal.lock();
+        // Replay straight from the locked log: the fresh node has no WAL
+        // attached until afterwards, so nothing in the replay takes the
+        // lock again.
+        self.rebuild_node(id, &log)
+    }
+
+    /// Replace node `id` with one replayed from `wal`
+    /// ([`crate::replay_node`]) that logs to this cluster's WAL from then
+    /// on. Returns the number of DML records replayed.
+    fn rebuild_node(&mut self, id: NodeId, wal: &crate::wal::Wal) -> Result<usize> {
         let mut fresh = NodeState::new(id, self.config.buffer_pages);
-        // Replay straight from the locked log: `fresh` has no WAL attached
-        // until afterwards, so nothing in the replay takes the lock again.
-        let replayed = crate::wal::replay_node(&mut fresh, &wal.lock())?;
+        let replayed = crate::wal::replay_node(&mut fresh, wal)?;
         fresh.set_wal(self.wal.clone());
         self.nodes[id.index()] = fresh;
         Ok(replayed)
+    }
+
+    /// The node half of [`crate::recover`]: rebuild every node from `wal`
+    /// and, when logging, continue `wal` as this cluster's log.
+    pub(crate) fn restart_from(&mut self, wal: &crate::wal::Wal) -> Result<()> {
+        if let Some(sink) = &self.wal {
+            *sink.lock() = wal.clone();
+        }
+        for i in 0..self.nodes.len() {
+            self.rebuild_node(NodeId::from(i), wal)?;
+        }
+        Ok(())
     }
 
     /// Zero every counter (nodes, buffers, fabric).

@@ -8,11 +8,13 @@
 //! same state *including rid assignment*, which the global-index method
 //! depends on.
 //!
-//! Recovery ([`recover`]) is redo-all + undo-losers:
+//! Recovery ([`recover`], and [`replay_node`] for one node) is one loop,
+//! redo-all + undo-losers:
 //!
 //! 1. replay every record (DDL and DML) in order;
 //! 2. if the log ends inside an open transaction (crash before
-//!    commit/abort), undo that transaction's operations in reverse.
+//!    commit/abort), replay the compensation an abort would have logged
+//!    — that transaction's operations undone in reverse.
 //!
 //! The log serializes to a stable binary format ([`Wal::to_bytes`] /
 //! [`Wal::from_bytes`]) so it can be persisted byte-for-byte.
@@ -409,22 +411,16 @@ fn def_from_record(
     TableDef::new(name, schema, partitioning, organization)
 }
 
-/// Rebuild a cluster from a WAL: redo every record in order, then undo
+/// Rebuild a cluster from a WAL: a catalog pass over the DDL, then
+/// [`replay_node`] for every node — redo every record in order, then undo
 /// the operations of an unfinished trailing transaction (crash before
 /// commit). Replay reproduces rid assignment exactly, so global indices
-/// recover valid.
+/// recover valid. With WAL logging on, the recovered cluster's log is the
+/// input log plus what an abort of that trailing transaction would have
+/// logged (its compensation records and a `TxnAbort`), so it recovers
+/// again to the same state.
 pub fn recover(config: ClusterConfig, wal: &Wal) -> Result<Cluster> {
     let mut cluster = Cluster::new(config);
-    // Index of the first record of an unfinished trailing txn, if any.
-    let mut open_txn_start: Option<usize> = None;
-    for (i, r) in wal.records().iter().enumerate() {
-        match r {
-            WalRecord::TxnBegin => open_txn_start = Some(i),
-            WalRecord::TxnCommit | WalRecord::TxnAbort => open_txn_start = None,
-            _ => {}
-        }
-    }
-
     for rec in wal.records() {
         match rec {
             WalRecord::CreateTable {
@@ -443,88 +439,85 @@ pub fn recover(config: ClusterConfig, wal: &Wal) -> Result<Cluster> {
                 let id = cluster.table_id(name)?;
                 cluster.drop_table(id)?;
             }
-            WalRecord::Insert {
-                table,
-                node,
-                rid,
-                row,
-            } => {
-                let id = cluster.table_id(table)?;
-                let got = cluster.node_mut(*node)?.insert(id, row.clone())?;
-                if got != *rid {
-                    return Err(PvmError::Corrupt(format!(
-                        "replay divergence: expected {rid}, got {got} in '{table}'"
-                    )));
-                }
-            }
-            WalRecord::Delete {
-                table, node, rid, ..
-            } => {
-                let id = cluster.table_id(table)?;
-                cluster.node_mut(*node)?.delete_rid(id, *rid)?;
-            }
-            WalRecord::Undelete {
-                table,
-                node,
-                rid,
-                row,
-            } => {
-                let id = cluster.table_id(table)?;
-                cluster
-                    .node_mut(*node)?
-                    .storage_mut(id)?
-                    .undelete(*rid, row)?;
-            }
-            WalRecord::TxnBegin | WalRecord::TxnCommit | WalRecord::TxnAbort => {}
+            _ => {}
         }
     }
-
-    // Undo losers: the trailing open transaction's DML, in reverse.
-    if let Some(start) = open_txn_start {
-        for rec in wal.records()[start..].iter().rev() {
-            match rec {
-                WalRecord::Insert {
-                    table, node, rid, ..
-                } => {
-                    let id = cluster.table_id(table)?;
-                    cluster.node_mut(*node)?.delete_rid(id, *rid)?;
-                }
-                WalRecord::Delete {
-                    table,
-                    node,
-                    rid,
-                    row,
-                } => {
-                    let id = cluster.table_id(table)?;
-                    cluster
-                        .node_mut(*node)?
-                        .storage_mut(id)?
-                        .undelete(*rid, row)?;
-                }
-                WalRecord::Undelete { .. } => {
-                    return Err(PvmError::Corrupt(
-                        "undelete inside an open transaction".into(),
-                    ));
-                }
-                _ => {}
-            }
-        }
-    }
+    let mut log = wal.clone();
+    let nodes = (0..cluster.node_count()).map(NodeId::from);
+    log.records.extend(abort_losers(wal, nodes)?);
+    cluster.restart_from(&log)?;
     // Recovery work should not pollute the recovered cluster's meters.
     cluster.reset_counters();
     Ok(cluster)
 }
 
+/// What aborting the log's unfinished trailing transaction would log:
+/// per node in node order, the compensation of each of its operations,
+/// newest first (a `Delete` for an insert, an `Undelete` for a delete),
+/// then the `TxnAbort`. Empty when the log ends outside a transaction.
+fn abort_losers(wal: &Wal, nodes: impl IntoIterator<Item = NodeId>) -> Result<Vec<WalRecord>> {
+    let records = wal.records();
+    let Some(start) = records.iter().rposition(|r| {
+        matches!(
+            r,
+            WalRecord::TxnBegin | WalRecord::TxnCommit | WalRecord::TxnAbort
+        )
+    }) else {
+        return Ok(Vec::new());
+    };
+    if records[start] != WalRecord::TxnBegin {
+        return Ok(Vec::new());
+    }
+    let mut out = Vec::new();
+    for me in nodes {
+        for rec in records[start..].iter().rev() {
+            out.push(match rec.clone() {
+                WalRecord::Insert {
+                    table,
+                    node,
+                    rid,
+                    row,
+                } if node == me => WalRecord::Delete {
+                    table,
+                    node,
+                    rid,
+                    row,
+                },
+                WalRecord::Delete {
+                    table,
+                    node,
+                    rid,
+                    row,
+                } if node == me => WalRecord::Undelete {
+                    table,
+                    node,
+                    rid,
+                    row,
+                },
+                WalRecord::Undelete { node, .. } if node == me => {
+                    return Err(PvmError::Corrupt(
+                        "undelete inside an open transaction".into(),
+                    ));
+                }
+                _ => continue,
+            });
+        }
+    }
+    out.push(WalRecord::TxnAbort);
+    Ok(out)
+}
+
 /// Rebuild ONE node's state from the cluster-wide WAL: redo the DDL
 /// (which runs at every node) plus this node's own DML, then undo the
-/// node's operations of an unfinished trailing transaction.
+/// node's operations of an unfinished trailing transaction by redoing
+/// their compensation ([`recover`] describes it).
 ///
-/// This is the single-node recovery path behind
-/// [`Cluster::crash_node`](crate::Cluster::crash_node): the rest of the
-/// cluster keeps its live state and only the crashed node is replayed.
-/// Catalog ids are mirrored by construction — the catalog assigns
-/// monotonically increasing ids and never reuses a dropped one, so a
-/// local counter that advances on every `CreateTable` reproduces the
+/// This is the per-node half of [`recover`] and the single-node recovery
+/// path behind [`Cluster::crash_node`](crate::Cluster::crash_node): the
+/// rest of the cluster keeps its live state and only the crashed node is
+/// replayed. Catalog ids are mirrored by construction — the catalog
+/// assigns monotonically increasing ids and never reuses a dropped one,
+/// so a local counter that advances on every `CreateTable` reproduces the
 /// exact id every record referred to, even across drop/re-create of the
 /// same name.
 ///
@@ -537,15 +530,7 @@ pub fn recover(config: ClusterConfig, wal: &Wal) -> Result<Cluster> {
 /// "recovery replay length" surfaced by the fault layer's metrics).
 pub fn replay_node(node: &mut NodeState, wal: &Wal) -> Result<usize> {
     let me = node.id();
-    let mut open_txn_start: Option<usize> = None;
-    for (i, r) in wal.records().iter().enumerate() {
-        match r {
-            WalRecord::TxnBegin => open_txn_start = Some(i),
-            WalRecord::TxnCommit | WalRecord::TxnAbort => open_txn_start = None,
-            _ => {}
-        }
-    }
-
+    let undo = abort_losers(wal, [me])?;
     let mut next_id: u32 = 0;
     let mut ids: std::collections::HashMap<String, crate::catalog::TableId> =
         std::collections::HashMap::new();
@@ -558,7 +543,7 @@ pub fn replay_node(node: &mut NodeState, wal: &Wal) -> Result<usize> {
     };
     let mut replayed = 0usize;
 
-    for rec in wal.records() {
+    for rec in wal.records().iter().chain(&undo) {
         match rec {
             WalRecord::CreateTable {
                 name,
@@ -620,37 +605,6 @@ pub fn replay_node(node: &mut NodeState, wal: &Wal) -> Result<usize> {
                 replayed += 1;
             }
             _ => {}
-        }
-    }
-
-    if let Some(start) = open_txn_start {
-        for rec in wal.records()[start..].iter().rev() {
-            match rec {
-                WalRecord::Insert {
-                    table,
-                    node: n,
-                    rid,
-                    ..
-                } if *n == me => {
-                    let id = lookup(&ids, table)?;
-                    node.delete_rid(id, *rid)?;
-                }
-                WalRecord::Delete {
-                    table,
-                    node: n,
-                    rid,
-                    row,
-                } if *n == me => {
-                    let id = lookup(&ids, table)?;
-                    node.storage_mut(id)?.undelete(*rid, row)?;
-                }
-                WalRecord::Undelete { node: n, .. } if *n == me => {
-                    return Err(PvmError::Corrupt(
-                        "undelete inside an open transaction".into(),
-                    ));
-                }
-                _ => {}
-            }
         }
     }
     node.reset_counters();

@@ -817,29 +817,11 @@ impl Session {
         Ok(())
     }
 
-    /// Apply a delta to `table`, maintaining every view that joins it.
-    fn apply_delta(&mut self, table: &str, delta: Delta) -> Result<(u64, String)> {
-        let touches_views = self
-            .views
-            .iter()
-            .any(|v| v.def().relations.iter().any(|r| r == table));
-        if !touches_views {
-            let id = self.cluster.table_id(table)?;
-            let n = match &delta {
-                Delta::Insert(rows) => {
-                    let n = rows.len();
-                    self.cluster.insert(id, rows.clone())?;
-                    n
-                }
-                Delta::Delete(rows) => self.cluster.delete(id, rows, &[])?,
-                Delta::Update { old, new } => {
-                    self.cluster.delete(id, old, &[])?;
-                    self.cluster.insert(id, new.clone())?;
-                    new.len()
-                }
-            };
-            return Ok((n as u64, String::new()));
-        }
+    /// Apply a delta to `table` through [`maintain`] — the one write path,
+    /// which also keeps the catalog's pool structures over `table` current
+    /// when no view joins it. Returns the maintenance note for the
+    /// statement's message (empty when no view joins `table`).
+    fn apply_delta(&mut self, table: &str, delta: Delta) -> Result<String> {
         let mut refs: Vec<&mut MaintainedView> = self.views.iter_mut().collect();
         let outcomes = maintain(
             &mut self.cluster,
@@ -848,19 +830,23 @@ impl Session {
             table,
             &delta,
         )?;
+        if !self
+            .views
+            .iter()
+            .any(|v| v.def().relations.iter().any(|r| r == table))
+        {
+            return Ok(String::new());
+        }
         let view_rows: u64 = outcomes.iter().map(|o| o.view_rows).sum();
         let io: f64 = outcomes.iter().map(|o| o.tw_io()).sum();
-        Ok((
-            delta.len() as u64,
-            format!(" ({view_rows} view rows maintained, {io:.0} I/Os)"),
-        ))
+        Ok(format!(" ({view_rows} view rows maintained, {io:.0} I/Os)"))
     }
 
     fn insert(&mut self, table: String, rows: Vec<Vec<Value>>) -> Result<SqlOutput> {
         self.guard_base_table(&table)?;
         let rows: Vec<Row> = rows.into_iter().map(Row::new).collect();
         let n = rows.len();
-        let (_, extra) = self.apply_delta(&table, Delta::Insert(rows))?;
+        let extra = self.apply_delta(&table, Delta::Insert(rows))?;
         Ok(SqlOutput::message(format!(
             "inserted {n} rows into {table}{extra}"
         )))
@@ -873,7 +859,7 @@ impl Session {
             return Ok(SqlOutput::message(format!("deleted 0 rows from {table}")));
         }
         let n = doomed.len();
-        let (_, extra) = self.apply_delta(&table, Delta::Delete(doomed))?;
+        let extra = self.apply_delta(&table, Delta::Delete(doomed))?;
         Ok(SqlOutput::message(format!(
             "deleted {n} rows from {table}{extra}"
         )))
@@ -905,7 +891,7 @@ impl Session {
             }
         }
         let n = old.len();
-        let (_, extra) = self.apply_delta(&table, Delta::Update { old, new })?;
+        let extra = self.apply_delta(&table, Delta::Update { old, new })?;
         Ok(SqlOutput::message(format!(
             "updated {n} rows in {table}{extra}"
         )))
@@ -2216,5 +2202,49 @@ mod tests {
         let out = s.execute_one("EXPLAIN MAINTENANCE OF jv ON a").unwrap();
         let (schema, _) = out.rows.unwrap();
         assert_eq!(schema.columns()[0].name, "step");
+    }
+
+    #[test]
+    fn writes_to_unviewed_tables_keep_pool_structures_current() {
+        // The e ⋈ f pair keeps the AR pool alive after the a ⋈ b pair is
+        // dropped, so the pool's ARs over a and b must follow an INSERT
+        // into b made while no view joins it: the re-created a ⋈ b pair
+        // enrolls onto those same ARs.
+        let mut s = session();
+        s.execute(
+            "CREATE TABLE e (id INT, c INT, p STR) PARTITION BY HASH(id); \
+             CREATE TABLE f (id INT, d INT, p STR) PARTITION BY HASH(id);",
+        )
+        .unwrap();
+        for i in 0..20 {
+            s.execute(&format!(
+                "INSERT INTO e VALUES ({i}, {}, 'e{i}'); INSERT INTO f VALUES ({i}, {}, 'f{i}');",
+                i % 5,
+                i % 5
+            ))
+            .unwrap();
+        }
+        let pair = |x: &str, y: &str, v: &str, w: &str| {
+            format!(
+                "CREATE VIEW {v} USING AUXILIARY RELATION AS \
+                     SELECT x.id, y.id FROM {x} x, {y} y WHERE x.c = y.d; \
+                 CREATE VIEW {w} USING AUXILIARY RELATION AS \
+                     SELECT x.id, y.p FROM {x} x, {y} y WHERE x.c = y.d;"
+            )
+        };
+        s.execute(&pair("a", "b", "ab1", "ab2")).unwrap();
+        s.execute(&pair("e", "f", "ef1", "ef2")).unwrap();
+        s.execute("DROP VIEW ab1; DROP VIEW ab2;").unwrap();
+        let out = s
+            .execute_one("INSERT INTO b VALUES (100, 3, 'nb')")
+            .unwrap();
+        assert_eq!(out.message, "inserted 1 rows into b");
+        s.execute(&pair("a", "b", "ab3", "ab4")).unwrap();
+        s.execute_one("INSERT INTO a VALUES (100, 3, 'na')")
+            .unwrap();
+        for v in ["ab3", "ab4", "ef1", "ef2"] {
+            s.execute_one(&format!("CHECK VIEW {v}"))
+                .unwrap_or_else(|e| panic!("{v}: {e}"));
+        }
     }
 }

@@ -379,3 +379,73 @@ fn wal_disabled_means_no_snapshot() {
     let cluster = Cluster::new(ClusterConfig::new(2));
     assert!(cluster.wal_snapshot().is_none());
 }
+
+/// A cluster recovered with WAL logging on logs exactly its input log,
+/// plus an abort of a trailing open transaction: recovering that log
+/// again, or rebuilding any of its nodes from it, lands on the same
+/// state.
+fn assert_recovered_log_recovers(wal: &Wal, expect: &[(String, Vec<Row>)]) {
+    let config = ClusterConfig::new(2).with_buffer_pages(256).with_wal();
+    let mut recovered = recover(config, wal).unwrap();
+    assert_eq!(snapshot(&recovered), expect, "first recovery");
+    let again = recover(config, &recovered.wal_snapshot().unwrap()).unwrap();
+    assert_eq!(snapshot(&again), expect, "recovery of the recovered log");
+    for node in 0..2 {
+        recovered.crash_node(NodeId::from(node)).unwrap();
+        assert_eq!(snapshot(&recovered), expect, "node {node} rebuilt");
+    }
+}
+
+#[test]
+fn recovered_log_keeps_abort_restored_rows() {
+    let mut cluster = wal_cluster(2);
+    let t = SyntheticRelation::new("t", 20, 4)
+        .install(&mut cluster)
+        .unwrap();
+    cluster.begin_txn().unwrap();
+    assert_eq!(
+        cluster
+            .delete(t, &[row![5, 1, "x".repeat(32)]], &[])
+            .unwrap(),
+        1
+    );
+    cluster.abort_txn().unwrap();
+    let expect = snapshot(&cluster);
+    let wal = cluster.wal_snapshot().unwrap();
+    assert_recovered_log_recovers(&wal, &expect);
+    let recovered = recover(ClusterConfig::new(2).with_wal(), &wal).unwrap();
+    assert_eq!(
+        recovered.wal_snapshot().unwrap(),
+        wal,
+        "the input log, as is"
+    );
+}
+
+#[test]
+fn recovered_log_closes_a_trailing_open_transaction() {
+    let mut cluster = wal_cluster(2);
+    let t = SyntheticRelation::new("t", 20, 4)
+        .install(&mut cluster)
+        .unwrap();
+    let committed = snapshot(&cluster);
+    cluster.begin_txn().unwrap();
+    cluster
+        .insert(t, (300..306).map(|i| row![i, i % 4, "loser"]).collect())
+        .unwrap();
+    cluster
+        .delete(t, &[row![5, 1, "x".repeat(32)]], &[])
+        .unwrap();
+    let wal = cluster.wal_snapshot().unwrap();
+    // What the same crash-free abort would have logged.
+    cluster.abort_txn().unwrap();
+    let aborted = cluster.wal_snapshot().unwrap();
+    assert_eq!(snapshot(&cluster), committed);
+
+    assert_recovered_log_recovers(&wal, &committed);
+    let recovered = recover(ClusterConfig::new(2).with_wal(), &wal).unwrap();
+    assert_eq!(
+        recovered.wal_snapshot().unwrap(),
+        aborted,
+        "the input log plus the losers' compensation and a TxnAbort"
+    );
+}

@@ -14,12 +14,18 @@
 //!   every member view table, the pool AR/GI tables, the base tables —
 //!   must be bit-identical, i.e. the reliability layer masks drops /
 //!   duplicates / delays and a scheduled node crash under the group's
-//!   multicast ship stage exactly as it does for the per-view chain.
+//!   multicast ship stage exactly as it does for a lone view's chain.
+//!
+//! One more cell mixes every kind of member in one `maintain` call — the
+//! shared group beside a private, an aggregate, a partial and a serving
+//! view — against each view's recomputed join and its copy maintained
+//! alone.
 //!
 //! The deterministic sweep covers every cell; the proptest at the bottom
 //! drives random op streams through the same harness.
 
 use proptest::prelude::*;
+use pvm::core::{AggShape, AggSpec};
 use pvm::prelude::*;
 use pvm_faults::{FaultPlan, FaultStats, FaultTolerant, SplitMix64};
 use pvm_net::LinkStats;
@@ -179,19 +185,14 @@ fn create_shared(
     (catalog, views)
 }
 
-/// Drive the op stream through the whole catalog — one [`maintain`]
-/// round per op, with the catalog (shared) or without (independent).
-fn run_ops<B: Backend>(
-    backend: &mut B,
-    views: &mut [MaintainedView],
-    catalog: Option<&SharedCatalog>,
-    ops: &[Op],
-) -> Result<()> {
+/// The base deltas an op stream makes, in order: `(relation, delta)`.
+fn op_deltas(ops: &[Op]) -> Vec<(&'static str, Delta)> {
     let mut live: [Vec<Row>; 2] = [
         (0..10).map(|i| row![i, i % 3, "a"]).collect(),
         (0..10).map(|i| row![i, i % 3, "b"]).collect(),
     ];
     let mut next_id = 100_000i64;
+    let mut out = Vec::new();
     for op in ops {
         let (rel, delta) = match op {
             Op::Insert { rel, jval } => {
@@ -210,7 +211,20 @@ fn run_ops<B: Backend>(
                 (*rel, Delta::Delete(vec![r]))
             }
         };
-        let name = if rel == 0 { "a" } else { "b" };
+        out.push((if rel == 0 { "a" } else { "b" }, delta));
+    }
+    out
+}
+
+/// Drive the op stream through the whole catalog — one [`maintain`]
+/// round per op, with the catalog (shared) or without (independent).
+fn run_ops<B: Backend>(
+    backend: &mut B,
+    views: &mut [MaintainedView],
+    catalog: Option<&SharedCatalog>,
+    ops: &[Op],
+) -> Result<()> {
+    for (name, delta) in op_deltas(ops) {
         let mut refs: Vec<&mut MaintainedView> = views.iter_mut().collect();
         maintain(backend, catalog, &mut refs, name, &delta)?;
     }
@@ -341,6 +355,174 @@ fn shared_group_matches_independent_everywhere() {
                 check_shared_vs_independent(method, backend, batch, &gen_ops(seed, 15));
             }
         }
+    }
+}
+
+// ------------------------------------------------- every kind of member
+
+/// What a member of the mixed catalog is, beside the shared group.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Kind {
+    /// A pool-bound member of the shared group (private when alone).
+    Pooled,
+    Private,
+    Aggregate,
+    Partial,
+    Serving,
+}
+
+/// The mixed catalog's members after the group's [`defs`]: each kind
+/// once, all over the group's join, each with its own projection.
+fn mixed_kinds() -> Vec<(Kind, JoinViewDef)> {
+    let def = |name: &str, projection: Vec<ViewColumn>| JoinViewDef {
+        name: name.into(),
+        relations: vec!["a".into(), "b".into()],
+        edges: vec![ViewEdge::new(ViewColumn::new(0, 1), ViewColumn::new(1, 1))],
+        projection,
+        partition_column: 0,
+    };
+    let (a, b) = (|c| ViewColumn::new(0, c), |c| ViewColumn::new(1, c));
+    let mut out: Vec<(Kind, JoinViewDef)> = defs().into_iter().map(|d| (Kind::Pooled, d)).collect();
+    out.push((Kind::Private, def("mp", vec![a(0), b(0)])));
+    out.push((Kind::Aggregate, def("mg", vec![a(1), b(0)])));
+    out.push((Kind::Partial, def("mq", vec![a(0), b(2)])));
+    out.push((Kind::Serving, def("ms", vec![b(0), a(2)])));
+    out
+}
+
+/// A view of `kind` under `method` — bound to `catalog`'s pools when it
+/// is [`Kind::Pooled`] and a catalog is given — plus a serving view's
+/// reader.
+fn create_kind(
+    cluster: &mut Cluster,
+    kind: Kind,
+    def: JoinViewDef,
+    method: MaintenanceMethod,
+    catalog: Option<&SharedCatalog>,
+) -> (MaintainedView, Option<ServeReader>) {
+    let mut view = match (kind, catalog) {
+        (Kind::Pooled, Some(catalog)) => {
+            MaintainedView::create_pooled(cluster, def, method, catalog).unwrap()
+        }
+        // COUNT(*) and SUM(b.id) per a.j.
+        (Kind::Aggregate, _) => {
+            let shape = AggShape {
+                group_by: vec![0],
+                aggregates: vec![AggSpec::count(), AggSpec::sum(1)],
+            };
+            MaintainedView::create_aggregate(cluster, def, shape, method).unwrap()
+        }
+        _ => MaintainedView::create(cluster, def, method).unwrap(),
+    };
+    let reader = match kind {
+        // A budget of a few rows per node, so maintenance meets holes.
+        Kind::Partial => {
+            view.enable_partial(cluster, PartialPolicy::with_budget(200))
+                .unwrap();
+            None
+        }
+        Kind::Serving => Some(view.enable_serving(&*cluster).unwrap()),
+        _ => None,
+    };
+    (view, reader)
+}
+
+/// Make every view of `views` fully resident, check each against its
+/// recomputed join and each serving view's snapshot against its table,
+/// then evict partial views back under budget so the next batch meets
+/// holes. Returns each view's sorted rows.
+fn check_members<B: Backend>(
+    backend: &mut B,
+    views: &mut [MaintainedView],
+    readers: &[Option<ServeReader>],
+    ctx: &str,
+) -> Vec<Vec<Row>> {
+    let mut out = Vec::new();
+    for (v, reader) in views.iter_mut().zip(readers) {
+        let name = v.def().name.clone();
+        v.ensure_all_resident(backend).unwrap();
+        let mut got = v.contents(backend.engine()).unwrap();
+        got.sort();
+        let mut want = v.recompute_expected(backend.engine()).unwrap();
+        want.sort();
+        assert_eq!(got, want, "{ctx}: '{name}' diverged from its join");
+        if let Some(reader) = reader {
+            let mut served = reader.snapshot().rows();
+            served.sort();
+            assert_eq!(served, got, "{ctx}: '{name}' snapshot diverged");
+        }
+        v.enforce_partial_budget(backend).unwrap();
+        out.push(got);
+    }
+    out
+}
+
+/// One [`maintain`] call drives every kind of member at once: a shared
+/// group beside a private, an aggregate, a partial and a serving view
+/// over the same join. After each op every view equals its recomputed
+/// join and its copy maintained alone, and the serving view's snapshot
+/// equals its stored table. (Under the naive method the private and the
+/// serving view share the group's signature and ride its chain.)
+fn check_every_kind_of_member<B: Backend>(
+    method: MaintenanceMethod,
+    make: fn(Cluster) -> B,
+    ops: &[Op],
+) {
+    let ctx = format!("method={method:?} backend={}", std::any::type_name::<B>());
+    let mut cluster = setup_cluster();
+    let catalog = enroll_all(&mut cluster, method);
+    let (mut views, mut readers) = (Vec::new(), Vec::new());
+    for (kind, def) in mixed_kinds() {
+        let (v, r) = create_kind(&mut cluster, kind, def, method, Some(&catalog));
+        views.push(v);
+        readers.push(r);
+    }
+    for rel in ["a", "b"] {
+        let refs: Vec<&mut MaintainedView> = views.iter_mut().collect();
+        let want = match method {
+            MaintenanceMethod::Naive => vec![vec![0, 1, 2, 3, 6]],
+            _ => vec![vec![0, 1, 2]],
+        };
+        assert_eq!(plan_groups(&cluster, &refs, rel).unwrap(), want, "{ctx}");
+    }
+    let mut backend = make(cluster);
+    let mut alone: Vec<(B, Vec<MaintainedView>, Vec<Option<ServeReader>>)> = mixed_kinds()
+        .into_iter()
+        .map(|(kind, def)| {
+            let mut cluster = setup_cluster();
+            let (v, r) = create_kind(&mut cluster, kind, def, method, None);
+            (make(cluster), vec![v], vec![r])
+        })
+        .collect();
+    for (step, (name, delta)) in op_deltas(ops).into_iter().enumerate() {
+        let ctx = format!("{ctx} op {step} on {name}");
+        let mut refs: Vec<&mut MaintainedView> = views.iter_mut().collect();
+        maintain(&mut backend, Some(&catalog), &mut refs, name, &delta).unwrap();
+        let got = check_members(&mut backend, &mut views, &readers, &ctx);
+        for (i, (b, v, r)) in alone.iter_mut().enumerate() {
+            maintain(b, None, &mut [&mut v[0]], name, &delta).unwrap();
+            let want = check_members(b, v, r, &ctx);
+            assert_eq!(
+                got[i],
+                want[0],
+                "{ctx}: '{}' diverged from its copy alone",
+                v[0].def().name
+            );
+        }
+    }
+    let partial = views.iter().find_map(|v| v.partial_stats()).unwrap();
+    assert!(
+        partial.evictions > 0 && partial.misses > 0,
+        "{ctx}: the partial view never met a hole"
+    );
+}
+
+#[test]
+fn one_maintain_call_drives_every_kind_of_member() {
+    for (i, method) in METHODS.into_iter().enumerate() {
+        let ops = gen_ops(200 + i as u64, 15);
+        check_every_kind_of_member(method, |c| c, &ops);
+        check_every_kind_of_member(method, ThreadedCluster::from_cluster, &ops);
     }
 }
 
