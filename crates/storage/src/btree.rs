@@ -5,9 +5,23 @@
 //! * entries are `(key, value)` byte pairs ordered by the composite
 //!   `(key, value)`, so **duplicate keys** (and even duplicate entries —
 //!   multiset semantics) are fully supported: equal keys are contiguous in
-//!   leaf order and may span leaves;
-//! * an entry is **one allocation** (`key ‖ value` plus the key's length),
-//!   accounted as `key + value + 8` bytes against the node budget;
+//!   leaf order and may span leaves, and copies of one entry may sit on
+//!   both sides of a separator equal to it, so reads descend left of such
+//!   a separator and walk the leaf chain;
+//! * a node keeps **all its entries in one byte buffer**: an insert
+//!   appends `key ‖ value` to the buffer and puts a slot (offset, key
+//!   length, value length) into a sorted slot array, so a binary search
+//!   compares bytes inside one allocation and a probe hands each match to
+//!   its caller in place ([`BPlusTree::search_with`]);
+//! * a delete drops the slot and counts the bytes it leaves dead; a node
+//!   compacts once its dead bytes pass half its buffer, so a buffer never
+//!   holds more than twice its live key and value bytes;
+//! * a split gives the new right node room for as many entries and bytes
+//!   as the whole node held, so it refills without reallocating;
+//! * the layout does not enter the page model: an entry is accounted as
+//!   `key + value + 8` bytes against the node budget, so page counts,
+//!   split points and buffer-pool traffic are those of the page model,
+//!   not of the allocator;
 //! * leaves are chained left-to-right for ordered scans (the access path
 //!   used by sort-merge joins over clustered auxiliary relations);
 //! * nodes live in an arena and are sized by a *byte budget* equal to the
@@ -19,6 +33,8 @@
 //!
 //! The tree stores raw bytes; the typed clustered / non-clustered index
 //! wrappers live in [`crate::index`].
+
+use std::cmp::Ordering;
 
 use pvm_types::{PvmError, Result};
 
@@ -33,41 +49,170 @@ const ENTRY_OVERHEAD: usize = 8;
 
 type NodeIdx = usize;
 
-/// One `(key, value)` pair packed into a single allocation.
-#[derive(Debug, Clone)]
+/// A separator moving up a split: the one entry held outside a node.
+#[derive(Debug)]
 struct Entry {
     /// `key ‖ value`.
     buf: Box<[u8]>,
-    key_len: u32,
+    key_len: usize,
 }
 
 impl Entry {
-    fn new(key: &[u8], val: &[u8]) -> Self {
-        let mut buf = Vec::with_capacity(key.len() + val.len());
-        buf.extend_from_slice(key);
-        buf.extend_from_slice(val);
-        Entry {
-            buf: buf.into_boxed_slice(),
-            key_len: u32::try_from(key.len()).expect("insert bounds entries by the node budget"),
-        }
-    }
-
     fn key(&self) -> &[u8] {
-        &self.buf[..self.key_len as usize]
+        &self.buf[..self.key_len]
     }
 
     fn val(&self) -> &[u8] {
-        &self.buf[self.key_len as usize..]
+        &self.buf[self.key_len..]
     }
 
     /// Bytes this entry is accounted at against the node budget.
     fn size(&self) -> usize {
-        entry_size(self.key(), self.val())
+        self.buf.len() + ENTRY_OVERHEAD
+    }
+}
+
+/// Where one entry's `key ‖ value` sits in its node's buffer.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    off: u32,
+    key_len: u16,
+    val_len: u16,
+}
+
+impl Slot {
+    fn len(self) -> usize {
+        self.key_len as usize + self.val_len as usize
     }
 
-    /// Composite `(key, value)` order against a probe.
-    fn cmp_to(&self, key: &[u8], val: &[u8]) -> std::cmp::Ordering {
-        self.key().cmp(key).then_with(|| self.val().cmp(val))
+    fn end(self) -> usize {
+        self.off as usize + self.len()
+    }
+}
+
+/// A node's entries: every `key ‖ value` in one buffer, ordered by a
+/// slot array.
+#[derive(Debug, Default)]
+struct Packed {
+    /// Entry bytes in append order, dead ones included.
+    buf: Vec<u8>,
+    /// Live entries in composite order.
+    slots: Vec<Slot>,
+    /// Bytes of `buf` no slot points at.
+    dead: usize,
+}
+
+impl Packed {
+    fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    fn key_of(&self, s: Slot) -> &[u8] {
+        &self.buf[s.off as usize..][..s.key_len as usize]
+    }
+
+    fn val_of(&self, s: Slot) -> &[u8] {
+        &self.buf[s.off as usize + s.key_len as usize..s.end()]
+    }
+
+    fn key(&self, i: usize) -> &[u8] {
+        self.key_of(self.slots[i])
+    }
+
+    fn val(&self, i: usize) -> &[u8] {
+        self.val_of(self.slots[i])
+    }
+
+    fn entry(&self, i: usize) -> Entry {
+        let s = self.slots[i];
+        Entry {
+            buf: self.buf[s.off as usize..s.end()].into(),
+            key_len: s.key_len as usize,
+        }
+    }
+
+    /// Composite `(key, value)` order of entry `i` against a probe.
+    fn cmp_at(&self, i: usize, key: &[u8], val: &[u8]) -> Ordering {
+        self.cmp_slot(self.slots[i], key, val)
+    }
+
+    fn cmp_slot(&self, s: Slot, key: &[u8], val: &[u8]) -> Ordering {
+        self.key_of(s)
+            .cmp(key)
+            .then_with(|| self.val_of(s).cmp(val))
+    }
+
+    /// First position whose key is not below `key`.
+    fn lower_bound_key(&self, key: &[u8]) -> usize {
+        self.slots.partition_point(|&s| self.key_of(s) < key)
+    }
+
+    /// First position whose entry is not below `(key, val)`.
+    fn lower_bound(&self, key: &[u8], val: &[u8]) -> usize {
+        self.slots
+            .partition_point(|&s| self.cmp_slot(s, key, val).is_lt())
+    }
+
+    /// First position whose entry is above `(key, val)`.
+    fn upper_bound(&self, key: &[u8], val: &[u8]) -> usize {
+        self.slots
+            .partition_point(|&s| self.cmp_slot(s, key, val).is_le())
+    }
+
+    fn insert(&mut self, pos: usize, key: &[u8], val: &[u8]) {
+        let slot = Slot {
+            off: u32::try_from(self.buf.len()).expect("a node buffer stays within a few pages"),
+            key_len: u16::try_from(key.len()).expect("insert bounds entries by half a page"),
+            val_len: u16::try_from(val.len()).expect("insert bounds entries by half a page"),
+        };
+        self.buf.extend_from_slice(key);
+        self.buf.extend_from_slice(val);
+        self.slots.insert(pos, slot);
+    }
+
+    /// Drop entry `pos`; compacts once dead bytes pass half the buffer.
+    fn remove(&mut self, pos: usize) {
+        self.dead += self.slots.remove(pos).len();
+        if self.dead * 2 > self.buf.len() {
+            self.compact();
+        }
+    }
+
+    /// Rewrite the buffer with live entries only, in slot order.
+    fn compact(&mut self) {
+        let mut buf = Vec::with_capacity(self.slots.iter().map(|s| s.len()).sum());
+        for s in &mut self.slots {
+            let start = s.off as usize;
+            let end = s.end();
+            s.off = buf.len() as u32;
+            buf.extend_from_slice(&self.buf[start..end]);
+        }
+        self.buf = buf;
+        self.dead = 0;
+    }
+
+    /// Copy entries `from..` into a fresh node and keep only `..keep`
+    /// here, compacted (an internal split drops the promoted separator
+    /// between the two). The fresh node gets room for as many entries and
+    /// bytes as this one held, so it refills without reallocating.
+    fn split_off(&mut self, keep: usize, from: usize) -> Packed {
+        let moved = &self.slots[from..];
+        let mut right = Packed {
+            buf: Vec::with_capacity(self.buf.len() - self.dead),
+            slots: Vec::with_capacity(self.slots.len()),
+            dead: 0,
+        };
+        for &s in moved {
+            right.insert(right.len(), self.key_of(s), self.val_of(s));
+        }
+        self.slots.truncate(keep);
+        self.compact();
+        right
+    }
+
+    /// Bytes these entries are accounted at against the node budget.
+    fn accounted(&self) -> usize {
+        self.slots.iter().map(|s| s.len() + ENTRY_OVERHEAD).sum()
     }
 }
 
@@ -75,15 +220,15 @@ impl Entry {
 enum Node {
     Leaf {
         /// Entries sorted by composite order.
-        entries: Vec<Entry>,
+        entries: Packed,
         /// Next leaf to the right.
         next: Option<NodeIdx>,
-        /// Cached byte size of all entries.
+        /// Cached accounted size of all entries.
         bytes: usize,
     },
     Internal {
-        /// `seps[i]` is the minimum composite entry of `children[i + 1]`.
-        seps: Vec<Entry>,
+        /// Separator `i` is the minimum composite entry of `children[i + 1]`.
+        seps: Packed,
         children: Vec<NodeIdx>,
         bytes: usize,
     },
@@ -91,6 +236,16 @@ enum Node {
 
 fn entry_size(k: &[u8], v: &[u8]) -> usize {
     k.len() + v.len() + ENTRY_OVERHEAD
+}
+
+/// Where a descent goes when a separator equals its probe: copies of an
+/// entry can sit on both sides of a separator equal to it.
+#[derive(Debug, Clone, Copy)]
+enum Tie {
+    /// Right of it, where an insert puts a new copy.
+    Right,
+    /// Left of it, so that a walk along the leaf chain meets every copy.
+    Left,
 }
 
 /// The B+tree. See module docs.
@@ -118,7 +273,7 @@ pub struct BPlusTree {
 impl BPlusTree {
     pub fn new(file: FileId, buffer: SharedBufferPool) -> Self {
         let root = Node::Leaf {
-            entries: Vec::new(),
+            entries: Packed::default(),
             next: None,
             bytes: 0,
         };
@@ -166,25 +321,52 @@ impl BPlusTree {
             .access(PageKey::new(self.file, node as u32), mode);
     }
 
-    /// Descend to the leftmost leaf that could contain `(key, val)`;
-    /// records the path for split propagation.
-    fn descend(&self, key: &[u8], val: &[u8]) -> (NodeIdx, Vec<NodeIdx>) {
-        let mut path = Vec::new();
+    /// Descend to the leaf where `(key, val)` belongs, taking the side
+    /// `tie` names at a separator equal to it.
+    fn descend(&self, key: &[u8], val: &[u8], tie: Tie) -> NodeIdx {
         let mut idx = self.root;
         loop {
             self.touch(idx, AccessMode::Read);
             match &self.nodes[idx] {
-                Node::Leaf { .. } => return (idx, path),
+                Node::Leaf { .. } => return idx,
                 Node::Internal { seps, children, .. } => {
-                    path.push(idx);
-                    // First separator strictly greater than probe bounds the
-                    // child on its left; probe >= sep means the right child's
-                    // range includes it.
-                    let pos = seps.partition_point(|s| s.cmp_to(key, val).is_le());
-                    idx = children[pos];
+                    // Child `i` holds entries from separator `i - 1` up to
+                    // separator `i`, both ends included.
+                    idx = children[match tie {
+                        Tie::Right => seps.upper_bound(key, val),
+                        Tie::Left => seps.lower_bound(key, val),
+                    }];
                 }
             }
         }
+    }
+
+    /// The internal nodes on the [`Tie::Right`] path to `(key, val)`,
+    /// root first, for a split to climb. Unmetered: it retraces nodes the
+    /// caller's descent just read.
+    fn path_to(&self, key: &[u8], val: &[u8]) -> Vec<NodeIdx> {
+        let mut path = Vec::new();
+        let mut idx = self.root;
+        while let Node::Internal { seps, children, .. } = &self.nodes[idx] {
+            path.push(idx);
+            idx = children[seps.upper_bound(key, val)];
+        }
+        path
+    }
+
+    /// Whether a separator on the [`Tie::Right`] path to `(key, val)`
+    /// equals it, so that copies may also sit left of where that path
+    /// ends. Unmetered, like [`BPlusTree::path_to`].
+    fn tied(&self, key: &[u8], val: &[u8]) -> bool {
+        let mut idx = self.root;
+        while let Node::Internal { seps, children, .. } = &self.nodes[idx] {
+            let pos = seps.upper_bound(key, val);
+            if pos > 0 && seps.cmp_at(pos - 1, key, val).is_eq() {
+                return true;
+            }
+            idx = children[pos];
+        }
+        false
     }
 
     /// Insert an entry. Duplicates (same key, same or different value) are
@@ -196,28 +378,31 @@ impl BPlusTree {
                 entry_size(key, val)
             )));
         }
-        let (leaf, path) = self.descend(key, val);
+        let leaf = self.descend(key, val, Tie::Right);
         self.touch(leaf, AccessMode::Write);
         let Node::Leaf { entries, bytes, .. } = &mut self.nodes[leaf] else {
             unreachable!("descend returns a leaf")
         };
-        let pos = entries.partition_point(|e| e.cmp_to(key, val).is_le());
-        entries.insert(pos, Entry::new(key, val));
+        entries.insert(entries.upper_bound(key, val), key, val);
         *bytes += entry_size(key, val);
         self.len += 1;
-        self.split_if_needed(leaf, path);
+        if self.overfull(leaf) {
+            self.split_up(leaf, self.path_to(key, val));
+        }
         Ok(())
     }
 
-    fn split_if_needed(&mut self, mut idx: NodeIdx, mut path: Vec<NodeIdx>) {
+    fn overfull(&self, idx: NodeIdx) -> bool {
+        match &self.nodes[idx] {
+            Node::Leaf { entries, bytes, .. } => *bytes > NODE_BYTE_BUDGET && entries.len() > 1,
+            Node::Internal { seps, bytes, .. } => *bytes > NODE_BYTE_BUDGET && seps.len() > 2,
+        }
+    }
+
+    /// Split the overfull node `idx`, then each parent on `path` that the
+    /// new separator overfills in turn.
+    fn split_up(&mut self, mut idx: NodeIdx, mut path: Vec<NodeIdx>) {
         loop {
-            let needs_split = match &self.nodes[idx] {
-                Node::Leaf { entries, bytes, .. } => *bytes > NODE_BYTE_BUDGET && entries.len() > 1,
-                Node::Internal { seps, bytes, .. } => *bytes > NODE_BYTE_BUDGET && seps.len() > 2,
-            };
-            if !needs_split {
-                return;
-            }
             let (sep, new_idx) = self.split(idx);
             match path.pop() {
                 Some(parent) => {
@@ -230,19 +415,23 @@ impl BPlusTree {
                     else {
                         unreachable!("path nodes are internal")
                     };
-                    let pos = seps.partition_point(|s| s.cmp_to(sep.key(), sep.val()).is_le());
+                    let pos = seps.upper_bound(sep.key(), sep.val());
                     *bytes += sep.size();
-                    seps.insert(pos, sep);
+                    seps.insert(pos, sep.key(), sep.val());
                     children.insert(pos + 1, new_idx);
+                    if !self.overfull(parent) {
+                        return;
+                    }
                     idx = parent;
                 }
                 None => {
                     // Split reached the root: grow the tree by one level.
-                    let bytes = sep.size();
+                    let mut seps = Packed::default();
+                    seps.insert(0, sep.key(), sep.val());
                     let new_root = Node::Internal {
-                        seps: vec![sep],
+                        seps,
                         children: vec![idx, new_idx],
-                        bytes,
+                        bytes: sep.size(),
                     };
                     self.nodes.push(new_root);
                     self.root = self.nodes.len() - 1;
@@ -258,29 +447,24 @@ impl BPlusTree {
     fn split(&mut self, idx: NodeIdx) -> (Entry, NodeIdx) {
         self.touch(idx, AccessMode::Write);
         let new_idx = self.nodes.len();
-        match &mut self.nodes[idx] {
+        let (sep, right) = match &mut self.nodes[idx] {
             Node::Leaf {
                 entries,
                 next,
                 bytes,
             } => {
                 let mid = entries.len() / 2;
-                let right_entries: Vec<_> = entries.split_off(mid);
-                let right_bytes: usize = right_entries.iter().map(Entry::size).sum();
+                let right_entries = entries.split_off(mid, mid);
+                let right_bytes = right_entries.accounted();
                 *bytes -= right_bytes;
-                let sep = right_entries[0].clone();
+                let sep = right_entries.entry(0);
+                // Re-link: left.next = right (right inherits left's old next).
                 let right = Node::Leaf {
                     entries: right_entries,
-                    next: next.take(),
+                    next: next.replace(new_idx),
                     bytes: right_bytes,
                 };
-                // Re-link: left.next = right (right inherited left's old next).
-                if let Node::Leaf { next, .. } = &mut self.nodes[idx] {
-                    *next = Some(new_idx);
-                }
-                self.nodes.push(right);
-                self.touch(new_idx, AccessMode::Write);
-                (sep, new_idx)
+                (sep, right)
             }
             Node::Internal {
                 seps,
@@ -289,40 +473,37 @@ impl BPlusTree {
             } => {
                 // Promote the middle separator.
                 let mid = seps.len() / 2;
-                let mut right_seps = seps.split_off(mid);
-                let promoted = right_seps.remove(0);
+                let promoted = seps.entry(mid);
+                let right_seps = seps.split_off(mid, mid + 1);
                 let right_children = children.split_off(mid + 1);
-                let right_bytes: usize = right_seps.iter().map(Entry::size).sum();
+                let right_bytes = right_seps.accounted();
                 *bytes -= right_bytes + promoted.size();
                 let right = Node::Internal {
                     seps: right_seps,
                     children: right_children,
                     bytes: right_bytes,
                 };
-                self.nodes.push(right);
-                self.touch(new_idx, AccessMode::Write);
-                (promoted, new_idx)
+                (promoted, right)
             }
-        }
+        };
+        self.nodes.push(right);
+        self.touch(new_idx, AccessMode::Write);
+        (sep, new_idx)
     }
 
-    /// All values stored under `key`, in value order. Touches the descent
-    /// path plus every leaf holding matches.
-    pub fn search(&self, key: &[u8]) -> Vec<Vec<u8>> {
-        let mut out = Vec::new();
-        let (mut leaf, _) = self.descend(key, &[]);
+    /// Hand every match of `key`, from `leaf` rightwards, to `visit`;
+    /// returns the leaf where the run ended.
+    fn visit_run(&self, mut leaf: NodeIdx, key: &[u8], visit: &mut impl FnMut(&[u8])) -> NodeIdx {
         loop {
             let Node::Leaf { entries, next, .. } = &self.nodes[leaf] else {
-                unreachable!()
+                unreachable!("runs stay on the leaf chain")
             };
-            let start = entries.partition_point(|e| e.key() < key);
-            for e in &entries[start..] {
-                if e.key() == key {
-                    out.push(e.val().to_vec());
-                } else {
+            for i in entries.lower_bound_key(key)..entries.len() {
+                if entries.key(i) != key {
                     // Passed beyond `key`: no match can follow.
-                    return out;
+                    return leaf;
                 }
+                visit(entries.val(i));
             }
             // Consumed this leaf to its end; matches may continue right.
             match next {
@@ -330,95 +511,82 @@ impl BPlusTree {
                     leaf = *n;
                     self.touch(leaf, AccessMode::Read);
                 }
-                None => return out,
+                None => return leaf,
             }
         }
     }
 
-    /// Batched [`BPlusTree::search`] for `keys` sorted ascending and
-    /// distinct. Probes share a merge-style cursor over the leaf chain:
-    /// a key whose start position falls inside the leaf where the
-    /// previous probe stopped reuses that (pinned) leaf instead of
-    /// re-descending from the root, so duplicate-heavy batches and
-    /// adjacent leaves are touched once rather than once per probe.
-    pub fn search_many(&self, keys: &[Vec<u8>]) -> Vec<Vec<Vec<u8>>> {
-        let mut out = Vec::with_capacity(keys.len());
+    /// Hand every value stored under `key` to `visit`, in value order,
+    /// straight from the leaf. Touches the descent path plus every leaf
+    /// holding matches.
+    pub fn search_with(&self, key: &[u8], mut visit: impl FnMut(&[u8])) {
+        let leaf = self.descend(key, &[], Tie::Left);
+        self.visit_run(leaf, key, &mut visit);
+    }
+
+    /// All values stored under `key`, in value order; see
+    /// [`BPlusTree::search_with`].
+    pub fn search(&self, key: &[u8]) -> Vec<Vec<u8>> {
+        let mut out = Vec::new();
+        self.search_with(key, |v| out.push(v.to_vec()));
+        out
+    }
+
+    /// Batched [`BPlusTree::search_with`] for `keys` sorted ascending and
+    /// distinct: `visit(i, value)` gets each match of `keys[i]`. Probes
+    /// share a merge-style cursor over the leaf chain: a key whose start
+    /// position falls inside the leaf where the previous probe stopped
+    /// reuses that (pinned) leaf instead of re-descending from the root,
+    /// so duplicate-heavy batches and adjacent leaves are touched once
+    /// rather than once per probe.
+    pub fn search_many_with(&self, keys: &[Vec<u8>], mut visit: impl FnMut(usize, &[u8])) {
         let mut cursor: Option<NodeIdx> = None;
         for (i, key) in keys.iter().enumerate() {
             debug_assert!(
                 i == 0 || keys[i - 1].as_slice() < key.as_slice(),
                 "search_many keys must be sorted and distinct"
             );
-            let in_cursor = cursor.is_some_and(|leaf| {
-                let Node::Leaf { entries, .. } = &self.nodes[leaf] else {
-                    unreachable!()
-                };
-                match (entries.first(), entries.last()) {
-                    // The lower bound is strict: entries in earlier leaves
-                    // sort <= this leaf's first entry, so `first < key`
-                    // guarantees no match lives left of the cursor (equal
-                    // keys could straddle the boundary otherwise).
-                    (Some(first), Some(last)) => {
-                        first.key() < key.as_slice() && key.as_slice() <= last.key()
-                    }
-                    _ => false,
-                }
-            });
-            let mut leaf = match cursor.filter(|_| in_cursor) {
+            let leaf = match cursor.filter(|&leaf| self.covers(leaf, key)) {
                 Some(l) => l,
-                None => self.descend(key, &[]).0,
+                None => self.descend(key, &[], Tie::Left),
             };
-            let mut matches = Vec::new();
-            'scan: loop {
-                let Node::Leaf { entries, next, .. } = &self.nodes[leaf] else {
-                    unreachable!()
-                };
-                let start = entries.partition_point(|e| e.key() < key.as_slice());
-                for e in &entries[start..] {
-                    if e.key() == key.as_slice() {
-                        matches.push(e.val().to_vec());
-                    } else {
-                        break 'scan;
-                    }
-                }
-                match next {
-                    Some(n) => {
-                        leaf = *n;
-                        self.touch(leaf, AccessMode::Read);
-                    }
-                    None => break 'scan,
-                }
-            }
-            cursor = Some(leaf);
-            out.push(matches);
+            cursor = Some(self.visit_run(leaf, key, &mut |v| visit(i, v)));
         }
-        out
     }
 
-    /// Whether any entry has exactly `(key, val)`.
-    pub fn contains(&self, key: &[u8], val: &[u8]) -> bool {
-        let (mut leaf, _) = self.descend(key, val);
-        loop {
-            let Node::Leaf { entries, next, .. } = &self.nodes[leaf] else {
-                unreachable!()
-            };
-            let pos = entries.partition_point(|e| e.cmp_to(key, val).is_lt());
-            if let Some(e) = entries.get(pos) {
-                return e.cmp_to(key, val).is_eq();
-            }
-            match next {
-                Some(n) => {
-                    leaf = *n;
-                    self.touch(leaf, AccessMode::Read);
-                }
-                None => return false,
-            }
-        }
+    /// Whether a probe for `key` may start at the cursor `leaf` instead
+    /// of descending. The lower bound is strict: entries in earlier
+    /// leaves sort <= this leaf's first entry, so `first < key`
+    /// guarantees no match lives left of it (equal keys could straddle
+    /// the boundary otherwise).
+    fn covers(&self, leaf: NodeIdx, key: &[u8]) -> bool {
+        let Node::Leaf { entries, .. } = &self.nodes[leaf] else {
+            unreachable!("the cursor is a leaf")
+        };
+        entries.len() > 0 && entries.key(0) < key && key <= entries.key(entries.len() - 1)
+    }
+
+    /// Batched [`BPlusTree::search`]; see [`BPlusTree::search_many_with`].
+    pub fn search_many(&self, keys: &[Vec<u8>]) -> Vec<Vec<Vec<u8>>> {
+        let mut out = vec![Vec::new(); keys.len()];
+        self.search_many_with(keys, |i, v| out[i].push(v.to_vec()));
+        out
     }
 
     /// Remove **one** entry equal to `(key, val)`. Returns true if removed.
     pub fn delete(&mut self, key: &[u8], val: &[u8]) -> bool {
-        let (mut leaf, _) = self.descend(key, val);
+        // The copy an insert would sit beside first; copies left of an
+        // equal separator only when none is there.
+        let leaf = self.descend(key, val, Tie::Right);
+        self.delete_from(leaf, key, val)
+            || (self.tied(key, val) && {
+                let leaf = self.descend(key, val, Tie::Left);
+                self.delete_from(leaf, key, val)
+            })
+    }
+
+    /// Remove the first copy of `(key, val)` found walking right from `leaf`.
+    fn delete_from(&mut self, mut leaf: NodeIdx, key: &[u8], val: &[u8]) -> bool {
         loop {
             let Node::Leaf {
                 entries,
@@ -428,9 +596,9 @@ impl BPlusTree {
             else {
                 unreachable!()
             };
-            let pos = entries.partition_point(|e| e.cmp_to(key, val).is_lt());
-            if let Some(e) = entries.get(pos) {
-                if e.cmp_to(key, val).is_eq() {
+            let pos = entries.lower_bound(key, val);
+            if pos < entries.len() {
+                if entries.cmp_at(pos, key, val).is_eq() {
                     *bytes -= entry_size(key, val);
                     entries.remove(pos);
                     self.len -= 1;
@@ -449,16 +617,6 @@ impl BPlusTree {
                 None => return false,
             }
         }
-    }
-
-    /// Remove **all** entries with `key`, returning their values.
-    pub fn delete_all(&mut self, key: &[u8]) -> Vec<Vec<u8>> {
-        let vals = self.search(key);
-        for v in &vals {
-            let removed = self.delete(key, v);
-            debug_assert!(removed);
-        }
-        vals
     }
 
     fn leftmost_leaf(&self) -> NodeIdx {
@@ -483,37 +641,33 @@ impl BPlusTree {
         }
     }
 
-    /// Ordered scan starting at the first entry with `key >= from`.
-    pub fn scan_from(&self, from: &[u8]) -> BTreeScan<'_> {
-        let (leaf, _) = self.descend(from, &[]);
-        let pos = match &self.nodes[leaf] {
-            Node::Leaf { entries, .. } => entries.partition_point(|e| e.key() < from),
-            _ => unreachable!(),
-        };
-        BTreeScan {
-            tree: self,
-            leaf: Some(leaf),
-            pos,
-        }
-    }
-
     /// Internal consistency check used by tests: order within every node,
-    /// leaf-chain completeness, byte accounting.
+    /// buffer and byte accounting, leaf-chain completeness.
     pub fn check_invariants(&self) -> Result<()> {
-        // 1. Every node's entries / separators are sorted; bytes match.
+        // 1. Every node's entries / separators are sorted; bytes match;
+        //    slots and dead bytes cover the buffer, which honours the
+        //    compaction rule.
         for node in &self.nodes {
             let (entries, bytes) = match node {
                 Node::Leaf { entries, bytes, .. } => (entries, bytes),
                 Node::Internal { seps, bytes, .. } => (seps, bytes),
             };
-            if entries
-                .windows(2)
-                .any(|w| w[0].cmp_to(w[1].key(), w[1].val()).is_gt())
-            {
+            if (1..entries.len()).any(|i| {
+                entries
+                    .cmp_at(i - 1, entries.key(i), entries.val(i))
+                    .is_gt()
+            }) {
                 return Err(PvmError::Corrupt("node out of order".into()));
             }
-            if entries.iter().map(Entry::size).sum::<usize>() != *bytes {
+            if entries.accounted() != *bytes {
                 return Err(PvmError::Corrupt("node byte accounting drift".into()));
+            }
+            let live: usize = entries.slots.iter().map(|s| s.len()).sum();
+            if entries.slots.iter().any(|s| s.end() > entries.buf.len())
+                || live + entries.dead != entries.buf.len()
+                || entries.dead * 2 > entries.buf.len()
+            {
+                return Err(PvmError::Corrupt("node buffer accounting drift".into()));
             }
         }
         // 2. Chain from the leftmost leaf yields len() sorted entries.
@@ -553,9 +707,10 @@ impl Iterator for BTreeScan<'_> {
             let leaf = self.leaf?;
             match &self.tree.nodes[leaf] {
                 Node::Leaf { entries, next, .. } => {
-                    if let Some(e) = entries.get(self.pos) {
+                    if self.pos < entries.len() {
+                        let i = self.pos;
                         self.pos += 1;
-                        return Some((e.key().to_vec(), e.val().to_vec()));
+                        return Some((entries.key(i).to_vec(), entries.val(i).to_vec()));
                     }
                     self.leaf = *next;
                     self.pos = 0;
@@ -569,10 +724,464 @@ impl Iterator for BTreeScan<'_> {
     }
 }
 
+/// The tree with one boxed `key ‖ value` per entry, as it stood before
+/// packed nodes, kept as an exact oracle: the packed tree must make the
+/// same nodes, return the same matches and touch the same pages. It
+/// carries the same rule for separators equal to a probe (reads go left
+/// of them; a delete that misses right of one retries from the left).
+#[cfg(test)]
+mod reference {
+    use pvm_types::{PvmError, Result};
+
+    use super::{entry_size, NodeIdx, NODE_BYTE_BUDGET};
+    use crate::buffer::{AccessMode, PageKey, SharedBufferPool};
+    use crate::FileId;
+
+    /// One `(key, value)` pair packed into a single allocation.
+    #[derive(Debug, Clone)]
+    struct Entry {
+        /// `key ‖ value`.
+        buf: Box<[u8]>,
+        key_len: u32,
+    }
+
+    impl Entry {
+        fn new(key: &[u8], val: &[u8]) -> Self {
+            let mut buf = Vec::with_capacity(key.len() + val.len());
+            buf.extend_from_slice(key);
+            buf.extend_from_slice(val);
+            Entry {
+                buf: buf.into_boxed_slice(),
+                key_len: u32::try_from(key.len())
+                    .expect("insert bounds entries by the node budget"),
+            }
+        }
+
+        fn key(&self) -> &[u8] {
+            &self.buf[..self.key_len as usize]
+        }
+
+        fn val(&self) -> &[u8] {
+            &self.buf[self.key_len as usize..]
+        }
+
+        fn size(&self) -> usize {
+            entry_size(self.key(), self.val())
+        }
+
+        fn cmp_to(&self, key: &[u8], val: &[u8]) -> std::cmp::Ordering {
+            self.key().cmp(key).then_with(|| self.val().cmp(val))
+        }
+    }
+
+    #[derive(Debug)]
+    enum Node {
+        Leaf {
+            entries: Vec<Entry>,
+            next: Option<NodeIdx>,
+            bytes: usize,
+        },
+        Internal {
+            seps: Vec<Entry>,
+            children: Vec<NodeIdx>,
+            bytes: usize,
+        },
+    }
+
+    /// One node as both trees can show it: kind, entries, children, leaf
+    /// link and accounted bytes.
+    #[derive(Debug, PartialEq)]
+    pub(super) struct NodeImage {
+        pub(super) leaf: bool,
+        pub(super) entries: Vec<(Vec<u8>, Vec<u8>)>,
+        pub(super) children: Vec<NodeIdx>,
+        pub(super) next: Option<NodeIdx>,
+        pub(super) bytes: usize,
+    }
+
+    #[derive(Debug)]
+    pub(super) struct BPlusTree {
+        file: FileId,
+        nodes: Vec<Node>,
+        root: NodeIdx,
+        buffer: SharedBufferPool,
+        len: u64,
+    }
+
+    impl BPlusTree {
+        pub(super) fn new(file: FileId, buffer: SharedBufferPool) -> Self {
+            let root = Node::Leaf {
+                entries: Vec::new(),
+                next: None,
+                bytes: 0,
+            };
+            BPlusTree {
+                file,
+                nodes: vec![root],
+                root: 0,
+                buffer,
+                len: 0,
+            }
+        }
+
+        pub(super) fn len(&self) -> u64 {
+            self.len
+        }
+
+        pub(super) fn page_count(&self) -> usize {
+            self.nodes.len()
+        }
+
+        pub(super) fn height(&self) -> usize {
+            let mut h = 1;
+            let mut idx = self.root;
+            while let Node::Internal { children, .. } = &self.nodes[idx] {
+                idx = children[0];
+                h += 1;
+            }
+            h
+        }
+
+        /// The root and every node, in arena order.
+        pub(super) fn image(&self) -> (NodeIdx, Vec<NodeImage>) {
+            let pairs = |es: &[Entry]| {
+                es.iter()
+                    .map(|e| (e.key().to_vec(), e.val().to_vec()))
+                    .collect()
+            };
+            let nodes = self
+                .nodes
+                .iter()
+                .map(|n| match n {
+                    Node::Leaf {
+                        entries,
+                        next,
+                        bytes,
+                    } => NodeImage {
+                        leaf: true,
+                        entries: pairs(entries),
+                        children: Vec::new(),
+                        next: *next,
+                        bytes: *bytes,
+                    },
+                    Node::Internal {
+                        seps,
+                        children,
+                        bytes,
+                    } => NodeImage {
+                        leaf: false,
+                        entries: pairs(seps),
+                        children: children.clone(),
+                        next: None,
+                        bytes: *bytes,
+                    },
+                })
+                .collect();
+            (self.root, nodes)
+        }
+
+        fn touch(&self, node: NodeIdx, mode: AccessMode) {
+            self.buffer
+                .lock()
+                .access(PageKey::new(self.file, node as u32), mode);
+        }
+
+        /// `left`: at a separator equal to the probe, go left of it.
+        fn descend(&self, key: &[u8], val: &[u8], left: bool) -> (NodeIdx, Vec<NodeIdx>) {
+            let mut path = Vec::new();
+            let mut idx = self.root;
+            loop {
+                self.touch(idx, AccessMode::Read);
+                match &self.nodes[idx] {
+                    Node::Leaf { .. } => return (idx, path),
+                    Node::Internal { seps, children, .. } => {
+                        path.push(idx);
+                        let pos = if left {
+                            seps.partition_point(|s| s.cmp_to(key, val).is_lt())
+                        } else {
+                            seps.partition_point(|s| s.cmp_to(key, val).is_le())
+                        };
+                        idx = children[pos];
+                    }
+                }
+            }
+        }
+
+        fn tied(&self, key: &[u8], val: &[u8]) -> bool {
+            let mut idx = self.root;
+            while let Node::Internal { seps, children, .. } = &self.nodes[idx] {
+                let pos = seps.partition_point(|s| s.cmp_to(key, val).is_le());
+                if pos > 0 && seps[pos - 1].cmp_to(key, val).is_eq() {
+                    return true;
+                }
+                idx = children[pos];
+            }
+            false
+        }
+
+        pub(super) fn insert(&mut self, key: &[u8], val: &[u8]) -> Result<()> {
+            if entry_size(key, val) > NODE_BYTE_BUDGET / 2 {
+                return Err(PvmError::CapacityExceeded(format!(
+                    "index entry of {} bytes exceeds half a page",
+                    entry_size(key, val)
+                )));
+            }
+            let (leaf, path) = self.descend(key, val, false);
+            self.touch(leaf, AccessMode::Write);
+            let Node::Leaf { entries, bytes, .. } = &mut self.nodes[leaf] else {
+                unreachable!("descend returns a leaf")
+            };
+            let pos = entries.partition_point(|e| e.cmp_to(key, val).is_le());
+            entries.insert(pos, Entry::new(key, val));
+            *bytes += entry_size(key, val);
+            self.len += 1;
+            self.split_if_needed(leaf, path);
+            Ok(())
+        }
+
+        fn split_if_needed(&mut self, mut idx: NodeIdx, mut path: Vec<NodeIdx>) {
+            loop {
+                let needs_split = match &self.nodes[idx] {
+                    Node::Leaf { entries, bytes, .. } => {
+                        *bytes > NODE_BYTE_BUDGET && entries.len() > 1
+                    }
+                    Node::Internal { seps, bytes, .. } => {
+                        *bytes > NODE_BYTE_BUDGET && seps.len() > 2
+                    }
+                };
+                if !needs_split {
+                    return;
+                }
+                let (sep, new_idx) = self.split(idx);
+                match path.pop() {
+                    Some(parent) => {
+                        self.touch(parent, AccessMode::Write);
+                        let Node::Internal {
+                            seps,
+                            children,
+                            bytes,
+                        } = &mut self.nodes[parent]
+                        else {
+                            unreachable!("path nodes are internal")
+                        };
+                        let pos = seps.partition_point(|s| s.cmp_to(sep.key(), sep.val()).is_le());
+                        *bytes += sep.size();
+                        seps.insert(pos, sep);
+                        children.insert(pos + 1, new_idx);
+                        idx = parent;
+                    }
+                    None => {
+                        let bytes = sep.size();
+                        let new_root = Node::Internal {
+                            seps: vec![sep],
+                            children: vec![idx, new_idx],
+                            bytes,
+                        };
+                        self.nodes.push(new_root);
+                        self.root = self.nodes.len() - 1;
+                        self.touch(self.root, AccessMode::Write);
+                        return;
+                    }
+                }
+            }
+        }
+
+        fn split(&mut self, idx: NodeIdx) -> (Entry, NodeIdx) {
+            self.touch(idx, AccessMode::Write);
+            let new_idx = self.nodes.len();
+            match &mut self.nodes[idx] {
+                Node::Leaf {
+                    entries,
+                    next,
+                    bytes,
+                } => {
+                    let mid = entries.len() / 2;
+                    let right_entries: Vec<_> = entries.split_off(mid);
+                    let right_bytes: usize = right_entries.iter().map(Entry::size).sum();
+                    *bytes -= right_bytes;
+                    let sep = right_entries[0].clone();
+                    let right = Node::Leaf {
+                        entries: right_entries,
+                        next: next.take(),
+                        bytes: right_bytes,
+                    };
+                    if let Node::Leaf { next, .. } = &mut self.nodes[idx] {
+                        *next = Some(new_idx);
+                    }
+                    self.nodes.push(right);
+                    self.touch(new_idx, AccessMode::Write);
+                    (sep, new_idx)
+                }
+                Node::Internal {
+                    seps,
+                    children,
+                    bytes,
+                } => {
+                    let mid = seps.len() / 2;
+                    let mut right_seps = seps.split_off(mid);
+                    let promoted = right_seps.remove(0);
+                    let right_children = children.split_off(mid + 1);
+                    let right_bytes: usize = right_seps.iter().map(Entry::size).sum();
+                    *bytes -= right_bytes + promoted.size();
+                    let right = Node::Internal {
+                        seps: right_seps,
+                        children: right_children,
+                        bytes: right_bytes,
+                    };
+                    self.nodes.push(right);
+                    self.touch(new_idx, AccessMode::Write);
+                    (promoted, new_idx)
+                }
+            }
+        }
+
+        pub(super) fn search(&self, key: &[u8]) -> Vec<Vec<u8>> {
+            let mut out = Vec::new();
+            let (mut leaf, _) = self.descend(key, &[], true);
+            loop {
+                let Node::Leaf { entries, next, .. } = &self.nodes[leaf] else {
+                    unreachable!()
+                };
+                let start = entries.partition_point(|e| e.key() < key);
+                for e in &entries[start..] {
+                    if e.key() == key {
+                        out.push(e.val().to_vec());
+                    } else {
+                        return out;
+                    }
+                }
+                match next {
+                    Some(n) => {
+                        leaf = *n;
+                        self.touch(leaf, AccessMode::Read);
+                    }
+                    None => return out,
+                }
+            }
+        }
+
+        pub(super) fn search_many(&self, keys: &[Vec<u8>]) -> Vec<Vec<Vec<u8>>> {
+            let mut out = Vec::with_capacity(keys.len());
+            let mut cursor: Option<NodeIdx> = None;
+            for key in keys {
+                let in_cursor = cursor.is_some_and(|leaf| {
+                    let Node::Leaf { entries, .. } = &self.nodes[leaf] else {
+                        unreachable!()
+                    };
+                    match (entries.first(), entries.last()) {
+                        (Some(first), Some(last)) => {
+                            first.key() < key.as_slice() && key.as_slice() <= last.key()
+                        }
+                        _ => false,
+                    }
+                });
+                let mut leaf = match cursor.filter(|_| in_cursor) {
+                    Some(l) => l,
+                    None => self.descend(key, &[], true).0,
+                };
+                let mut matches = Vec::new();
+                'scan: loop {
+                    let Node::Leaf { entries, next, .. } = &self.nodes[leaf] else {
+                        unreachable!()
+                    };
+                    let start = entries.partition_point(|e| e.key() < key.as_slice());
+                    for e in &entries[start..] {
+                        if e.key() == key.as_slice() {
+                            matches.push(e.val().to_vec());
+                        } else {
+                            break 'scan;
+                        }
+                    }
+                    match next {
+                        Some(n) => {
+                            leaf = *n;
+                            self.touch(leaf, AccessMode::Read);
+                        }
+                        None => break 'scan,
+                    }
+                }
+                cursor = Some(leaf);
+                out.push(matches);
+            }
+            out
+        }
+
+        pub(super) fn delete(&mut self, key: &[u8], val: &[u8]) -> bool {
+            let (leaf, _) = self.descend(key, val, false);
+            self.delete_from(leaf, key, val)
+                || (self.tied(key, val) && {
+                    let (leaf, _) = self.descend(key, val, true);
+                    self.delete_from(leaf, key, val)
+                })
+        }
+
+        fn delete_from(&mut self, mut leaf: NodeIdx, key: &[u8], val: &[u8]) -> bool {
+            loop {
+                let Node::Leaf {
+                    entries,
+                    next,
+                    bytes,
+                } = &mut self.nodes[leaf]
+                else {
+                    unreachable!()
+                };
+                let pos = entries.partition_point(|e| e.cmp_to(key, val).is_lt());
+                if let Some(e) = entries.get(pos) {
+                    if e.cmp_to(key, val).is_eq() {
+                        *bytes -= entry_size(key, val);
+                        entries.remove(pos);
+                        self.len -= 1;
+                        self.touch(leaf, AccessMode::Write);
+                        return true;
+                    }
+                    return false;
+                }
+                match *next {
+                    Some(n) => {
+                        leaf = n;
+                        self.touch(leaf, AccessMode::Read);
+                    }
+                    None => return false,
+                }
+            }
+        }
+
+        /// Ordered scan of all entries, collected.
+        pub(super) fn scan(&self) -> Vec<(Vec<u8>, Vec<u8>)> {
+            let mut idx = self.root;
+            let mut leaf = loop {
+                self.touch(idx, AccessMode::Read);
+                match &self.nodes[idx] {
+                    Node::Leaf { .. } => break idx,
+                    Node::Internal { children, .. } => idx = children[0],
+                }
+            };
+            let mut out = Vec::new();
+            loop {
+                let Node::Leaf { entries, next, .. } = &self.nodes[leaf] else {
+                    unreachable!("scan only visits leaves")
+                };
+                out.extend(entries.iter().map(|e| (e.key().to_vec(), e.val().to_vec())));
+                match next {
+                    Some(n) => {
+                        leaf = *n;
+                        self.touch(leaf, AccessMode::Read);
+                    }
+                    None => return out,
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use std::collections::VecDeque;
+
+    use proptest::prelude::*;
+
     use super::*;
-    use crate::buffer::BufferPool;
+    use crate::buffer::{BufferPool, SharedBufferPool};
 
     fn tree() -> BPlusTree {
         BPlusTree::new(FileId(10), BufferPool::shared(1024))
@@ -686,6 +1295,34 @@ mod tests {
     }
 
     #[test]
+    fn copies_of_a_separator_are_all_found() {
+        // Copies of one entry fill several leaves, so separators equal
+        // the entry and copies sit on both sides of them. Every search
+        // sees them all and every delete finds one, after the copies
+        // right of the last separator are gone too.
+        let mut t = tree();
+        let big = vec![7u8; 512];
+        for _ in 0..200 {
+            t.insert(&key(1), &big).unwrap();
+            t.insert(&key(2), &[]).unwrap();
+        }
+        for _ in 0..2000 {
+            t.insert(&key(2), &[]).unwrap();
+        }
+        assert!(t.height() > 1);
+        assert_eq!(t.search(&key(1)).len(), 200);
+        assert_eq!(t.search(&key(2)).len(), 2200);
+        for i in 0..200 {
+            assert!(t.delete(&key(1), &big), "delete {i}");
+        }
+        for i in 0..2200 {
+            assert!(t.delete(&key(2), &[]), "delete {i}");
+        }
+        assert!(t.is_empty());
+        t.check_invariants().unwrap();
+    }
+
+    #[test]
     fn multiset_semantics() {
         let mut t = tree();
         t.insert(b"k", b"v").unwrap();
@@ -717,18 +1354,6 @@ mod tests {
     }
 
     #[test]
-    fn delete_all_returns_values() {
-        let mut t = tree();
-        for i in 0..10u64 {
-            t.insert(&key(7), &i.to_be_bytes()).unwrap();
-        }
-        let vals = t.delete_all(&key(7));
-        assert_eq!(vals.len(), 10);
-        assert!(t.search(&key(7)).is_empty());
-        assert!(t.is_empty());
-    }
-
-    #[test]
     fn ordered_scan() {
         let mut t = tree();
         for i in (0..1000u64).rev() {
@@ -740,28 +1365,6 @@ mod tests {
             .collect();
         assert_eq!(keys.len(), 1000);
         assert!(keys.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    #[test]
-    fn scan_from_midpoint() {
-        let mut t = tree();
-        for i in 0..100u64 {
-            t.insert(&key(i), b"").unwrap();
-        }
-        let got: Vec<u64> = t
-            .scan_from(&key(90))
-            .map(|(k, _)| u64::from_be_bytes(k.as_slice().try_into().unwrap()))
-            .collect();
-        assert_eq!(got, (90..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn contains_exact_entry() {
-        let mut t = tree();
-        t.insert(b"a", b"1").unwrap();
-        assert!(t.contains(b"a", b"1"));
-        assert!(!t.contains(b"a", b"2"));
-        assert!(!t.contains(b"b", b"1"));
     }
 
     #[test]
@@ -840,5 +1443,214 @@ mod tests {
         assert_eq!((t.page_count(), t.height()), (518, 3));
         assert_eq!(accounted_bytes(&t), (2_517_216, 40_640));
         t.check_invariants().unwrap();
+    }
+
+    /// Churn the way `partial_zipf` does — delete the oldest block of 4
+    /// entries, insert a fresh block, 8 blocks live — over a loaded tree
+    /// for 100k operations. A node compacts once its dead bytes pass half
+    /// its buffer, so a buffer never holds more than twice its live key
+    /// and value bytes, and so never more than `2 × PAGE_SIZE`: live
+    /// bytes stay within the node budget between operations.
+    #[test]
+    fn churn_keeps_dead_bytes_bounded() {
+        const BLOCK: usize = 4;
+        const LIVE_BLOCKS: usize = 8;
+        let value = |k: u64, version: u64| {
+            let mut v = version.to_be_bytes().to_vec();
+            v.resize(96, k as u8);
+            v
+        };
+        let mut t = tree();
+        for i in 0..2000u64 {
+            t.insert(&key(i * 2), &value(i, 0)).unwrap();
+        }
+        // Recycled block keys, scattered between the loaded ones.
+        let mut pool: VecDeque<u64> = (0..256u64)
+            .map(|i| (i * 2654435761) % 2000 * 2 + 1)
+            .collect();
+        let mut live: VecDeque<(Vec<u64>, u64)> = VecDeque::new();
+        let (mut version, mut max_dead) = (0u64, 0usize);
+        for _ in 0..100_000 / BLOCK {
+            if live.len() < LIVE_BLOCKS {
+                version += 1;
+                let keys: Vec<u64> = pool.drain(..BLOCK).collect();
+                for &k in &keys {
+                    t.insert(&key(k), &value(k, version)).unwrap();
+                }
+                live.push_back((keys, version));
+            } else {
+                let (keys, version) = live.pop_front().unwrap();
+                for &k in &keys {
+                    assert!(t.delete(&key(k), &value(k, version)));
+                }
+                pool.extend(keys);
+            }
+            for node in &t.nodes {
+                let (Node::Leaf { entries, bytes, .. }
+                | Node::Internal {
+                    seps: entries,
+                    bytes,
+                    ..
+                }) = node;
+                let live_bytes = bytes - entries.len() * ENTRY_OVERHEAD;
+                assert!(
+                    entries.buf.len() <= 2 * live_bytes,
+                    "{} dead of {}",
+                    entries.dead,
+                    entries.buf.len()
+                );
+                assert!(entries.buf.len() <= 2 * PAGE_SIZE);
+                max_dead = max_dead.max(entries.dead);
+            }
+        }
+        assert!(
+            max_dead > PAGE_SIZE / 4,
+            "the churn must leave dead bytes to compact"
+        );
+        t.check_invariants().unwrap();
+    }
+
+    /// The packed tree's nodes in the oracle's terms.
+    fn image(t: &BPlusTree) -> (NodeIdx, Vec<reference::NodeImage>) {
+        let pairs = |es: &Packed| {
+            (0..es.len())
+                .map(|i| (es.key(i).to_vec(), es.val(i).to_vec()))
+                .collect()
+        };
+        let nodes = t
+            .nodes
+            .iter()
+            .map(|n| match n {
+                Node::Leaf {
+                    entries,
+                    next,
+                    bytes,
+                } => reference::NodeImage {
+                    leaf: true,
+                    entries: pairs(entries),
+                    children: Vec::new(),
+                    next: *next,
+                    bytes: *bytes,
+                },
+                Node::Internal {
+                    seps,
+                    children,
+                    bytes,
+                } => reference::NodeImage {
+                    leaf: false,
+                    entries: pairs(seps),
+                    children: children.clone(),
+                    next: None,
+                    bytes: *bytes,
+                },
+            })
+            .collect();
+        (t.root, nodes)
+    }
+
+    /// Hits, misses, page reads and page writes so far.
+    fn pool_counts(pool: &SharedBufferPool) -> (u64, u64, u64, u64) {
+        let pool = pool.lock();
+        let io = pool.io_snapshot();
+        (pool.hits(), pool.misses(), io.page_reads, io.page_writes)
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Insert(Vec<u8>, Vec<u8>),
+        /// Delete the `n`-th live entry (modulo the live count).
+        DeleteLive(usize),
+        /// Delete an arbitrary entry, usually absent.
+        Delete(Vec<u8>, Vec<u8>),
+        Search(Vec<u8>),
+        SearchMany(Vec<Vec<u8>>),
+        Scan,
+    }
+
+    /// Seven keys, prefixes of one another: duplicate-heavy by design.
+    fn any_key() -> impl Strategy<Value = Vec<u8>> {
+        (0u8..3, 0usize..3).prop_map(|(b, n)| vec![b; n])
+    }
+
+    /// Values of 0 to `PAGE_SIZE / 2 - 8` bytes, mostly short.
+    fn any_val() -> impl Strategy<Value = Vec<u8>> {
+        let len = prop_oneof![0usize..64, 0usize..PAGE_SIZE / 2 - 7];
+        (0u8..3, len).prop_map(|(b, n)| vec![b; n])
+    }
+
+    fn insert_op() -> impl Strategy<Value = Op> {
+        (any_key(), any_val()).prop_map(|(k, v)| Op::Insert(k, v))
+    }
+
+    fn any_op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            insert_op(),
+            insert_op(),
+            insert_op(),
+            insert_op(),
+            (0usize..1 << 16).prop_map(Op::DeleteLive),
+            (any_key(), any_val()).prop_map(|(k, v)| Op::Delete(k, v)),
+            any_key().prop_map(Op::Search),
+            proptest::collection::vec(any_key(), 0..6).prop_map(|mut keys| {
+                keys.sort();
+                keys.dedup();
+                Op::SearchMany(keys)
+            }),
+            Just(Op::Scan),
+        ]
+    }
+
+    proptest! {
+        /// The packed tree against the boxed-entry oracle, each on a
+        /// 16-page pool so that nodes are evicted and written back: after
+        /// every operation both return the same thing, have the same
+        /// shape and nodes, and have cost their pools the same.
+        #[test]
+        fn packed_tree_matches_boxed_entry_oracle(ops in proptest::collection::vec(any_op(), 1..600)) {
+            let (packed_pool, oracle_pool) = (BufferPool::shared(16), BufferPool::shared(16));
+            let mut packed = BPlusTree::new(FileId(1), packed_pool.clone());
+            let mut oracle = reference::BPlusTree::new(FileId(1), oracle_pool.clone());
+            let mut live: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+            for op in ops {
+                match &op {
+                    Op::Insert(k, v) => {
+                        let (got, want) = (packed.insert(k, v), oracle.insert(k, v));
+                        prop_assert_eq!(got.is_ok(), want.is_ok(), "{:?}", op);
+                        if got.is_ok() {
+                            live.push((k.clone(), v.clone()));
+                        }
+                    }
+                    Op::DeleteLive(n) => {
+                        if !live.is_empty() {
+                            let (k, v) = live.swap_remove(n % live.len());
+                            prop_assert!(packed.delete(&k, &v));
+                            prop_assert!(oracle.delete(&k, &v));
+                        }
+                    }
+                    Op::Delete(k, v) => {
+                        let removed = packed.delete(k, v);
+                        prop_assert_eq!(removed, oracle.delete(k, v), "{:?}", op);
+                        if removed {
+                            let at = live.iter().position(|e| (&e.0, &e.1) == (k, v)).unwrap();
+                            live.swap_remove(at);
+                        }
+                    }
+                    Op::Search(k) => prop_assert_eq!(packed.search(k), oracle.search(k)),
+                    Op::SearchMany(keys) => {
+                        prop_assert_eq!(packed.search_many(keys), oracle.search_many(keys))
+                    }
+                    Op::Scan => prop_assert_eq!(packed.scan().collect::<Vec<_>>(), oracle.scan()),
+                }
+                prop_assert_eq!(packed.len(), oracle.len());
+                prop_assert_eq!(
+                    (packed.page_count(), packed.height()),
+                    (oracle.page_count(), oracle.height())
+                );
+                prop_assert!(image(&packed) == oracle.image(), "nodes diverged after {:?}", op);
+                prop_assert_eq!(pool_counts(&packed_pool), pool_counts(&oracle_pool), "{:?}", op);
+            }
+            prop_assert_eq!(packed.len(), live.len() as u64);
+            packed.check_invariants().unwrap();
+        }
     }
 }

@@ -85,6 +85,49 @@ fn align_to_inputs<T: Clone + Default>(
     out
 }
 
+/// The index key a probe row spells: every one of its columns, encoded.
+fn probe_key(key_values: &Row) -> Vec<u8> {
+    let mut key = Vec::new();
+    for v in key_values.values() {
+        v.encode_into(&mut key);
+    }
+    key
+}
+
+/// All matches of one probe, each decoded straight from its leaf.
+fn probe<T>(tree: &BPlusTree, key_values: &Row, decode: fn(&[u8]) -> Result<T>) -> Result<Vec<T>> {
+    let mut out = Vec::new();
+    let mut decoded = Ok(());
+    tree.search_with(&probe_key(key_values), |v| {
+        if decoded.is_ok() {
+            decoded = decode(v).map(|t| out.push(t));
+        }
+    });
+    decoded.map(|()| out)
+}
+
+/// Batched [`probe`]: one B-tree probe per distinct key, matches aligned
+/// to `key_values`, plus the representative map (see [`batch_groups`]).
+fn probe_batch<T: Clone>(
+    tree: &BPlusTree,
+    key_values: &[Row],
+    decode: fn(&[u8]) -> Result<T>,
+) -> Result<(Vec<Vec<T>>, Vec<usize>)> {
+    let encoded: Vec<Vec<u8>> = key_values.iter().map(probe_key).collect();
+    let (distinct, slot, rep) = batch_groups(&encoded);
+    let mut out: Vec<Vec<T>> = std::iter::repeat_with(Vec::new)
+        .take(distinct.len())
+        .collect();
+    let mut decoded = Ok(());
+    tree.search_many_with(&distinct, |i, v| {
+        if decoded.is_ok() {
+            decoded = decode(v).map(|t| out[i].push(t));
+        }
+    });
+    decoded?;
+    Ok((align_to_inputs(out, &slot, &rep), rep))
+}
+
 /// Clustered index: key → row bytes in the leaves.
 #[derive(Debug)]
 pub struct ClusteredIndex {
@@ -141,12 +184,7 @@ impl ClusteredIndex {
 
     /// All rows whose key columns equal `key_values`.
     pub fn search(&self, key_values: &Row) -> Result<Vec<Row>> {
-        let k = key_values.encode_key(&(0..key_values.arity()).collect::<Vec<_>>())?;
-        self.tree
-            .search(&k)
-            .iter()
-            .map(|b| Row::decode(b))
-            .collect()
+        probe(&self.tree, key_values, Row::decode)
     }
 
     /// Batched [`ClusteredIndex::search`]: one B-tree probe per *distinct*
@@ -156,18 +194,7 @@ impl ClusteredIndex {
     /// `rep`, where `rep[i]` is the first input position whose key equals
     /// input `i`'s (`rep[i] == i` exactly once per distinct key).
     pub fn search_batch(&self, key_values: &[Row]) -> Result<(Vec<Vec<Row>>, Vec<usize>)> {
-        let mut encoded = Vec::with_capacity(key_values.len());
-        for kv in key_values {
-            encoded.push(kv.encode_key(&(0..kv.arity()).collect::<Vec<_>>())?);
-        }
-        let (distinct, slot, rep) = batch_groups(&encoded);
-        let decoded: Vec<Vec<Row>> = self
-            .tree
-            .search_many(&distinct)
-            .iter()
-            .map(|hits| hits.iter().map(|b| Row::decode(b)).collect())
-            .collect::<Result<_>>()?;
-        Ok((align_to_inputs(decoded, &slot, &rep), rep))
+        probe_batch(&self.tree, key_values, Row::decode)
     }
 
     /// Ordered scan of all rows (key order) — the sort-merge access path.
@@ -229,30 +256,14 @@ impl NonClusteredIndex {
 
     /// RIDs of all rows whose key columns equal `key_values`.
     pub fn search(&self, key_values: &Row) -> Result<Vec<Rid>> {
-        let k = key_values.encode_key(&(0..key_values.arity()).collect::<Vec<_>>())?;
-        self.tree
-            .search(&k)
-            .iter()
-            .map(|b| Rid::decode(b))
-            .collect()
+        probe(&self.tree, key_values, Rid::decode)
     }
 
     /// Batched [`NonClusteredIndex::search`] with the same distinct-key
     /// dedup contract as [`ClusteredIndex::search_batch`]: rid lists
     /// aligned to `key_values`, plus the representative map `rep`.
     pub fn search_batch(&self, key_values: &[Row]) -> Result<(Vec<Vec<Rid>>, Vec<usize>)> {
-        let mut encoded = Vec::with_capacity(key_values.len());
-        for kv in key_values {
-            encoded.push(kv.encode_key(&(0..kv.arity()).collect::<Vec<_>>())?);
-        }
-        let (distinct, slot, rep) = batch_groups(&encoded);
-        let decoded: Vec<Vec<Rid>> = self
-            .tree
-            .search_many(&distinct)
-            .iter()
-            .map(|hits| hits.iter().map(|b| Rid::decode(b)).collect())
-            .collect::<Result<_>>()?;
-        Ok((align_to_inputs(decoded, &slot, &rep), rep))
+        probe_batch(&self.tree, key_values, Rid::decode)
     }
 
     #[doc(hidden)]

@@ -55,7 +55,9 @@ impl fmt::Display for TestCaseError {
 /// fields exist so `..ProptestConfig::default()` updates keep working.
 #[derive(Debug, Clone)]
 pub struct ProptestConfig {
-    /// Number of random cases per test.
+    /// Number of random cases per test. The default reads the
+    /// `PROPTEST_CASES` environment variable, as the real crate does, and
+    /// falls back to 64; a test that sets `cases` itself keeps its count.
     pub cases: u32,
     /// Accepted for compatibility; the shim never shrinks.
     pub max_shrink_iters: u32,
@@ -66,7 +68,10 @@ pub struct ProptestConfig {
 impl Default for ProptestConfig {
     fn default() -> Self {
         ProptestConfig {
-            cases: 64,
+            cases: std::env::var("PROPTEST_CASES")
+                .ok()
+                .and_then(|n| n.parse().ok())
+                .unwrap_or(64),
             max_shrink_iters: 0,
             max_global_rejects: 0,
         }
