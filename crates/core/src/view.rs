@@ -282,10 +282,6 @@ pub struct MaintainedView {
     /// ([`MaintainedView::enable_partial`]): hole sets, per-entry byte
     /// accounting, admission sketch, `dropped_at` epochs.
     pub(crate) partial: Option<PartialState>,
-    /// Cached cluster observability handle — captured on first apply so
-    /// batch commit (which has no backend in scope) can gate and publish
-    /// per-view metrics.
-    obs: Option<std::sync::Arc<pvm_obs::Obs>>,
     /// Ring of the last [`MaintainedView::COST_HISTORY`] committed-batch
     /// cost records, newest last. Populated only while the obs gate is
     /// on; read by `EXPLAIN ANALYZE MAINTENANCE`.
@@ -427,7 +423,6 @@ impl MaintainedView {
             serve: None,
             pending_publish: Vec::new(),
             partial: None,
-            obs: None,
             recent_costs: std::collections::VecDeque::new(),
             shared_group: None,
         };
@@ -636,8 +631,9 @@ impl MaintainedView {
     /// epoch (link first, epoch visible second; see `pvm-serve`). With
     /// `defer` set (a cluster transaction is open), the publication is
     /// held in `pending_publish` until [`MaintainedView::publish_pending`]
-    /// runs at the transaction's commit point.
-    fn commit_batch(&mut self, defer: bool) {
+    /// runs at the transaction's commit point. `obs` gates the per-view
+    /// metrics.
+    fn commit_batch(&mut self, defer: bool, obs: &pvm_obs::Obs) {
         let batch = self
             .open_batch
             .take()
@@ -654,10 +650,9 @@ impl MaintainedView {
                 self.recent_costs.pop_front();
             }
             self.recent_costs.push_back(cost);
-            // Publish the aggregate per-view counters under stable names.
-            // `self.obs` is set by the apply path that built `cost`;
+            // Publish the aggregate per-view counters under stable names;
             // counters never feed back into counted costs.
-            if let Some(obs) = self.obs.as_ref().filter(|o| o.enabled()) {
+            if obs.enabled() {
                 let m = obs.metrics();
                 let name = &self.handle.def.name;
                 m.counter(&pvm_obs::metric::view_batches(name)).inc();
@@ -738,10 +733,7 @@ impl MaintainedView {
             .as_mut()
             .expect("outcomes are noted inside the batch `maintain` opened");
         open.captured.append(&mut outcome.view_changes);
-        let obs = self
-            .obs
-            .get_or_insert_with(|| backend.engine().obs_handle());
-        if obs.enabled() {
+        if backend.engine().obs_handle().enabled() {
             open.cost
                 .get_or_insert_with(BatchCostRecord::empty)
                 .add_outcome(delta_rows, outcome);
@@ -970,8 +962,9 @@ pub fn maintain<B: Backend>(
     match maintain_phases(backend, catalog, views, table, relation, delta) {
         Ok(outcomes) => {
             let defer = backend.in_txn();
+            let obs = backend.engine().obs_handle();
             for view in views.iter_mut().filter(|v| v.open_batch.is_some()) {
-                view.commit_batch(defer);
+                view.commit_batch(defer, &obs);
             }
             // A no-op while a transaction is open (evictions must not
             // roll back); the next post-commit call catches up.

@@ -73,26 +73,15 @@ pub struct Cluster {
     fabric: Fabric<NetPayload>,
     rr_seq: u64,
     txn_active: bool,
-    wal: Option<crate::node::WalSink>,
     /// Observability handle, shared with the fabric.
     obs: Arc<Obs>,
 }
 
 impl Cluster {
     pub fn new(config: ClusterConfig) -> Self {
-        let mut nodes: Vec<NodeState> = (0..config.nodes)
-            .map(|i| NodeState::new(NodeId::from(i), config.buffer_pages))
+        let nodes = (0..config.nodes)
+            .map(|i| NodeState::with_log(NodeId::from(i), config.buffer_pages, config.wal))
             .collect();
-        let wal = if config.wal {
-            let sink: crate::node::WalSink =
-                std::sync::Arc::new(parking_lot::Mutex::new(crate::wal::Wal::new()));
-            for n in &mut nodes {
-                n.set_wal(Some(sink.clone()));
-            }
-            Some(sink)
-        } else {
-            None
-        };
         let obs = Arc::new(Obs::new());
         let mut fabric = Fabric::new(config.nodes, config.net);
         fabric.set_obs(obs.clone());
@@ -103,7 +92,6 @@ impl Cluster {
             fabric,
             rr_seq: 0,
             txn_active: false,
-            wal,
             obs,
         }
     }
@@ -126,23 +114,27 @@ impl Cluster {
         self.nodes.iter().map(|n| n.combined_snapshot()).collect()
     }
 
-    fn log_wal(&self, rec: crate::wal::WalRecord) {
-        if let Some(w) = &self.wal {
-            w.lock().append(rec);
+    /// Write a DDL record to every node's log.
+    fn log_ddl(&mut self, rec: crate::wal::WalRecord) {
+        for n in &mut self.nodes {
+            n.log_ddl(rec.clone());
         }
     }
 
-    /// A copy of the write-ahead log so far (None when WAL is disabled).
+    /// A copy of every node's log so far (None when WAL is disabled).
     /// Take one before simulating a crash; feed it to [`crate::recover`].
     pub fn wal_snapshot(&self) -> Option<crate::wal::Wal> {
-        self.wal.as_ref().map(|w| w.lock().clone())
+        self.config.wal.then(|| crate::wal::Wal {
+            nodes: self.nodes.iter().map(|n| n.log().to_vec()).collect(),
+        })
     }
 
     // ---------------------------------------------------------- transactions
 
-    /// Begin a cluster-wide transaction: every node starts logical undo
-    /// logging (the paper's `begin transaction`). DDL is not allowed
-    /// inside a transaction; nesting is rejected.
+    /// Begin a cluster-wide transaction (the paper's `begin
+    /// transaction`): every node logs a `TxnBegin`, and its DML from here
+    /// on is the transaction's undo. DDL is not allowed inside a
+    /// transaction; nesting is rejected.
     pub fn begin_txn(&mut self) -> Result<()> {
         if self.txn_active {
             return Err(PvmError::InvalidOperation(
@@ -150,42 +142,40 @@ impl Cluster {
             ));
         }
         for n in &mut self.nodes {
-            n.begin_undo();
+            n.begin();
         }
         self.txn_active = true;
-        self.log_wal(crate::wal::WalRecord::TxnBegin);
         Ok(())
     }
 
-    /// Commit: discard undo logs; all changes stay.
+    /// Commit: all changes stay.
     pub fn commit_txn(&mut self) -> Result<()> {
         if !self.txn_active {
             return Err(PvmError::InvalidOperation("no open transaction".into()));
         }
         for n in &mut self.nodes {
-            n.commit_undo();
+            n.commit();
         }
         self.txn_active = false;
-        self.log_wal(crate::wal::WalRecord::TxnCommit);
         Ok(())
     }
 
-    /// Abort: every node rolls its DML back in reverse order (deleted rows
-    /// are resurrected at their original rids, so index and global-index
-    /// entries stay valid), and any in-flight messages are discarded.
+    /// Abort: every node applies the compensation of its log tail, newest
+    /// first (deleted rows are resurrected at their original rids, so
+    /// index and global-index entries stay valid), and any in-flight
+    /// messages are discarded.
     pub fn abort_txn(&mut self) -> Result<()> {
         if !self.txn_active {
             return Err(PvmError::InvalidOperation("no open transaction".into()));
         }
         for n in &mut self.nodes {
-            n.abort_undo()?;
+            n.abort()?;
         }
         // Drop messages the aborted work left in flight.
         for i in 0..self.nodes.len() {
             let _ = self.fabric.recv_all(pvm_types::NodeId::from(i));
         }
         self.txn_active = false;
-        self.log_wal(crate::wal::WalRecord::TxnAbort);
         Ok(())
     }
 
@@ -251,7 +241,7 @@ impl Cluster {
         for n in &mut self.nodes {
             n.create_table(id, &def)?;
         }
-        self.log_wal(crate::wal::WalRecord::CreateTable {
+        self.log_ddl(crate::wal::WalRecord::CreateTable {
             name: def.name.clone(),
             columns: def
                 .schema
@@ -280,7 +270,7 @@ impl Cluster {
         for n in &mut self.nodes {
             n.drop_table(id)?;
         }
-        self.log_wal(crate::wal::WalRecord::DropTable { name });
+        self.log_ddl(crate::wal::WalRecord::DropTable { name });
         Ok(())
     }
 
@@ -296,8 +286,9 @@ impl Cluster {
             n.storage_mut(id)?
                 .create_secondary_index(name.clone(), key.clone())?;
         }
-        self.log_wal(crate::wal::WalRecord::CreateIndex {
-            table: self.catalog.get(id)?.name.clone(),
+        let table = self.catalog.get(id)?.name.clone();
+        self.log_ddl(crate::wal::WalRecord::CreateIndex {
+            table,
             index: name,
             key,
         });
@@ -521,57 +512,42 @@ impl Cluster {
     }
 
     /// Simulate a fail-stop crash of one node: its in-memory state is
-    /// discarded and rebuilt from the cluster WAL via
-    /// [`crate::replay_node`] — DDL plus this node's own DML, in log
-    /// order, reproducing rid assignment exactly. The rest of the
-    /// cluster is untouched; messages in flight to the node are the
+    /// discarded and rebuilt by [`crate::replay_node`] from the node's own
+    /// log — DDL plus its DML, in execution order, reproducing rid
+    /// assignment exactly — which the rebuilt node then keeps. The rest of
+    /// the cluster is untouched; messages in flight to the node are the
     /// caller's problem (the fault layer re-delivers unacknowledged
     /// frames).
     ///
     /// Requires WAL logging ([`ClusterConfig::with_wal`]) and no open
-    /// transaction (a crashed node's volatile undo log cannot be
-    /// reconstructed mid-transaction). Returns the number of DML records
-    /// replayed.
+    /// transaction. Returns the number of DML records replayed.
     pub fn crash_node(&mut self, id: NodeId) -> Result<usize> {
-        let Some(wal) = self.wal.clone() else {
+        if !self.config.wal {
             return Err(PvmError::InvalidOperation(
                 "crash_node requires WAL logging (ClusterConfig::with_wal)".into(),
             ));
-        };
+        }
         if self.txn_active {
             return Err(PvmError::InvalidOperation(
                 "cannot crash a node inside an open transaction".into(),
             ));
         }
-        self.node(id)?; // range check before we commit to anything
-        let log = wal.lock();
-        // Replay straight from the locked log: the fresh node has no WAL
-        // attached until afterwards, so nothing in the replay takes the
-        // lock again.
-        self.rebuild_node(id, &log)
+        let log = self.node_mut(id)?.take_log();
+        self.restart_node(id, log)
     }
 
-    /// Replace node `id` with one replayed from `wal`
-    /// ([`crate::replay_node`]) that logs to this cluster's WAL from then
-    /// on. Returns the number of DML records replayed.
-    fn rebuild_node(&mut self, id: NodeId, wal: &crate::wal::Wal) -> Result<usize> {
-        let mut fresh = NodeState::new(id, self.config.buffer_pages);
-        let replayed = crate::wal::replay_node(&mut fresh, wal)?;
-        fresh.set_wal(self.wal.clone());
+    /// Replace node `id` with a fresh one replayed from `log`
+    /// ([`crate::replay_node`]). Returns the number of DML records
+    /// replayed.
+    pub(crate) fn restart_node(
+        &mut self,
+        id: NodeId,
+        log: Vec<crate::wal::WalRecord>,
+    ) -> Result<usize> {
+        let mut fresh = NodeState::with_log(id, self.config.buffer_pages, self.config.wal);
+        let replayed = crate::wal::replay_node(&mut fresh, log)?;
         self.nodes[id.index()] = fresh;
         Ok(replayed)
-    }
-
-    /// The node half of [`crate::recover`]: rebuild every node from `wal`
-    /// and, when logging, continue `wal` as this cluster's log.
-    pub(crate) fn restart_from(&mut self, wal: &crate::wal::Wal) -> Result<()> {
-        if let Some(sink) = &self.wal {
-            *sink.lock() = wal.clone();
-        }
-        for i in 0..self.nodes.len() {
-            self.rebuild_node(NodeId::from(i), wal)?;
-        }
-        Ok(())
     }
 
     /// Zero every counter (nodes, buffers, fabric).

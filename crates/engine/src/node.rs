@@ -6,23 +6,11 @@ use pvm_storage::{BufferPool, FileId, Organization, SharedBufferPool, TableStora
 use pvm_types::{CostLedger, CostSnapshot, NodeId, PvmError, Result, Rid, Row};
 
 use crate::catalog::{TableDef, TableId};
-use crate::wal::{Wal, WalRecord};
-
-/// Shared handle to the cluster's write-ahead log.
-pub(crate) type WalSink = std::sync::Arc<parking_lot::Mutex<Wal>>;
+use crate::wal::{compensation, WalRecord};
 
 /// Disjoint FileId range reserved per table at a node (heap + clustered +
 /// secondaries).
 const FILES_PER_TABLE: u32 = 64;
-
-/// One logical-undo record; applied in reverse order on abort.
-#[derive(Debug, Clone)]
-enum LocalUndo {
-    /// Undo an insert: delete the rid.
-    Insert { table: TableId, rid: Rid },
-    /// Undo a delete: resurrect the row at its original rid.
-    Delete { table: TableId, rid: Rid, row: Row },
-}
 
 /// State owned by one node of the shared-nothing cluster.
 #[derive(Debug)]
@@ -31,10 +19,15 @@ pub struct NodeState {
     buffer: SharedBufferPool,
     tables: HashMap<TableId, TableStorage>,
     ledger: CostLedger,
-    /// Logical undo log of the open transaction, if any.
-    undo: Option<Vec<LocalUndo>>,
-    /// Cluster WAL, when logging is enabled.
-    wal: Option<WalSink>,
+    /// This node's log: the DDL, the node's own DML and the transaction
+    /// markers, in execution order. Kept whole when `durable`; otherwise
+    /// it holds only the open transaction, which is that transaction's
+    /// undo.
+    log: Vec<WalRecord>,
+    /// Keep the whole log for crash recovery ([`crate::ClusterConfig::wal`]).
+    durable: bool,
+    /// Position in `log` of the open transaction's `TxnBegin`.
+    txn: Option<usize>,
 }
 
 impl NodeState {
@@ -45,80 +38,135 @@ impl NodeState {
             buffer: BufferPool::shared(buffer_pages),
             tables: HashMap::new(),
             ledger: CostLedger::new(),
-            undo: None,
-            wal: None,
+            log: Vec::new(),
+            durable: false,
+            txn: None,
         }
     }
 
-    pub(crate) fn set_wal(&mut self, wal: Option<WalSink>) {
-        self.wal = wal;
-    }
-
-    fn log_wal(&self, rec: WalRecord) {
-        if let Some(w) = &self.wal {
-            w.lock().append(rec);
+    /// A node that keeps its whole log (`durable`) or only its open
+    /// transaction.
+    pub(crate) fn with_log(id: NodeId, buffer_pages: usize, durable: bool) -> Self {
+        NodeState {
+            durable,
+            ..NodeState::new(id, buffer_pages)
         }
     }
 
-    /// Open a local undo scope (part of a cluster transaction): DML is
-    /// logged for rollback and heap tombstones are preserved so deletes
-    /// can be resurrected in place.
-    pub(crate) fn begin_undo(&mut self) {
-        debug_assert!(self.undo.is_none(), "nested local transactions");
-        self.undo = Some(Vec::new());
+    /// This node's log so far (see [`crate::wal`]).
+    pub fn log(&self) -> &[WalRecord] {
+        &self.log
+    }
+
+    pub(crate) fn take_log(&mut self) -> Vec<WalRecord> {
+        std::mem::take(&mut self.log)
+    }
+
+    fn logs(&self) -> bool {
+        self.durable || self.txn.is_some()
+    }
+
+    /// Append a DDL record (the coordinator writes each to every node).
+    pub(crate) fn log_ddl(&mut self, rec: WalRecord) {
+        if self.durable {
+            self.log.push(rec);
+        }
+    }
+
+    /// Keep heap tombstones while a transaction is open, so an abort can
+    /// resurrect deleted rows in place.
+    pub(crate) fn hold_tombstones(&mut self, hold: bool) {
         for t in self.tables.values_mut() {
-            t.set_preserve_tombstones(true);
+            t.set_preserve_tombstones(hold);
         }
     }
 
-    /// Commit: discard the undo log.
-    pub(crate) fn commit_undo(&mut self) {
-        self.undo = None;
-        for t in self.tables.values_mut() {
-            t.set_preserve_tombstones(false);
+    /// Open this node's part of a cluster transaction.
+    pub(crate) fn begin(&mut self) {
+        debug_assert!(self.txn.is_none(), "nested local transactions");
+        self.txn = Some(self.log.len());
+        self.log.push(WalRecord::TxnBegin);
+        self.hold_tombstones(true);
+    }
+
+    /// Commit: the transaction's DML stays.
+    pub(crate) fn commit(&mut self) {
+        self.close(WalRecord::TxnCommit);
+    }
+
+    /// Abort: apply the `compensation` of the open transaction's log
+    /// tail and log what was applied. Returns how many records that was.
+    pub(crate) fn abort(&mut self) -> Result<usize> {
+        let start = self.txn.expect("abort inside a transaction");
+        let undo = compensation(&self.log[start + 1..])?;
+        for rec in &undo {
+            self.apply(rec)?;
+        }
+        let undone = undo.len();
+        self.log.extend(undo);
+        self.close(WalRecord::TxnAbort);
+        Ok(undone)
+    }
+
+    fn close(&mut self, marker: WalRecord) {
+        self.txn = None;
+        self.hold_tombstones(false);
+        if self.durable {
+            self.log.push(marker);
+        } else {
+            self.log.clear();
         }
     }
 
-    /// Abort: apply the undo log in reverse. Undo work is charged to the
-    /// node's ledger like any other operation.
-    pub(crate) fn abort_undo(&mut self) -> Result<()> {
-        let log = self.undo.take().unwrap_or_default();
-        for entry in log.into_iter().rev() {
-            match entry {
-                LocalUndo::Insert { table, rid } => {
-                    let ledger = &mut self.ledger;
-                    let t = self
-                        .tables
-                        .get_mut(&table)
-                        .ok_or_else(|| PvmError::NotFound(format!("{table}")))?;
-                    let row = t.delete(rid, ledger)?;
-                    let name = t.name().to_owned();
-                    self.log_wal(WalRecord::Delete {
-                        table: name,
-                        node: self.id,
-                        rid,
-                        row,
-                    });
-                }
-                LocalUndo::Delete { table, rid, row } => {
-                    let t = self
-                        .tables
-                        .get_mut(&table)
-                        .ok_or_else(|| PvmError::NotFound(format!("{table}")))?;
-                    t.undelete(rid, &row)?;
-                    let name = t.name().to_owned();
-                    self.ledger.record(pvm_types::CostKind::Insert, 1);
-                    self.log_wal(WalRecord::Undelete {
-                        table: name,
-                        node: self.id,
-                        rid,
-                        row,
-                    });
+    /// Adopt `log` after replaying it into this node, closing a trailing
+    /// open transaction the way a live abort would. Returns how many
+    /// compensation records that applied.
+    pub(crate) fn resume(&mut self, log: Vec<WalRecord>) -> Result<usize> {
+        let last = log.iter().rposition(|r| {
+            matches!(
+                r,
+                WalRecord::TxnBegin | WalRecord::TxnCommit | WalRecord::TxnAbort
+            )
+        });
+        self.txn = last.filter(|&i| log[i] == WalRecord::TxnBegin);
+        self.log = log;
+        if self.txn.is_some() {
+            return self.abort();
+        }
+        if !self.durable {
+            self.log.clear();
+        }
+        Ok(0)
+    }
+
+    /// Redo one DML record without logging it. An insert charges one
+    /// `INSERT` and must land on the logged rid; a delete charges what
+    /// [`TableStorage::delete`] does; an undelete charges one `INSERT`.
+    pub(crate) fn apply(&mut self, rec: &WalRecord) -> Result<()> {
+        match rec {
+            WalRecord::Insert { table, rid, row } => {
+                let (t, ledger) = self.table(*table)?;
+                let got = t.insert(row.clone(), ledger)?;
+                if got != *rid {
+                    return Err(PvmError::Corrupt(format!(
+                        "replay divergence: expected {rid}, got {got} in {table}"
+                    )));
                 }
             }
-        }
-        for t in self.tables.values_mut() {
-            t.set_preserve_tombstones(false);
+            WalRecord::Delete { table, rid, .. } => {
+                let (t, ledger) = self.table(*table)?;
+                t.delete(*rid, ledger)?;
+            }
+            WalRecord::Undelete { table, rid, row } => {
+                let (t, ledger) = self.table(*table)?;
+                t.undelete(*rid, row)?;
+                ledger.record(pvm_types::CostKind::Insert, 1);
+            }
+            other => {
+                return Err(PvmError::InvalidOperation(format!(
+                    "not a DML record: {other:?}"
+                )))
+            }
         }
         Ok(())
     }
@@ -164,26 +212,26 @@ impl NodeState {
     }
 
     pub fn storage_mut(&mut self, id: TableId) -> Result<&mut TableStorage> {
-        self.tables
+        Ok(self.table(id)?.0)
+    }
+
+    /// The table's local storage and the ledger its work is charged to.
+    fn table(&mut self, id: TableId) -> Result<(&mut TableStorage, &mut CostLedger)> {
+        let t = self
+            .tables
             .get_mut(&id)
-            .ok_or_else(|| PvmError::NotFound(format!("{id} at {}", self.id)))
+            .ok_or_else(|| PvmError::NotFound(format!("{id} at {}", self.id)))?;
+        Ok((t, &mut self.ledger))
     }
 
     /// Insert locally, charging this node's ledger one `INSERT`.
     pub fn insert(&mut self, id: TableId, row: Row) -> Result<Rid> {
-        let t = self
-            .tables
-            .get_mut(&id)
-            .ok_or_else(|| PvmError::NotFound(format!("{id}")))?;
-        let logged = self.wal.as_ref().map(|wal| (wal, row.clone()));
-        let rid = t.insert(row, &mut self.ledger)?;
-        if let Some(undo) = &mut self.undo {
-            undo.push(LocalUndo::Insert { table: id, rid });
-        }
-        if let Some((wal, row)) = logged {
-            wal.lock().append(WalRecord::Insert {
-                table: t.name().to_owned(),
-                node: self.id,
+        let logged = self.logs().then(|| row.clone());
+        let (t, ledger) = self.table(id)?;
+        let rid = t.insert(row, ledger)?;
+        if let Some(row) = logged {
+            self.log.push(WalRecord::Insert {
+                table: id,
                 rid,
                 row,
             });
@@ -199,11 +247,7 @@ impl NodeState {
         key: &[usize],
         key_values: &Row,
     ) -> Result<Vec<Row>> {
-        let ledger = &mut self.ledger;
-        let t = self
-            .tables
-            .get(&id)
-            .ok_or_else(|| PvmError::NotFound(format!("{id}")))?;
+        let (t, ledger) = self.table(id)?;
         t.index_search(key, key_values, ledger)
     }
 
@@ -215,11 +259,7 @@ impl NodeState {
         key: &[usize],
         key_values: &Row,
     ) -> Result<Vec<(pvm_types::Rid, Row)>> {
-        let ledger = &mut self.ledger;
-        let t = self
-            .tables
-            .get(&id)
-            .ok_or_else(|| PvmError::NotFound(format!("{id}")))?;
+        let (t, ledger) = self.table(id)?;
         t.index_search_rids(key, key_values, ledger)
     }
 
@@ -232,52 +272,29 @@ impl NodeState {
         key: &[usize],
         key_values: &[Row],
     ) -> Result<Vec<Vec<Row>>> {
-        let ledger = &mut self.ledger;
-        let t = self
-            .tables
-            .get(&id)
-            .ok_or_else(|| PvmError::NotFound(format!("{id}")))?;
+        let (t, ledger) = self.table(id)?;
         t.index_search_batch(key, key_values, ledger)
     }
 
     /// Fetch a local row by rid (one `FETCH`).
     pub fn fetch(&mut self, id: TableId, rid: Rid) -> Result<Row> {
-        let ledger = &mut self.ledger;
-        let t = self
-            .tables
-            .get(&id)
-            .ok_or_else(|| PvmError::NotFound(format!("{id}")))?;
+        let (t, ledger) = self.table(id)?;
         t.fetch(rid, ledger)
     }
 
     /// RID of one local row equal to `row`, if present.
     pub fn find_rid(&mut self, id: TableId, row: &Row, key_hint: &[usize]) -> Result<Option<Rid>> {
-        let ledger = &mut self.ledger;
-        let t = self
-            .tables
-            .get(&id)
-            .ok_or_else(|| PvmError::NotFound(format!("{id}")))?;
+        let (t, ledger) = self.table(id)?;
         t.find_rid(row, key_hint, ledger)
     }
 
     /// Delete the local row at `rid`, returning it.
     pub fn delete_rid(&mut self, id: TableId, rid: Rid) -> Result<Row> {
-        let t = self
-            .tables
-            .get_mut(&id)
-            .ok_or_else(|| PvmError::NotFound(format!("{id}")))?;
-        let row = t.delete(rid, &mut self.ledger)?;
-        if let Some(undo) = &mut self.undo {
-            undo.push(LocalUndo::Delete {
+        let (t, ledger) = self.table(id)?;
+        let row = t.delete(rid, ledger)?;
+        if self.logs() {
+            self.log.push(WalRecord::Delete {
                 table: id,
-                rid,
-                row: row.clone(),
-            });
-        }
-        if let Some(wal) = &self.wal {
-            wal.lock().append(WalRecord::Delete {
-                table: t.name().to_owned(),
-                node: self.id,
                 rid,
                 row: row.clone(),
             });

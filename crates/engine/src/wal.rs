@@ -1,28 +1,33 @@
-//! Write-ahead logging and crash recovery.
+//! Write-ahead logging and crash recovery: one log per node.
 //!
-//! The simulator's storage is in-process memory; the WAL is what survives
-//! a "crash". Every executed operation is logged **physically, in
-//! execution order** — including work that a transaction later rolls back
-//! (the compensation deletes/undeletes are logged too, ARIES-style) — so
-//! replaying the log op-by-op on an empty cluster reproduces the exact
-//! same state *including rid assignment*, which the global-index method
-//! depends on.
+//! The simulator's storage is in-process memory; the log is what survives
+//! a "crash". Each [`NodeState`] owns its log: the DDL (which the
+//! coordinator writes to every node), the node's own DML, and the
+//! `TxnBegin` / `TxnCommit` / `TxnAbort` markers of every transaction it
+//! takes part in. DML is logged **physically, in execution order** —
+//! including work a transaction later rolls back (the compensation is
+//! logged too, ARIES-style) — so replaying a node's log on an empty node
+//! reproduces its exact state *including rid assignment*, which the
+//! global-index method depends on.
 //!
-//! Recovery ([`recover`], and [`replay_node`] for one node) is one loop,
-//! redo-all + undo-losers:
+//! With [`crate::ClusterConfig::wal`] on, a node keeps its whole log.
+//! With it off, the log holds only the open transaction — which is that
+//! transaction's undo — and is cleared at commit or abort.
 //!
-//! 1. replay every record (DDL and DML) in order;
-//! 2. if the log ends inside an open transaction (crash before
-//!    commit/abort), replay the compensation an abort would have logged
-//!    — that transaction's operations undone in reverse.
+//! Undo is one function, `compensation`: the records that undo an open
+//! transaction's log tail, newest first. A live abort applies it with
+//! `NodeState::apply` and logs what it applied; recovery ([`recover`],
+//! and [`replay_node`] for one node) redoes the node's log with the same
+//! `apply`, then closes a trailing open transaction (crash before
+//! commit/abort) exactly as a live abort would.
 //!
-//! The log serializes to a stable binary format ([`Wal::to_bytes`] /
-//! [`Wal::from_bytes`]) so it can be persisted byte-for-byte.
+//! The logs serialize to a stable binary format ([`Wal::to_bytes`] /
+//! [`Wal::from_bytes`]) so they can be persisted byte-for-byte.
 
 use pvm_storage::Organization;
 use pvm_types::{Column, DataType, NodeId, PvmError, Result, Rid, Row, Schema};
 
-use crate::catalog::TableDef;
+use crate::catalog::{TableDef, TableId};
 use crate::cluster::{Cluster, ClusterConfig};
 use crate::node::NodeState;
 use crate::partition::PartitionSpec;
@@ -47,24 +52,21 @@ pub enum WalRecord {
     DropTable {
         name: String,
     },
-    /// A row was inserted at `rid` on `node`.
+    /// A row was inserted at `rid`.
     Insert {
-        table: String,
-        node: NodeId,
+        table: TableId,
         rid: Rid,
         row: Row,
     },
-    /// The row at `rid` on `node` was deleted (row kept for undo).
+    /// The row at `rid` was deleted (row kept for undo).
     Delete {
-        table: String,
-        node: NodeId,
+        table: TableId,
         rid: Rid,
         row: Row,
     },
     /// The row at `rid` was resurrected (transaction-abort compensation).
     Undelete {
-        table: String,
-        node: NodeId,
+        table: TableId,
         rid: Rid,
         row: Row,
     },
@@ -74,8 +76,29 @@ pub enum WalRecord {
     TxnAbort,
 }
 
-/// The in-memory write-ahead log. Clone it (or serialize it) before
-/// "crashing" a cluster; feed it to [`recover`].
+/// The records that undo an open transaction whose log tail (everything
+/// after its `TxnBegin`) is `tail`, newest first: a `Delete` for each
+/// insert and an `Undelete` for each delete.
+pub(crate) fn compensation(tail: &[WalRecord]) -> Result<Vec<WalRecord>> {
+    let mut out = Vec::new();
+    for rec in tail.iter().rev() {
+        out.push(match rec.clone() {
+            WalRecord::Insert { table, rid, row } => WalRecord::Delete { table, rid, row },
+            WalRecord::Delete { table, rid, row } => WalRecord::Undelete { table, rid, row },
+            WalRecord::Undelete { .. } => {
+                return Err(PvmError::Corrupt(
+                    "undelete inside an open transaction".into(),
+                ))
+            }
+            _ => continue,
+        });
+    }
+    Ok(out)
+}
+
+/// Every node's log, in node order. Take one with
+/// [`Cluster::wal_snapshot`] before "crashing" a cluster; feed it to
+/// [`recover`].
 ///
 /// ```
 /// use pvm_engine::{recover, Cluster, ClusterConfig, TableDef};
@@ -95,57 +118,44 @@ pub enum WalRecord {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Wal {
-    records: Vec<WalRecord>,
+    pub(crate) nodes: Vec<Vec<WalRecord>>,
 }
 
+const MAGIC: &[u8; 8] = b"PVMWAL2\0";
+
 impl Wal {
-    pub fn new() -> Self {
-        Wal::default()
-    }
-
-    pub fn append(&mut self, rec: WalRecord) {
-        self.records.push(rec);
-    }
-
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    pub fn records(&self) -> &[WalRecord] {
-        &self.records
-    }
-
     /// Serialize to a stable binary format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(b"PVMWAL1\0");
-        out.extend_from_slice(&(self.records.len() as u64).to_be_bytes());
-        for r in &self.records {
-            encode_record(r, &mut out);
+        let mut out = MAGIC.to_vec();
+        out.extend_from_slice(&(self.nodes.len() as u64).to_be_bytes());
+        for log in &self.nodes {
+            out.extend_from_slice(&(log.len() as u64).to_be_bytes());
+            for r in log {
+                encode_record(r, &mut out);
+            }
         }
         out
     }
 
-    /// Deserialize a log produced by [`Wal::to_bytes`].
+    /// Deserialize logs produced by [`Wal::to_bytes`].
     pub fn from_bytes(buf: &[u8]) -> Result<Wal> {
         let mut cur = Cursor { buf, pos: 0 };
-        let magic = cur.take(8)?;
-        if magic != b"PVMWAL1\0" {
+        if cur.take(8)? != MAGIC {
             return Err(PvmError::Corrupt("bad WAL magic".into()));
         }
-        let n = cur.u64()? as usize;
-        let mut records = Vec::with_capacity(n);
-        for _ in 0..n {
-            records.push(decode_record(&mut cur)?);
+        let mut nodes = Vec::new();
+        for _ in 0..cur.u64()? {
+            let n = cur.u64()? as usize;
+            let mut log = Vec::with_capacity(n.min(buf.len()));
+            for _ in 0..n {
+                log.push(decode_record(&mut cur)?);
+            }
+            nodes.push(log);
         }
         if cur.pos != buf.len() {
             return Err(PvmError::Corrupt("trailing bytes after WAL".into()));
         }
-        Ok(Wal { records })
+        Ok(Wal { nodes })
     }
 }
 
@@ -156,22 +166,13 @@ fn put_str(s: &str, out: &mut Vec<u8>) {
     out.extend_from_slice(s.as_bytes());
 }
 
-fn put_row(row: &Row, out: &mut Vec<u8>) {
+fn put_dml(tag: u8, table: TableId, rid: Rid, row: &Row, out: &mut Vec<u8>) {
+    out.push(tag);
+    out.extend_from_slice(&table.0.to_be_bytes());
+    out.extend_from_slice(&rid.encode());
     let enc = row.encode();
     out.extend_from_slice(&(enc.len() as u32).to_be_bytes());
     out.extend_from_slice(&enc);
-}
-
-fn put_rid(node: NodeId, rid: Rid, out: &mut Vec<u8>) {
-    out.extend_from_slice(&node.0.to_be_bytes());
-    out.extend_from_slice(&rid.encode());
-}
-
-fn put_dml(tag: u8, table: &str, node: NodeId, rid: Rid, row: &Row, out: &mut Vec<u8>) {
-    out.push(tag);
-    put_str(table, out);
-    put_rid(node, rid, out);
-    put_row(row, out);
 }
 
 fn encode_record(r: &WalRecord, out: &mut Vec<u8>) {
@@ -225,24 +226,9 @@ fn encode_record(r: &WalRecord, out: &mut Vec<u8>) {
             out.push(3);
             put_str(name, out);
         }
-        WalRecord::Insert {
-            table,
-            node,
-            rid,
-            row,
-        } => put_dml(4, table, *node, *rid, row, out),
-        WalRecord::Delete {
-            table,
-            node,
-            rid,
-            row,
-        } => put_dml(5, table, *node, *rid, row, out),
-        WalRecord::Undelete {
-            table,
-            node,
-            rid,
-            row,
-        } => put_dml(6, table, *node, *rid, row, out),
+        WalRecord::Insert { table, rid, row } => put_dml(4, *table, *rid, row, out),
+        WalRecord::Delete { table, rid, row } => put_dml(5, *table, *rid, row, out),
+        WalRecord::Undelete { table, rid, row } => put_dml(6, *table, *rid, row, out),
         WalRecord::TxnBegin => out.push(7),
         WalRecord::TxnCommit => out.push(8),
         WalRecord::TxnAbort => out.push(9),
@@ -269,10 +255,6 @@ impl<'a> Cursor<'a> {
         Ok(self.take(1)?[0])
     }
 
-    fn u16(&mut self) -> Result<u16> {
-        Ok(u16::from_be_bytes(self.take(2)?.try_into().expect("len")))
-    }
-
     fn u32(&mut self) -> Result<u32> {
         Ok(u32::from_be_bytes(self.take(4)?.try_into().expect("len")))
     }
@@ -291,12 +273,6 @@ impl<'a> Cursor<'a> {
     fn row(&mut self) -> Result<Row> {
         let n = self.u32()? as usize;
         Row::decode(self.take(n)?)
-    }
-
-    fn rid(&mut self) -> Result<(NodeId, Rid)> {
-        let node = NodeId(self.u16()?);
-        let rid = Rid::decode(self.take(6)?)?;
-        Ok((node, rid))
     }
 }
 
@@ -353,28 +329,13 @@ fn decode_record(cur: &mut Cursor<'_>) -> Result<WalRecord> {
             name: cur.string()?,
         }),
         tag @ (4..=6) => {
-            let table = cur.string()?;
-            let (node, rid) = cur.rid()?;
+            let table = TableId(cur.u32()?);
+            let rid = Rid::decode(cur.take(6)?)?;
             let row = cur.row()?;
             Ok(match tag {
-                4 => WalRecord::Insert {
-                    table,
-                    node,
-                    rid,
-                    row,
-                },
-                5 => WalRecord::Delete {
-                    table,
-                    node,
-                    rid,
-                    row,
-                },
-                _ => WalRecord::Undelete {
-                    table,
-                    node,
-                    rid,
-                    row,
-                },
+                4 => WalRecord::Insert { table, rid, row },
+                5 => WalRecord::Delete { table, rid, row },
+                _ => WalRecord::Undelete { table, rid, row },
             })
         }
         7 => Ok(WalRecord::TxnBegin),
@@ -411,17 +372,26 @@ fn def_from_record(
     TableDef::new(name, schema, partitioning, organization)
 }
 
-/// Rebuild a cluster from a WAL: a catalog pass over the DDL, then
-/// [`replay_node`] for every node — redo every record in order, then undo
-/// the operations of an unfinished trailing transaction (crash before
-/// commit). Replay reproduces rid assignment exactly, so global indices
-/// recover valid. With WAL logging on, the recovered cluster's log is the
-/// input log plus what an abort of that trailing transaction would have
-/// logged (its compensation records and a `TxnAbort`), so it recovers
-/// again to the same state.
+/// Rebuild a cluster from its nodes' logs: a catalog pass over the DDL,
+/// then [`replay_node`] for every node — redo its log, then undo an
+/// unfinished trailing transaction (crash before commit) exactly as a
+/// live abort would. Replay reproduces rid assignment exactly, so global
+/// indices recover valid. With WAL logging on, each recovered node's log
+/// is its input log plus what that abort logged (its compensation records
+/// and a `TxnAbort`), so it recovers again to the same state.
+///
+/// A log taken from a cluster of another size is refused: rows live at
+/// the node their log belongs to.
 pub fn recover(config: ClusterConfig, wal: &Wal) -> Result<Cluster> {
+    if wal.nodes.len() != config.nodes {
+        return Err(PvmError::InvalidOperation(format!(
+            "the log holds {} nodes' records, the cluster has {} nodes",
+            wal.nodes.len(),
+            config.nodes
+        )));
+    }
     let mut cluster = Cluster::new(config);
-    for rec in wal.records() {
+    for rec in wal.nodes.first().into_iter().flatten() {
         match rec {
             WalRecord::CreateTable {
                 name,
@@ -442,108 +412,42 @@ pub fn recover(config: ClusterConfig, wal: &Wal) -> Result<Cluster> {
             _ => {}
         }
     }
-    let mut log = wal.clone();
-    let nodes = (0..cluster.node_count()).map(NodeId::from);
-    log.records.extend(abort_losers(wal, nodes)?);
-    cluster.restart_from(&log)?;
+    for (i, log) in wal.nodes.iter().enumerate() {
+        cluster.restart_node(NodeId::from(i), log.clone())?;
+    }
     // Recovery work should not pollute the recovered cluster's meters.
     cluster.reset_counters();
     Ok(cluster)
 }
 
-/// What aborting the log's unfinished trailing transaction would log:
-/// per node in node order, the compensation of each of its operations,
-/// newest first (a `Delete` for an insert, an `Undelete` for a delete),
-/// then the `TxnAbort`. Empty when the log ends outside a transaction.
-fn abort_losers(wal: &Wal, nodes: impl IntoIterator<Item = NodeId>) -> Result<Vec<WalRecord>> {
-    let records = wal.records();
-    let Some(start) = records.iter().rposition(|r| {
-        matches!(
-            r,
-            WalRecord::TxnBegin | WalRecord::TxnCommit | WalRecord::TxnAbort
-        )
-    }) else {
-        return Ok(Vec::new());
-    };
-    if records[start] != WalRecord::TxnBegin {
-        return Ok(Vec::new());
-    }
-    let mut out = Vec::new();
-    for me in nodes {
-        for rec in records[start..].iter().rev() {
-            out.push(match rec.clone() {
-                WalRecord::Insert {
-                    table,
-                    node,
-                    rid,
-                    row,
-                } if node == me => WalRecord::Delete {
-                    table,
-                    node,
-                    rid,
-                    row,
-                },
-                WalRecord::Delete {
-                    table,
-                    node,
-                    rid,
-                    row,
-                } if node == me => WalRecord::Undelete {
-                    table,
-                    node,
-                    rid,
-                    row,
-                },
-                WalRecord::Undelete { node, .. } if node == me => {
-                    return Err(PvmError::Corrupt(
-                        "undelete inside an open transaction".into(),
-                    ));
-                }
-                _ => continue,
-            });
-        }
-    }
-    out.push(WalRecord::TxnAbort);
-    Ok(out)
-}
-
-/// Rebuild ONE node's state from the cluster-wide WAL: redo the DDL
-/// (which runs at every node) plus this node's own DML, then undo the
-/// node's operations of an unfinished trailing transaction by redoing
-/// their compensation ([`recover`] describes it).
+/// Rebuild ONE node from its own log: redo every record in order (the
+/// DDL, the node's DML, the transaction markers), then adopt the log and
+/// close an unfinished trailing transaction by applying its
+/// `compensation`, as a live abort does. `node` must be fresh.
 ///
 /// This is the per-node half of [`recover`] and the single-node recovery
-/// path behind [`Cluster::crash_node`](crate::Cluster::crash_node): the
-/// rest of the cluster keeps its live state and only the crashed node is
-/// replayed. Catalog ids are mirrored by construction — the catalog
-/// assigns monotonically increasing ids and never reuses a dropped one,
-/// so a local counter that advances on every `CreateTable` reproduces the
-/// exact id every record referred to, even across drop/re-create of the
-/// same name.
+/// path behind [`Cluster::crash_node`]: the rest of the cluster keeps its
+/// live state, and only the crashed node's own log is read. DML records
+/// name their table by id. Catalog ids are mirrored by construction — the
+/// catalog assigns monotonically increasing ids and never reuses a
+/// dropped one, so a local counter that advances on every `CreateTable`
+/// reproduces the exact id every record refers to, even across
+/// drop/re-create of the same name. Each log is in its node's execution
+/// order, so replay reproduces rid assignment exactly — the property the
+/// global-index method depends on.
 ///
-/// The cluster WAL interleaves records from all nodes, but each node's
-/// own subsequence is in its execution order (and DDL is
-/// coordinator-ordered), so per-node replay reproduces rid assignment
-/// exactly — the property the global-index method depends on.
-///
-/// Returns the number of DML records replayed for this node (the
-/// "recovery replay length" surfaced by the fault layer's metrics).
-pub fn replay_node(node: &mut NodeState, wal: &Wal) -> Result<usize> {
-    let me = node.id();
-    let undo = abort_losers(wal, [me])?;
-    let mut next_id: u32 = 0;
-    let mut ids: std::collections::HashMap<String, crate::catalog::TableId> =
-        std::collections::HashMap::new();
-    let lookup = |ids: &std::collections::HashMap<String, crate::catalog::TableId>,
-                  table: &str|
-     -> Result<crate::catalog::TableId> {
-        ids.get(table)
-            .copied()
-            .ok_or_else(|| PvmError::Corrupt(format!("WAL references unknown table '{table}'")))
+/// Returns the number of DML records replayed, compensation included
+/// (the "recovery replay length" surfaced by the fault layer's metrics).
+pub fn replay_node(node: &mut NodeState, log: Vec<WalRecord>) -> Result<usize> {
+    let named = |node: &NodeState, name: &str| {
+        node.table_ids()
+            .into_iter()
+            .find(|&id| node.storage(id).is_ok_and(|t| t.name() == name))
+            .ok_or_else(|| PvmError::Corrupt(format!("WAL references unknown table '{name}'")))
     };
-    let mut replayed = 0usize;
-
-    for rec in wal.records().iter().chain(&undo) {
+    let mut next_id = 0;
+    let mut replayed = 0;
+    for rec in &log {
         match rec {
             WalRecord::CreateTable {
                 name,
@@ -551,62 +455,25 @@ pub fn replay_node(node: &mut NodeState, wal: &Wal) -> Result<usize> {
                 partition,
                 clustered_key,
             } => {
-                let id = crate::catalog::TableId(next_id);
+                let def = def_from_record(name, columns, *partition, clustered_key);
+                node.create_table(TableId(next_id), &def)?;
                 next_id += 1;
-                node.create_table(
-                    id,
-                    &def_from_record(name, columns, *partition, clustered_key),
-                )?;
-                ids.insert(name.clone(), id);
             }
             WalRecord::CreateIndex { table, index, key } => {
-                let id = lookup(&ids, table)?;
+                let id = named(node, table)?;
                 node.storage_mut(id)?
                     .create_secondary_index(index.clone(), key.clone())?;
             }
-            WalRecord::DropTable { name } => {
-                let id = lookup(&ids, name)?;
-                ids.remove(name);
-                node.drop_table(id)?;
-            }
-            WalRecord::Insert {
-                table,
-                node: n,
-                rid,
-                row,
-            } if *n == me => {
-                let id = lookup(&ids, table)?;
-                let got = node.insert(id, row.clone())?;
-                if got != *rid {
-                    return Err(PvmError::Corrupt(format!(
-                        "replay divergence: expected {rid}, got {got} in '{table}'"
-                    )));
-                }
+            WalRecord::DropTable { name } => node.drop_table(named(node, name)?)?,
+            WalRecord::TxnBegin => node.hold_tombstones(true),
+            WalRecord::TxnCommit | WalRecord::TxnAbort => node.hold_tombstones(false),
+            dml => {
+                node.apply(dml)?;
                 replayed += 1;
             }
-            WalRecord::Delete {
-                table,
-                node: n,
-                rid,
-                ..
-            } if *n == me => {
-                let id = lookup(&ids, table)?;
-                node.delete_rid(id, *rid)?;
-                replayed += 1;
-            }
-            WalRecord::Undelete {
-                table,
-                node: n,
-                rid,
-                row,
-            } if *n == me => {
-                let id = lookup(&ids, table)?;
-                node.storage_mut(id)?.undelete(*rid, row)?;
-                replayed += 1;
-            }
-            _ => {}
         }
     }
+    replayed += node.resume(log)?;
     node.reset_counters();
     Ok(replayed)
 }
@@ -618,40 +485,45 @@ mod tests {
 
     #[test]
     fn record_roundtrip() {
-        let mut wal = Wal::new();
-        wal.append(WalRecord::CreateTable {
-            name: "t".into(),
-            columns: vec![("a".into(), DataType::Int), ("s".into(), DataType::Str)],
-            partition: Some(0),
-            clustered_key: Some(vec![1]),
-        });
-        wal.append(WalRecord::CreateIndex {
-            table: "t".into(),
-            index: "ix".into(),
-            key: vec![1],
-        });
-        wal.append(WalRecord::TxnBegin);
-        wal.append(WalRecord::Insert {
-            table: "t".into(),
-            node: NodeId(3),
-            rid: Rid::new(7, 2),
-            row: row![1, "x"],
-        });
-        wal.append(WalRecord::Delete {
-            table: "t".into(),
-            node: NodeId(0),
-            rid: Rid::new(0, 0),
-            row: row![2, "y"],
-        });
-        wal.append(WalRecord::Undelete {
-            table: "t".into(),
-            node: NodeId(0),
-            rid: Rid::new(0, 0),
-            row: row![2, "y"],
-        });
-        wal.append(WalRecord::TxnCommit);
-        wal.append(WalRecord::TxnAbort);
-        wal.append(WalRecord::DropTable { name: "t".into() });
+        let t = TableId(0);
+        let ddl = vec![
+            WalRecord::CreateTable {
+                name: "t".into(),
+                columns: vec![("a".into(), DataType::Int), ("s".into(), DataType::Str)],
+                partition: Some(0),
+                clustered_key: Some(vec![1]),
+            },
+            WalRecord::CreateIndex {
+                table: "t".into(),
+                index: "ix".into(),
+                key: vec![1],
+            },
+        ];
+        let mut busy = ddl.clone();
+        busy.extend([
+            WalRecord::TxnBegin,
+            WalRecord::Insert {
+                table: t,
+                rid: Rid::new(7, 2),
+                row: row![1, "x"],
+            },
+            WalRecord::Delete {
+                table: t,
+                rid: Rid::new(0, 0),
+                row: row![2, "y"],
+            },
+            WalRecord::Undelete {
+                table: t,
+                rid: Rid::new(0, 0),
+                row: row![2, "y"],
+            },
+            WalRecord::TxnCommit,
+            WalRecord::TxnAbort,
+            WalRecord::DropTable { name: "t".into() },
+        ]);
+        let wal = Wal {
+            nodes: vec![busy, ddl, Vec::new()],
+        };
 
         let bytes = wal.to_bytes();
         let back = Wal::from_bytes(&bytes).unwrap();
@@ -661,13 +533,62 @@ mod tests {
     #[test]
     fn from_bytes_rejects_garbage() {
         assert!(Wal::from_bytes(b"nope").is_err());
-        let mut bytes = Wal::new().to_bytes();
+        let mut bytes = Wal::default().to_bytes();
         bytes.push(0xFF);
         assert!(Wal::from_bytes(&bytes).is_err(), "trailing bytes");
-        let mut wal = Wal::new();
-        wal.append(WalRecord::TxnBegin);
+        let wal = Wal {
+            nodes: vec![vec![WalRecord::TxnBegin]],
+        };
         let mut bytes = wal.to_bytes();
         bytes.truncate(bytes.len() - 1);
         assert!(Wal::from_bytes(&bytes).is_err(), "truncated");
+        let mut bytes = wal.to_bytes();
+        bytes[7] = b'1';
+        assert!(Wal::from_bytes(&bytes).is_err(), "the shared-log format");
+    }
+
+    #[test]
+    fn compensation_undoes_newest_first() {
+        let t = TableId(3);
+        let ins = |slot| WalRecord::Insert {
+            table: t,
+            rid: Rid::new(0, slot),
+            row: row![slot as i64],
+        };
+        let tail = [
+            ins(0),
+            WalRecord::Delete {
+                table: t,
+                rid: Rid::new(0, 0),
+                row: row![0],
+            },
+            ins(1),
+        ];
+        assert_eq!(
+            compensation(&tail).unwrap(),
+            vec![
+                WalRecord::Delete {
+                    table: t,
+                    rid: Rid::new(0, 1),
+                    row: row![1],
+                },
+                WalRecord::Undelete {
+                    table: t,
+                    rid: Rid::new(0, 0),
+                    row: row![0],
+                },
+                WalRecord::Delete {
+                    table: t,
+                    rid: Rid::new(0, 0),
+                    row: row![0],
+                },
+            ]
+        );
+        let undelete = WalRecord::Undelete {
+            table: t,
+            rid: Rid::new(0, 0),
+            row: row![0],
+        };
+        assert!(compensation(&[undelete]).is_err());
     }
 }

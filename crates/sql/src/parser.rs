@@ -354,10 +354,10 @@ impl Parser {
         } else {
             1
         };
-        Ok(Statement::AlterViewPartial {
-            name,
-            budget_bytes: n * unit,
-        })
+        let budget_bytes = n
+            .checked_mul(unit)
+            .ok_or_else(|| err(format!("partial budget of {n} × {unit} bytes overflows")))?;
+        Ok(Statement::AlterViewPartial { name, budget_bytes })
     }
 
     /// One SELECT-list item: column ref, `COUNT(*)`, or `SUM(col)`.
@@ -741,6 +741,7 @@ mod tests {
         assert!(parse("ALTER VIEW jv SET PARTIAL BUDGET 0").is_err());
         assert!(parse("ALTER VIEW jv SET PARTIAL BUDGET -5").is_err());
         assert!(parse("ALTER TABLE t SET PARTIAL BUDGET 1").is_err());
+        assert!(parse("ALTER VIEW jv SET PARTIAL BUDGET 9223372036854775807 KB").is_err());
     }
 
     #[test]

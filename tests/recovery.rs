@@ -449,3 +449,61 @@ fn recovered_log_closes_a_trailing_open_transaction() {
         "the input log plus the losers' compensation and a TxnAbort"
     );
 }
+
+#[test]
+fn recovery_refuses_a_log_from_a_different_node_count() {
+    let mut cluster = wal_cluster(3);
+    SyntheticRelation::new("t", 50, 10)
+        .install(&mut cluster)
+        .unwrap();
+    let wal = cluster.wal_snapshot().unwrap();
+    for nodes in [2, 4] {
+        let err = recover(ClusterConfig::new(nodes), &wal).unwrap_err();
+        assert!(
+            matches!(err, PvmError::InvalidOperation(_)),
+            "{nodes} nodes: {err:?}"
+        );
+    }
+    let recovered = recover(ClusterConfig::new(3), &wal).unwrap();
+    assert_eq!(
+        recovered
+            .row_count(recovered.table_id("t").unwrap())
+            .unwrap(),
+        50
+    );
+}
+
+#[test]
+fn a_node_logs_and_replays_only_its_own_dml() {
+    // Node 2 runs five inserts and a delete; node 0 runs none, or ten
+    // times as many. Node 2's log, and what its crash replays, must not
+    // depend on node 0's work.
+    let node2_after = |node0_ops: i64| {
+        let mut cluster = wal_cluster(3);
+        let schema = Schema::new(vec![Column::int("x")]).into_ref();
+        let t = cluster
+            .create_table(TableDef::hash_heap("t", schema, 0))
+            .unwrap();
+        for i in 0..node0_ops {
+            cluster
+                .node_mut(NodeId(0))
+                .unwrap()
+                .insert(t, row![i])
+                .unwrap();
+        }
+        let n2 = cluster.node_mut(NodeId(2)).unwrap();
+        for i in 0..5 {
+            n2.insert(t, row![i]).unwrap();
+        }
+        n2.delete_rid(t, Rid::new(0, 0)).unwrap();
+        let log = n2.log().to_vec();
+        let rows = n2.storage(t).unwrap().scan().unwrap();
+        let replayed = cluster.crash_node(NodeId(2)).unwrap();
+        let rebuilt = cluster.node(NodeId(2)).unwrap();
+        assert_eq!(rebuilt.storage(t).unwrap().scan().unwrap(), rows);
+        assert_eq!(rebuilt.log(), log, "the rebuilt node keeps its log");
+        (log.len(), replayed)
+    };
+    assert_eq!(node2_after(0), (1 + 6, 6), "its DDL and its own DML");
+    assert_eq!(node2_after(60), node2_after(0), "node 0 busy");
+}

@@ -173,3 +173,167 @@ fn show_cost_reflects_method_difference() {
         "naive maintenance must cost visibly more: {naive} vs {ar}"
     );
 }
+
+/// Every keyword the parser knows, plus the names, punctuation and
+/// literals (edge values included) that SQL text around them holds.
+const SQL_TOKENS: &str = "CREATE TABLE MATERIALIZED VIEW INSERT INTO VALUES DELETE FROM UPDATE \
+    SET SELECT WHERE AND SHOW TABLES VIEWS COST CHECK DROP BEGIN SNAPSHOT TRANSACTION COMMIT \
+    ROLLBACK ABORT ALTER PARTIAL BUDGET KB MB GB EXPLAIN ANALYZE MAINTENANCE OF ON USING NAIVE \
+    AUXILIARY RELATION GLOBAL INDEX AS PARTITION BY HASH CLUSTERED GROUP COUNT SUM INT FLOAT \
+    STR BOOL a b jv agg x y id c d p x.c y.d ( ) , ; . * = <> < <= > >= - 0 1 7 -1 2.5 's' '' \
+    'it''s' 9223372036854775807 -9223372036854775808 18446744073709551616 1e308";
+
+/// A statement the fuzzed session can run as written; `n` and `m` fill
+/// its numbers.
+fn valid_statement(pick: usize, n: &str, m: &str) -> String {
+    match pick % 24 {
+        0 => format!("INSERT INTO a VALUES ({n}, {m}, 'p{n}')"),
+        1 => format!("INSERT INTO b VALUES ({n}, {m}, 'q'), ({m}, {n}, 'r')"),
+        2 => format!("DELETE FROM a WHERE id = {n}"),
+        3 => format!("DELETE FROM b WHERE d < {m} AND id >= {n}"),
+        4 => format!("UPDATE a SET c = {m} WHERE id = {n}"),
+        5 => format!("UPDATE b SET p = 'z' WHERE id <> {n}"),
+        6 => "SELECT * FROM jv".into(),
+        7 => format!("SELECT * FROM agg WHERE c = {m}"),
+        8 => format!("SELECT * FROM a WHERE id <= {n}"),
+        9 => "BEGIN TRANSACTION".into(),
+        10 => "BEGIN SNAPSHOT".into(),
+        11 => "COMMIT".into(),
+        12 => "ROLLBACK".into(),
+        13 => "CHECK VIEW jv; CHECK VIEW agg".into(),
+        14 => "SHOW TABLES; SHOW VIEWS; SHOW COST".into(),
+        15 => "EXPLAIN ANALYZE MAINTENANCE OF jv ON a".into(),
+        16 => "EXPLAIN MAINTENANCE OF agg ON b".into(),
+        17 => format!("ALTER VIEW jv SET PARTIAL BUDGET {n} KB"),
+        18 => "CREATE VIEW gv USING GLOBAL INDEX AS SELECT x.id, y.id FROM a x, b y \
+               WHERE x.c = y.d"
+            .into(),
+        19 => "CREATE VIEW nv USING NAIVE AS SELECT x.id, y.p FROM a x, b y \
+               WHERE x.id = y.id PARTITION ON y.id"
+            .into(),
+        20 => "DROP VIEW jv".into(),
+        21 => "DROP TABLE b".into(),
+        22 => format!("CREATE TABLE t{n} (k INT, v FLOAT) PARTITION BY HASH(k) CLUSTERED"),
+        _ => format!("SELECT * FROM b WHERE d > {m}"),
+    }
+}
+
+/// A seeded, deterministic stream of SQL text: token soup, raw ASCII,
+/// and valid statements with one token deleted, duplicated or replaced
+/// (or left whole).
+struct SqlFuzz {
+    state: u64,
+    tokens: Vec<&'static str>,
+}
+
+impl SqlFuzz {
+    fn new(seed: u64) -> Self {
+        SqlFuzz {
+            state: seed,
+            tokens: SQL_TOKENS.split_whitespace().collect(),
+        }
+    }
+
+    /// splitmix64.
+    fn next(&mut self) -> u64 {
+        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    fn token(&mut self) -> &'static str {
+        let at = self.below(self.tokens.len());
+        self.tokens[at]
+    }
+
+    fn number(&mut self) -> String {
+        match self.below(8) {
+            0 => self.token().to_string(),
+            _ => self.below(40).to_string(),
+        }
+    }
+
+    fn statement(&mut self) -> String {
+        match self.below(4) {
+            0 => (0..self.below(16))
+                .map(|_| self.token())
+                .collect::<Vec<_>>()
+                .join(" "),
+            1 => (0..self.below(60))
+                .map(|_| char::from(32 + self.below(95) as u8))
+                .collect(),
+            _ => {
+                let (n, m) = (self.number(), self.number());
+                let text = valid_statement(self.below(24), &n, &m);
+                let spaced = ["(", ")", ",", ";"]
+                    .iter()
+                    .fold(text, |t, p| t.replace(p, &format!(" {p} ")));
+                let mut tokens: Vec<&str> = spaced.split_whitespace().collect();
+                let at = self.below(tokens.len());
+                match self.below(4) {
+                    0 => drop(tokens.remove(at)),
+                    1 => tokens.insert(at, tokens[at]),
+                    2 => tokens[at] = self.token(),
+                    _ => {}
+                }
+                tokens.join(" ")
+            }
+        }
+    }
+}
+
+/// Two base tables, an AR join view and an aggregate view over them.
+fn fuzz_session() -> Session {
+    let mut s = Session::new(ClusterConfig::new(3).with_buffer_pages(64));
+    s.execute(
+        "CREATE TABLE a (id INT, c INT, p STR) PARTITION BY HASH(id); \
+         CREATE TABLE b (id INT, d INT, p STR) PARTITION BY HASH(id);",
+    )
+    .unwrap();
+    for i in 0..12 {
+        s.execute(&format!(
+            "INSERT INTO a VALUES ({i}, {}, 'a'); INSERT INTO b VALUES ({i}, {}, 'b');",
+            i % 4,
+            i % 3
+        ))
+        .unwrap();
+    }
+    s.execute(
+        "CREATE VIEW jv USING AUXILIARY RELATION AS \
+         SELECT x.id, x.c, y.id FROM a x, b y WHERE x.c = y.d PARTITION ON x.id; \
+         CREATE VIEW agg USING AUXILIARY RELATION AS \
+         SELECT x.c, COUNT(*), SUM(y.d) FROM a x, b y WHERE x.c = y.d GROUP BY x.c",
+    )
+    .unwrap();
+    s
+}
+
+#[test]
+fn no_sql_text_panics_a_session() {
+    const STATEMENTS: usize = 12_000;
+    const RESET_EVERY: usize = 300;
+    let mut fuzz = SqlFuzz::new(0x5EED);
+    let mut session = fuzz_session();
+    let mut ok = 0;
+    for i in 0..STATEMENTS {
+        if i % RESET_EVERY == RESET_EVERY - 1 {
+            session = fuzz_session();
+        }
+        let sql = fuzz.statement();
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| session.execute(&sql)));
+        match run {
+            Ok(result) => ok += usize::from(result.is_ok()),
+            Err(_) => panic!("statement {i} panicked the session: {sql:?}"),
+        }
+    }
+    assert!(
+        ok > STATEMENTS / 20,
+        "the stream reaches past the parser: {ok} ok"
+    );
+}

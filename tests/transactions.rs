@@ -205,3 +205,100 @@ fn repeated_txns_reuse_cleanly() {
         43
     );
 }
+
+/// Each node's `(INSERT, SEARCH, FETCH, page reads, page writes)`.
+fn abort_counters(backend: &impl Backend) -> Vec<[u64; 5]> {
+    backend
+        .engine()
+        .node_snapshots()
+        .iter()
+        .map(|s| {
+            [
+                s.inserts,
+                s.searches,
+                s.fetches,
+                s.page_reads,
+                s.page_writes,
+            ]
+        })
+        .collect()
+}
+
+/// Every node's per-table `(rid, row)` scan, in node and table-id order.
+fn placed_rows(cluster: &Cluster) -> Vec<(NodeId, TableId, pvm::types::Rid, Row)> {
+    let mut out = Vec::new();
+    for n in cluster.nodes() {
+        for id in cluster.catalog().ids() {
+            for (rid, row) in n.storage(id).unwrap().scan().unwrap() {
+                out.push((n.id(), id, rid, row));
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn abort_cost_and_placement_are_pinned_on_both_backends_with_and_without_wal() {
+    // A GI view whose transaction inserts rows, then deletes one
+    // pre-existing row and one it just inserted, then aborts. The pool is
+    // small enough that the abort itself evicts pages.
+    fn drive<B: Backend>(backend: &mut B, view: &mut MaintainedView) -> Vec<[u64; 5]> {
+        backend.begin_txn().unwrap();
+        let inserted: Vec<Row> = (0..12).map(|i| row![500 + i, i % 8, "doomed"]).collect();
+        view.apply(backend, 1, &Delta::Insert(inserted)).unwrap();
+        view.apply(
+            backend,
+            1,
+            &Delta::Delete(vec![row![3, 3, "x".repeat(32)], row![505, 5, "doomed"]]),
+        )
+        .unwrap();
+        let before = abort_counters(backend);
+        backend.abort_txn().unwrap();
+        let after = abort_counters(backend);
+        after
+            .iter()
+            .zip(&before)
+            .map(|(a, b)| std::array::from_fn(|k| a[k] - b[k]))
+            .collect()
+    }
+
+    let mut cells = Vec::new();
+    for wal in [false, true] {
+        for threaded in [false, true] {
+            let config = ClusterConfig::new(3).with_buffer_pages(6);
+            let mut cluster = Cluster::new(if wal { config.with_wal() } else { config });
+            SyntheticRelation::new("a", 48, 8)
+                .install(&mut cluster)
+                .unwrap();
+            SyntheticRelation::new("b", 48, 8)
+                .install(&mut cluster)
+                .unwrap();
+            let def = JoinViewDef::two_way("jv", "a", "b", 1, 1, 3, 3);
+            let mut view =
+                MaintainedView::create(&mut cluster, def, MaintenanceMethod::GlobalIndex).unwrap();
+            let before = placed_rows(&cluster);
+            let (cluster, delta) = if threaded {
+                let mut thr = ThreadedCluster::from_cluster(cluster);
+                let delta = drive(&mut thr, &mut view);
+                (thr.into_cluster(), delta)
+            } else {
+                let delta = drive(&mut cluster, &mut view);
+                (cluster, delta)
+            };
+            let cell = format!("wal={wal} threaded={threaded}");
+            assert_eq!(
+                placed_rows(&cluster),
+                before,
+                "{cell}: rows back at their rids"
+            );
+            view.check_consistent(&cluster).unwrap();
+            cells.push((cell, delta));
+        }
+    }
+    // Undo charges 1 INSERT per compensated row and touches pages; it
+    // never searches or fetches.
+    let pinned = vec![[45, 0, 0, 3, 1], [33, 0, 0, 3, 1], [34, 0, 0, 2, 0]];
+    for (cell, delta) in &cells {
+        assert_eq!(delta, &pinned, "{cell}: per-node abort cost");
+    }
+}
