@@ -19,6 +19,10 @@ use pvm_types::{Column, DataType, PvmError, Result, Row, Schema, Value};
 
 use crate::viewdef::JoinViewDef;
 
+/// Aggregate rows under construction, by group key: what
+/// [`AggShape::add_to`] folds into.
+pub(crate) type Groups = std::collections::BTreeMap<Vec<Value>, Row>;
+
 /// A self-maintainable aggregate function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggFunc {
@@ -172,23 +176,25 @@ impl AggShape {
     /// Aggregate a full set of projected join rows from scratch (oracle /
     /// initial population).
     pub fn aggregate_all(&self, projected_rows: &[Row]) -> Result<Vec<Row>> {
-        use std::collections::BTreeMap;
-        let mut groups: BTreeMap<Vec<Value>, Row> = BTreeMap::new();
+        let mut groups = Groups::new();
         for p in projected_rows {
-            let key = self.group_key(p)?;
-            match groups.remove(&key) {
-                None => {
-                    groups.insert(key, self.initial_row(p)?);
-                }
-                Some(existing) => {
-                    let folded = self
-                        .fold(&existing, p, 1)?
-                        .expect("count only grows during aggregation");
-                    groups.insert(key, folded);
-                }
-            }
+            self.add_to(&mut groups, p)?;
         }
         Ok(groups.into_values().collect())
+    }
+
+    /// Fold one projected join row into from-scratch `groups`, so a
+    /// streamed recompute aggregates without holding its join rows.
+    pub(crate) fn add_to(&self, groups: &mut Groups, projected: &Row) -> Result<()> {
+        let key = self.group_key(projected)?;
+        let row = match groups.remove(&key) {
+            None => self.initial_row(projected)?,
+            Some(existing) => self
+                .fold(&existing, projected, 1)?
+                .expect("count only grows during aggregation"),
+        };
+        groups.insert(key, row);
+        Ok(())
     }
 }
 

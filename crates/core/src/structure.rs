@@ -105,10 +105,11 @@ impl Structure {
             kind.key_pos(),
         ))?;
         let s = Structure { table, col, kind };
+        // One base tuple decoded at a time, straight into its entry.
         let mut entries = Vec::new();
         for n in cluster.nodes() {
-            for (rid, row) in n.storage(base)?.scan()? {
-                entries.push(s.entry(&row, GlobalRid::new(n.id(), rid))?);
+            for (rid, tuple) in n.storage(base)?.scan_encoded() {
+                entries.push(s.entry(&Row::decode(tuple)?, GlobalRid::new(n.id(), rid))?);
             }
         }
         cluster.insert(table, entries)?;

@@ -151,6 +151,12 @@ impl JoinViewDef {
         self.projection[self.partition_column]
     }
 
+    /// The projection as executor `(relation, column)` pairs, for
+    /// [`pvm_engine::exec::project_row`].
+    pub(crate) fn projection_cols(&self) -> Vec<(usize, usize)> {
+        self.projection.iter().map(|vc| (vc.rel, vc.col)).collect()
+    }
+
     /// Edges as executor [`JoinEdge`]s over definition-order relations.
     pub fn exec_edges(&self) -> Vec<JoinEdge> {
         self.edges

@@ -450,6 +450,17 @@ impl Cluster {
         Ok(out)
     }
 
+    /// [`Cluster::scan_all`] without decoding: every stored tuple of table
+    /// `id`, borrowed and encoded, in node order — the same page touches,
+    /// node by node on the calling thread.
+    pub fn scan_all_encoded(&self, id: TableId) -> Result<Vec<&[u8]>> {
+        let mut out = Vec::new();
+        for n in &self.nodes {
+            out.extend(n.storage(id)?.scan_encoded().map(|(_, tuple)| tuple));
+        }
+        Ok(out)
+    }
+
     /// Cluster-wide row count of a table.
     pub fn row_count(&self, id: TableId) -> Result<u64> {
         let mut c = 0;

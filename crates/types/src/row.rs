@@ -135,6 +135,37 @@ impl Row {
         Ok(&rest[..Value::encoded_len(rest)?])
     }
 
+    /// Every column of a row produced by [`Row::encode`], as
+    /// [`Row::column_bytes`] gives it, into `out` (cleared first): one
+    /// pass over the tags, nothing decoded.
+    pub fn split_columns<'a>(buf: &'a [u8], out: &mut Vec<&'a [u8]>) -> Result<()> {
+        out.clear();
+        let arity = Self::encoded_arity(buf)?;
+        let mut rest = &buf[2..];
+        for _ in 0..arity {
+            let (value, tail) = rest.split_at(Value::encoded_len(rest)?);
+            out.push(value);
+            rest = tail;
+        }
+        if !rest.is_empty() {
+            return Err(PvmError::Corrupt(format!(
+                "trailing {} bytes after row",
+                rest.len()
+            )));
+        }
+        Ok(())
+    }
+
+    /// The bytes [`Row::encode`] writes for the row whose columns encode
+    /// as `cols` (appended to `out`): the inverse of
+    /// [`Row::split_columns`].
+    pub fn encode_columns<'a>(cols: impl ExactSizeIterator<Item = &'a [u8]>, out: &mut Vec<u8>) {
+        out.extend_from_slice(&(cols.len() as u16).to_be_bytes());
+        for c in cols {
+            out.extend_from_slice(c);
+        }
+    }
+
     /// Encode the values at `indices` as a composite key (order-preserving
     /// per component).
     pub fn encode_key(&self, indices: &[usize]) -> Result<Vec<u8>> {
@@ -310,6 +341,7 @@ mod encoded_key_properties {
         fn values_equal_iff_encodings_equal(a in value(), b in value()) {
             prop_assert_eq!(a == b, a.encode_key() == b.encode_key(), "{:?} vs {:?}", a, b);
             prop_assert_eq!(Value::encoded_len(&a.encode_key()).unwrap(), a.byte_size());
+            prop_assert_eq!(a.is_null(), a.encode_key() == Value::NULL_ENCODING);
         }
 
         #[test]
@@ -325,16 +357,31 @@ mod encoded_key_properties {
                 prop_assert_eq!(Row::column_bytes(&enc, i).unwrap().to_vec(), row[i].encode_key());
             }
             prop_assert!(Row::column_bytes(&enc, row.arity()).is_err());
+            // Splitting and re-assembling is the identity on the encoding.
+            let mut cols = Vec::new();
+            Row::split_columns(&enc, &mut cols).unwrap();
+            prop_assert_eq!(cols.len(), row.arity());
+            for (i, c) in cols.iter().enumerate() {
+                prop_assert_eq!(*c, Row::column_bytes(&enc, i).unwrap());
+            }
+            let mut again = Vec::new();
+            Row::encode_columns(cols.iter().copied(), &mut again);
+            prop_assert_eq!(&again, &enc);
             // Damaged input: an error or in-bounds bytes, never a panic; a
             // prefix too short to hold the last column is always an error.
             let cut = cut % enc.len();
             let last = row.arity().saturating_sub(1);
             prop_assert!(Row::column_bytes(&enc[..cut], last).is_err());
+            prop_assert!(Row::split_columns(&enc[..cut], &mut cols).is_err());
+            let mut longer = enc.clone();
+            longer.push(0x00);
+            prop_assert!(Row::split_columns(&longer, &mut cols).is_err(), "trailing bytes");
             let mut bad = enc.clone();
             bad[flip % enc.len()] = byte;
             for i in 0..row.arity() + 1 {
                 let _ = Row::column_bytes(&bad, i);
             }
+            let _ = Row::split_columns(&bad, &mut cols);
         }
     }
 }

@@ -114,6 +114,10 @@ impl Value {
         }
     }
 
+    /// What [`Value::encode_into`] writes for [`Value::Null`]: an encoded
+    /// join key equal to this never matches.
+    pub const NULL_ENCODING: &'static [u8] = &[0x00];
+
     /// Order-preserving binary encoding, appended to `out`.
     ///
     /// The encoding is self-delimiting and preserves the [`Value`] total
