@@ -25,7 +25,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
 use pvm::prelude::*;
-use pvm_bench::{header, series_labels, series_row, BenchArgs};
+use pvm_bench::{header, series_labels, series_row, BenchArgs, BenchJson};
 
 const L: usize = 4;
 /// Rows in the delta-side relation `a` and probe-side relation `b`.
@@ -283,7 +283,7 @@ fn main() {
         .iter()
         .map(|p| {
             format!(
-                "    {{\"n\": {}, \"ind_searches\": {:.1}, \"shared_searches\": {:.1}, \
+                "{{\"n\": {}, \"ind_searches\": {:.1}, \"shared_searches\": {:.1}, \
                  \"ind_sends\": {:.1}, \"shared_sends\": {:.1}, \
                  \"search_ratio\": {:.2}, \"send_ratio\": {:.2}, \"match\": true}}",
                 p.n,
@@ -296,12 +296,9 @@ fn main() {
             )
         })
         .collect();
-    let out_path =
-        std::env::var("BENCH_CATALOG_OUT").unwrap_or_else(|_| "BENCH_catalog.json".to_string());
-    let json = format!(
-        "{{\n  \"bench\": \"catalog\",\n  \"rows\": [\n{}\n  ]\n}}\n",
-        json_rows.join(",\n")
+    let out_path = BenchJson::new("catalog").rows("rows", &json_rows).write();
+    println!(
+        "\ncounted costs -> {} (all member contents hash-verified)",
+        out_path.display()
     );
-    std::fs::write(&out_path, json).expect("write counted-cost JSON");
-    println!("\ncounted costs -> {out_path} (all member contents hash-verified)");
 }

@@ -26,15 +26,15 @@
 //! a fault-free run and printing the fault/reliability counters as JSON.
 //!
 //! The default mode also writes the *counted* (wall-clock-free) costs per
-//! `L` to `BENCH_parallel.json` (path overridable via the
-//! `BENCH_PARALLEL_OUT` env var). Counted costs are deterministic, so CI
+//! `L` to `BENCH_parallel.json` (in `$PVM_BENCH_OUT`, default the working
+//! directory). Counted costs are deterministic, so CI
 //! diffs this file against the committed copy at the repo root and fails
 //! on regressions — see the `bench-build` job.
 
 use std::time::Instant;
 
 use pvm::prelude::*;
-use pvm_bench::{header, series_labels, series_row, BenchArgs};
+use pvm_bench::{header, series_labels, series_row, BenchArgs, BenchJson};
 use pvm_faults::{FaultPlan, FaultTolerant};
 
 /// Rows preloaded into the probed relation `b`.
@@ -256,7 +256,7 @@ fn main() {
         // Counted costs only — no wall-clock — so the file is
         // machine-independent and deterministic run to run.
         counted_rows.push(format!(
-            "    {{\"l\": {l}, \"view_rows\": {seq_rows}, \"tw_io\": {:.1}, \"sends\": {}, \"bytes\": {}}}",
+            "{{\"l\": {l}, \"view_rows\": {seq_rows}, \"tw_io\": {:.1}, \"sends\": {}, \"bytes\": {}}}",
             seq_out.tw_io(),
             seq_out.sends(),
             outcome_bytes(&seq_out)
@@ -266,22 +266,14 @@ fn main() {
     for row in &json_rows {
         println!("{row}");
     }
-    let out_path =
-        std::env::var("BENCH_PARALLEL_OUT").unwrap_or_else(|_| "BENCH_parallel.json".to_string());
     // `rows` holds counted costs only — machine-independent and
     // deterministic, diffed strictly by CI. `wall` holds the wall-clock
     // sweep (including the barriered-vs-pipelined comparison); it is
     // machine-dependent, so CI gates it loosely (median of several runs,
     // >25% regression) rather than diffing it.
-    let json = format!(
-        "{{\n  \"bench\": \"parallel\",\n  \"rows\": [\n{}\n  ],\n  \"wall\": [\n{}\n  ]\n}}\n",
-        counted_rows.join(",\n"),
-        json_rows
-            .iter()
-            .map(|r| format!("    {r}"))
-            .collect::<Vec<_>>()
-            .join(",\n")
-    );
-    std::fs::write(&out_path, json).expect("write counted-cost JSON");
-    println!("\ncounted costs written to {out_path}");
+    let out_path = BenchJson::new("parallel")
+        .rows("rows", &counted_rows)
+        .rows("wall", &json_rows)
+        .write();
+    println!("\ncounted costs written to {}", out_path.display());
 }

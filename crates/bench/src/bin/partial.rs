@@ -15,14 +15,14 @@
 //! accounting invariant — resident bytes never exceed the budget — plus
 //! the headline claim: at Zipf(1.5) a 25% budget sustains a ≥ 0.9 hit
 //! rate (the SpaceSaving admission sketch protects the heavy keys, LRU
-//! keeps the read working set). Results go to `BENCH_partial.json`
-//! (override with `BENCH_PARTIAL_OUT`) for the CI regression gate;
+//! keeps the read working set). Results go to `BENCH_partial.json` (in
+//! `$PVM_BENCH_OUT`, default `.`) for the CI regression gate;
 //! `PVM_BENCH_QUICK=1` shrinks the read loop for CI.
 
 use std::time::Instant;
 
 use pvm::prelude::*;
-use pvm_bench::{enable_metrics, header, series_labels, series_row, BenchArgs};
+use pvm_bench::{enable_metrics, header, series_labels, series_row, BenchArgs, BenchJson};
 use rand::{rngs::StdRng, SeedableRng};
 
 const L: usize = 4;
@@ -221,7 +221,7 @@ fn main() {
                 headline = Some(cell.hit_rate);
             }
             json_rows.push(format!(
-                "    {{\"frac\": {frac}, \"dist\": \"{label}\", \"hit_rate\": {:.4}, \
+                "{{\"frac\": {frac}, \"dist\": \"{label}\", \"hit_rate\": {:.4}, \
                  \"p50_us\": {}, \"p99_us\": {}, \"upq_p50_us\": {}, \"upq_p99_us\": {}, \
                  \"resident\": {}, \"budget\": {}, \"evictions\": {}}}",
                 cell.hit_rate,
@@ -245,12 +245,9 @@ fn main() {
     );
     println!("\nzipf1.5 @ 25% budget hit rate: {headline:.3} (≥ 0.9 asserted)");
 
-    let out_path =
-        std::env::var("BENCH_PARTIAL_OUT").unwrap_or_else(|_| "BENCH_partial.json".to_string());
-    let json = format!(
-        "{{\n  \"bench\": \"partial\",\n  \"full_bytes\": {full},\n  \"rows\": [\n{}\n  ]\n}}\n",
-        json_rows.join(",\n")
-    );
-    std::fs::write(&out_path, json).expect("write partial bench JSON");
-    println!("results written to {out_path}");
+    let out_path = BenchJson::new("partial")
+        .field("full_bytes", full)
+        .rows("rows", &json_rows)
+        .write();
+    println!("results written to {}", out_path.display());
 }

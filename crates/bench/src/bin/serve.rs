@@ -14,7 +14,7 @@
 //!
 //! The bin asserts the serving pass keeps maintenance throughput within
 //! 25% of the baseline and that every read verified, then writes
-//! `BENCH_serve.json` (override with `BENCH_SERVE_OUT`) with p50/p99
+//! `BENCH_serve.json` (into `$PVM_BENCH_OUT`, default `.`) with p50/p99
 //! read latency and rows/s per pass. `PVM_BENCH_QUICK=1` shrinks the
 //! workload for CI.
 //!
@@ -30,7 +30,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pvm::prelude::*;
-use pvm_bench::{header, series_labels, series_row, BenchArgs};
+use pvm_bench::{header, series_labels, series_row, BenchArgs, BenchJson};
 
 /// Reader think time between point reads.
 const THINK: Duration = Duration::from_millis(2);
@@ -285,7 +285,7 @@ fn main() {
         .iter()
         .map(|p| {
             format!(
-                "    {{\"readers\": {}, \"batches\": {}, \"delta\": {}, \"epochs\": {}, \
+                "{{\"readers\": {}, \"batches\": {}, \"delta\": {}, \"epochs\": {}, \
                  \"reads\": {}, \"verified\": true, \"rows_per_s\": {:.0}, \
                  \"p50_us\": {}, \"p99_us\": {}}}",
                 p.readers,
@@ -299,12 +299,10 @@ fn main() {
             )
         })
         .collect();
-    let out_path =
-        std::env::var("BENCH_SERVE_OUT").unwrap_or_else(|_| "BENCH_serve.json".to_string());
-    let json = format!(
-        "{{\n  \"bench\": \"serve\",\n  \"cores\": {cores},\n  \"throughput_ratio\": {ratio:.3},\n  \"rows\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
-    );
-    std::fs::write(&out_path, json).expect("write serve bench JSON");
-    println!("results written to {out_path}");
+    let out_path = BenchJson::new("serve")
+        .field("cores", cores)
+        .field("throughput_ratio", format!("{ratio:.3}"))
+        .rows("rows", &rows)
+        .write();
+    println!("results written to {}", out_path.display());
 }

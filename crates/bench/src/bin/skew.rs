@@ -21,8 +21,9 @@
 //! variants pull it back toward 1 while keeping AR's single-digit
 //! per-tuple I/O advantage. The run **asserts** the headline claim —
 //! Zipf(1.5) imbalance at least halved for both methods — and writes the
-//! counted (wall-clock-free) costs to `BENCH_skew.json` (path overridable
-//! via `BENCH_SKEW_OUT`) for the CI regression gate.
+//! counted (wall-clock-free) costs to `BENCH_skew.json` (in
+//! `$PVM_BENCH_OUT`, default the working directory) for the CI regression
+//! gate.
 //!
 //! Pass `--trace <path>` to instead run a compact traced round covering
 //! all three maintenance methods on the sequential backend and write a
@@ -30,7 +31,7 @@
 //! metric summaries.
 
 use pvm::prelude::*;
-use pvm_bench::{header, series_labels, series_row, BenchArgs};
+use pvm_bench::{header, series_labels, series_row, BenchArgs, BenchJson};
 
 const L: usize = 8;
 const DELTA: u64 = 256;
@@ -177,7 +178,7 @@ fn main() {
             vals.push(m.imb);
             imb.insert((label, *dist_label), m.imb);
             json_rows.push(format!(
-                "    {{\"method\": \"{label}\", \"dist\": \"{dist_label}\", \"io\": {:.1}, \"imb\": {:.3}, \"tw_io\": {:.1}}}",
+                "{{\"method\": \"{label}\", \"dist\": \"{dist_label}\", \"io\": {:.1}, \"imb\": {:.3}, \"tw_io\": {:.1}}}",
                 m.io, m.imb, m.tw
             ));
         }
@@ -201,17 +202,12 @@ fn main() {
         );
     }
 
-    let out_path =
-        std::env::var("BENCH_SKEW_OUT").unwrap_or_else(|_| "BENCH_skew.json".to_string());
-    let json = format!(
-        "{{\n  \"bench\": \"skew\",\n  \"rows\": [\n{}\n  ]\n}}\n",
-        json_rows.join(",\n")
-    );
-    std::fs::write(&out_path, json).expect("write counted-cost JSON");
+    let out_path = BenchJson::new("skew").rows("rows", &json_rows).write();
     println!(
         "\nnaive imbalance stays ≈ 1 (it broadcasts); plain AR/GI imbalance grows with skew;\n\
          the +hl rows spread the sketch-classified heavy values (salted AR rows, replicated\n\
          GI entries) and pull Zipf-1.5 imbalance back toward 1.\n\
-         counted costs written to {out_path}"
+         counted costs written to {}",
+        out_path.display()
     );
 }

@@ -1,12 +1,17 @@
 //! # pvm-bench
 //!
-//! Experiment harnesses. One binary per table/figure of the paper
-//! (`fig07` … `fig14`, `table1`) regenerates the corresponding series —
-//! run them with `cargo run -p pvm-bench --release --bin figNN`. The
-//! Criterion micro-benches live under `benches/`.
+//! Experiment harnesses. The `figures` bin regenerates every table and
+//! figure of the paper's evaluation from [`figures`] — `cargo run -p
+//! pvm-bench --release --bin figures [ID ...]` — and the gated bins
+//! (`parallel`, `skew`, `serve`, `partial`, `catalog`) measure the
+//! extensions beyond it. The Criterion micro-benches live under
+//! `benches/`; `perf`, the repo's benchmark, under `src/bin/perf/`.
 //!
-//! This library holds the shared output helpers so every figure prints in
-//! the same aligned, diff-friendly format recorded in `EXPERIMENTS.md`.
+//! This library holds the shared output helpers: every table prints in
+//! the same aligned, diff-friendly format recorded in `EXPERIMENTS.md`,
+//! and every bin writes its `BENCH_<name>.json` through [`BenchJson`].
+
+pub mod figures;
 
 use std::fmt::Display;
 use std::path::{Path, PathBuf};
@@ -30,8 +35,8 @@ pub struct BenchArgs {
 impl BenchArgs {
     pub fn parse() -> Self {
         BenchArgs {
-            trace: trace_arg(),
-            metrics: metrics_arg(),
+            trace: path_arg("--trace"),
+            metrics: path_arg("--metrics"),
             quick: std::env::var_os("PVM_BENCH_QUICK").is_some(),
         }
     }
@@ -67,28 +72,11 @@ impl BenchArgs {
     }
 }
 
-/// Parse a `--trace <path>` flag from the process arguments.
-pub fn trace_arg() -> Option<PathBuf> {
+/// The path after `flag` in the process arguments.
+fn path_arg(flag: &str) -> Option<PathBuf> {
     let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--trace" {
-            return args.next().map(PathBuf::from);
-        }
-    }
-    None
-}
-
-/// Parse a `--metrics <path>` flag from the process arguments: where to
-/// write a Prometheus text-exposition dump of the metrics registry when
-/// the run finishes.
-pub fn metrics_arg() -> Option<PathBuf> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--metrics" {
-            return args.next().map(PathBuf::from);
-        }
-    }
-    None
+    args.find(|a| a == flag)?;
+    args.next().map(PathBuf::from)
 }
 
 /// Flip a cluster's obs gate on (with a [`pvm::obs::NoopSink`]) so gated
@@ -183,31 +171,97 @@ pub fn capture_trace(path: &Path, l: usize, threaded: bool) {
 
 /// Print a figure/table header.
 pub fn header(id: &str, caption: &str) {
-    println!("================================================================");
-    println!("{id}: {caption}");
-    println!("================================================================");
+    print!("{}", header_text(&format!("{id}: {caption}")));
+}
+
+/// The lines [`header`] prints: `title` between two rules.
+pub(crate) fn header_text(title: &str) -> String {
+    let rule = "=".repeat(64);
+    format!("{rule}\n{title}\n{rule}\n")
 }
 
 /// Print one aligned row: a leading x-value plus one column per series.
 pub fn series_row(x: impl Display, values: &[f64]) {
-    print!("{x:>10}");
-    for v in values {
-        if v.fract() == 0.0 && v.abs() < 1e15 {
-            print!(" {v:>14.0}");
-        } else {
-            print!(" {v:>14.2}");
-        }
-    }
-    println!();
+    let cols: Vec<(usize, Option<usize>)> = values.iter().map(|_| (14, None)).collect();
+    println!("{}", row_text(10, &cols, x, values));
 }
 
 /// Print the column-label row matching [`series_row`] alignment.
 pub fn series_labels(x_label: &str, labels: &[&str]) {
-    print!("{x_label:>10}");
-    for l in labels {
-        print!(" {l:>14}");
+    let widths = vec![14; labels.len()];
+    println!("{}", labels_text(10, &widths, x_label, labels));
+}
+
+/// One table row: `x` right-aligned in `x_width` columns, then each value
+/// right-aligned in its `(width, decimals)` column. `None` decimals print
+/// whole numbers bare and anything else with two.
+pub(crate) fn row_text(
+    x_width: usize,
+    cols: &[(usize, Option<usize>)],
+    x: impl Display,
+    values: &[f64],
+) -> String {
+    let mut out = format!("{x:>x_width$}");
+    for (&(w, decimals), v) in cols.iter().zip(values) {
+        let whole = v.fract() == 0.0 && v.abs() < 1e15;
+        let d = decimals.unwrap_or(if whole { 0 } else { 2 });
+        out += &format!(" {v:>w$.d$}");
     }
-    println!();
+    out
+}
+
+/// The label row above [`row_text`] rows of the same widths.
+pub(crate) fn labels_text(x_width: usize, widths: &[usize], x: &str, labels: &[&str]) -> String {
+    let mut out = format!("{x:>x_width$}");
+    for (w, l) in widths.iter().zip(labels) {
+        out += &format!(" {l:>w$}");
+    }
+    out
+}
+
+/// A `BENCH_<name>.json` file: scalar fields, then arrays of one-line
+/// JSON objects, in the layout every committed file has. [`write`]
+/// puts it in the directory named by `PVM_BENCH_OUT` (default: the
+/// working directory).
+///
+/// [`write`]: BenchJson::write
+#[derive(Debug, Clone)]
+pub struct BenchJson {
+    name: &'static str,
+    entries: Vec<String>,
+}
+
+impl BenchJson {
+    pub fn new(name: &'static str) -> Self {
+        BenchJson {
+            name,
+            entries: vec![format!("  \"bench\": \"{name}\"")],
+        }
+    }
+
+    /// A scalar field; `value` is written as already-formatted JSON.
+    pub fn field(mut self, key: &str, value: impl Display) -> Self {
+        self.entries.push(format!("  \"{key}\": {value}"));
+        self
+    }
+
+    /// An array of one-line JSON objects, one per line.
+    pub fn rows(mut self, key: &str, rows: &[String]) -> Self {
+        let body: Vec<String> = rows.iter().map(|r| format!("    {r}")).collect();
+        self.entries
+            .push(format!("  \"{key}\": [\n{}\n  ]", body.join(",\n")));
+        self
+    }
+
+    /// Write `BENCH_<name>.json` into `$PVM_BENCH_OUT` (default `.`) and
+    /// return its path.
+    pub fn write(&self) -> PathBuf {
+        let dir = std::env::var_os("PVM_BENCH_OUT").unwrap_or_else(|| ".".into());
+        let path = Path::new(&dir).join(format!("BENCH_{}.json", self.name));
+        let text = format!("{{\n{}\n}}\n", self.entries.join(",\n"));
+        std::fs::write(&path, text).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+        path
+    }
 }
 
 /// Geometric sweep of node counts, the x-axis of Figures 7 and 9–10.

@@ -58,18 +58,6 @@ impl Default for SkewConfig {
     }
 }
 
-impl SkewConfig {
-    pub fn with_spread(mut self, spread: usize) -> Self {
-        self.spread = spread;
-        self
-    }
-
-    pub fn with_heavy_share(mut self, share: f64) -> Self {
-        self.heavy_share = share;
-        self
-    }
-}
-
 /// Per-view skew state: one deterministic frequency sketch per
 /// join-attribute equivalence class, fed by every maintained delta.
 #[derive(Debug)]

@@ -8,12 +8,11 @@
 //!   borrowed encoded tuples, so it holds one hash table per joined
 //!   relation, not a decoded copy of the database. Maintenance plans do
 //!   not call it: their local scan join lives with the chain driver in
-//!   `pvm-core` and works on encoded tuples too. [`hash_join`] is the
-//!   two-relation in-memory operator of the ad-hoc distributed join.
-//!   SQL semantics throughout: a NULL join key never matches.
-//! * **Cost helpers** ([`external_sort_pages`]) for charging the I/O of a
-//!   sort-merge join when the delta is large — the regime of §3.1.2 where
-//!   index nested loops loses to sort-merge.
+//!   `pvm-core` and works on encoded tuples too.
+//! * **Two-relation operators**: [`hash_join`], an in-memory equi-join of
+//!   two row sets, and the group probe behind batched index lookups.
+//!
+//! SQL semantics throughout: a NULL join key never matches.
 
 use std::collections::HashMap;
 
@@ -246,117 +245,6 @@ pub fn group_probe(
 ) -> Result<Vec<Vec<Row>>> {
     let key_rows: Vec<Row> = values.iter().map(|v| Row::new(vec![v.clone()])).collect();
     node.index_search_batch(table, key, &key_rows)
-}
-
-/// Distributed ad-hoc equi-join `left ⋈ right` on
-/// `left[lcol] = right[rcol]` — the *query* side of the paper's mixed
-/// workload. Both relations are repartitioned by the join attribute
-/// through the interconnect (one batched message per source node per
-/// destination, SENDs and bytes metered), hash-joined locally at every
-/// node, and the results gathered at a coordinator node. Returns the join
-/// rows (`left_row ++ right_row`).
-pub fn distributed_hash_join(
-    cluster: &mut crate::Cluster,
-    left: crate::TableId,
-    lcol: usize,
-    right: crate::TableId,
-    rcol: usize,
-    coordinator: pvm_types::NodeId,
-) -> Result<Vec<Row>> {
-    use crate::message::NetPayload;
-    use crate::partition::PartitionSpec;
-    use pvm_types::NodeId;
-
-    let l = cluster.node_count();
-    // Phase 1: repartition both inputs by join-attribute hash. Each node
-    // scans its fragment (physical page reads metered by its buffer pool)
-    // and sends one batch per destination.
-    for (table, col) in [(left, lcol), (right, rcol)] {
-        let mut outboxes: Vec<Vec<Vec<Row>>> = Vec::with_capacity(l);
-        for node in cluster.nodes() {
-            let mut by_dst: Vec<Vec<Row>> = vec![Vec::new(); l];
-            for (_, row) in node.storage(table)?.scan()? {
-                let v = row.try_get(col)?;
-                if v.is_null() {
-                    continue;
-                }
-                by_dst[PartitionSpec::route_value(v, l)?.index()].push(row);
-            }
-            outboxes.push(by_dst);
-        }
-        for (src, by_dst) in outboxes.into_iter().enumerate() {
-            for (dst, rows) in by_dst.into_iter().enumerate() {
-                if rows.is_empty() {
-                    continue;
-                }
-                cluster.send(
-                    NodeId::from(src),
-                    NodeId::from(dst),
-                    NetPayload::DeltaRows { table, rows },
-                )?;
-            }
-        }
-    }
-
-    // Phase 2: local hash join at every node, results to the coordinator.
-    for n in 0..l {
-        let node_id = NodeId::from(n);
-        let msgs = cluster.fabric_mut().recv_all(node_id);
-        let mut left_rows = Vec::new();
-        let mut right_rows = Vec::new();
-        for env in msgs {
-            let NetPayload::DeltaRows { table, rows } = env.payload else {
-                return Err(PvmError::InvalidOperation(
-                    "unexpected payload during distributed join".into(),
-                ));
-            };
-            if table == left {
-                left_rows.extend(rows);
-            } else {
-                right_rows.extend(rows);
-            }
-        }
-        let joined = hash_join(&left_rows, &right_rows, lcol, rcol)?;
-        if !joined.is_empty() {
-            cluster.send(
-                node_id,
-                coordinator,
-                NetPayload::ResultRows {
-                    table: left,
-                    rows: joined,
-                },
-            )?;
-        }
-    }
-
-    // Phase 3: gather.
-    let mut out = Vec::new();
-    for env in cluster.fabric_mut().recv_all(coordinator) {
-        let NetPayload::ResultRows { rows, .. } = env.payload else {
-            return Err(PvmError::InvalidOperation(
-                "unexpected payload at join coordinator".into(),
-            ));
-        };
-        out.extend(rows);
-    }
-    Ok(out)
-}
-
-/// I/O cost (in page accesses) of externally sorting `pages` pages with
-/// `mem` pages of memory: `pages · ceil(log_mem(pages))`, matching the
-/// `|B_i|·log_M|B_i|` term of §3.1.2. Already-small inputs cost one pass.
-pub fn external_sort_pages(pages: u64, mem: u64) -> u64 {
-    if pages <= 1 {
-        return pages;
-    }
-    let mem = mem.max(2);
-    let mut passes = 1u64;
-    let mut runs = pages.div_ceil(mem);
-    while runs > 1 {
-        runs = runs.div_ceil(mem - 1);
-        passes += 1;
-    }
-    pages * passes
 }
 
 #[cfg(test)]
@@ -640,49 +528,6 @@ mod tests {
     }
 
     #[test]
-    fn distributed_join_matches_local_oracle() {
-        use crate::{Cluster, ClusterConfig, TableDef};
-        use pvm_types::{Column, NodeId, Schema};
-
-        let mut cluster = Cluster::new(ClusterConfig::new(4).with_buffer_pages(256));
-        let schema = Schema::new(vec![Column::int("id"), Column::int("j")]).into_ref();
-        let a = cluster
-            .create_table(TableDef::hash_heap("a", schema.clone(), 0))
-            .unwrap();
-        let b = cluster
-            .create_table(TableDef::hash_heap("b", schema, 0))
-            .unwrap();
-        cluster
-            .insert(a, (0..30).map(|i| row![i, i % 6]).collect())
-            .unwrap();
-        cluster
-            .insert(b, (0..24).map(|i| row![i, i % 6]).collect())
-            .unwrap();
-
-        let mut got = distributed_hash_join(&mut cluster, a, 1, b, 1, NodeId(0)).unwrap();
-        let mut expect = hash_join(
-            &cluster.scan_all(a).unwrap(),
-            &cluster.scan_all(b).unwrap(),
-            1,
-            1,
-        )
-        .unwrap();
-        got.sort();
-        expect.sort();
-        assert_eq!(got, expect);
-        assert_eq!(
-            got.len(),
-            30 * 4,
-            "5 a-rows × 4 b-rows per value × 6 values"
-        );
-        assert!(cluster.fabric().quiescent());
-        assert!(
-            cluster.fabric().ledger().snapshot().sends > 0,
-            "repartition was metered"
-        );
-    }
-
-    #[test]
     fn group_probe_matches_per_value_search_for_less() {
         use crate::{Cluster, ClusterConfig, TableDef};
         use pvm_types::{Column, NodeId, Schema};
@@ -707,17 +552,5 @@ mod tests {
                 .unwrap();
             assert_eq!(hits, &per_row);
         }
-    }
-
-    #[test]
-    fn sort_cost_regimes() {
-        assert_eq!(external_sort_pages(0, 100), 0);
-        assert_eq!(external_sort_pages(1, 100), 1);
-        // Fits in memory: one pass.
-        assert_eq!(external_sort_pages(50, 100), 50);
-        // 6400 pages, 100 pages memory: 64 runs, one merge pass → 2 passes.
-        assert_eq!(external_sort_pages(6400, 100), 12800);
-        // Tiny memory forces more passes.
-        assert!(external_sort_pages(6400, 3) > external_sort_pages(6400, 100));
     }
 }

@@ -87,12 +87,6 @@ impl Obs {
         self.enabled.store(true, Ordering::Release);
     }
 
-    /// Disable emission and drop back to the no-op sink.
-    pub fn disable(&self) {
-        self.enabled.store(false, Ordering::Release);
-        *self.sink.write().expect("obs sink lock poisoned") = Arc::new(NoopSink);
-    }
-
     /// Cheap gate for per-delta instrumentation: one relaxed atomic load.
     #[inline]
     pub fn enabled(&self) -> bool {
@@ -153,9 +147,6 @@ mod tests {
         assert!(obs.enabled());
         obs.emit(TraceEvent::instant(Phase::Send, 0, 1));
         assert_eq!(sink.len(), 1, "only the post-install event is kept");
-        obs.disable();
-        obs.emit(TraceEvent::instant(Phase::Send, 0, 2));
-        assert_eq!(sink.len(), 1, "nothing recorded after disable");
     }
 
     #[test]

@@ -93,6 +93,6 @@ pub mod prelude {
         Value,
     };
     pub use pvm_workload::{
-        Distribution, SyntheticRelation, TpcrDataset, TpcrScale, Uniform, UpdateStream, Zipf,
+        Distribution, SyntheticRelation, TpcrDataset, TpcrScale, Uniform, Zipf,
     };
 }

@@ -1,13 +1,12 @@
-//! Minimal predicate / projection expressions.
+//! Minimal predicate expressions.
 //!
 //! The paper's auxiliary relations are selections + projections of base
-//! relations (`AR_R = σπ(R)`); this module provides exactly that much
-//! expression language: conjunctions of `column ⊙ literal` comparisons and
-//! ordered column projections.
+//! relations (`AR_R = σπ(R)`); this module provides the selection half:
+//! conjunctions of `column ⊙ literal` comparisons.
 
 use serde::{Deserialize, Serialize};
 
-use crate::{Result, Row, Schema, Value};
+use crate::{Row, Value};
 
 /// Comparison operators for predicates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -79,10 +78,6 @@ impl Predicate {
         self
     }
 
-    pub fn is_trivial(&self) -> bool {
-        self.terms.is_empty()
-    }
-
     pub fn terms(&self) -> &[Comparison] {
         &self.terms
     }
@@ -95,100 +90,12 @@ impl Predicate {
             None => false,
         })
     }
-
-    /// Estimated selectivity for planning: each equality term contributes
-    /// `1/distinct`-ish 0.1, inequalities 0.33 (textbook defaults).
-    pub fn estimated_selectivity(&self) -> f64 {
-        self.terms
-            .iter()
-            .map(|t| match t.op {
-                CmpOp::Eq => 0.1,
-                CmpOp::Ne => 0.9,
-                _ => 0.33,
-            })
-            .product()
-    }
-}
-
-/// An ordered projection of column indices. `Projection::all(n)` is the
-/// identity over an `n`-column schema.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Projection {
-    indices: Vec<usize>,
-}
-
-impl Projection {
-    pub fn new(indices: Vec<usize>) -> Self {
-        Projection { indices }
-    }
-
-    /// Identity projection over `arity` columns.
-    pub fn all(arity: usize) -> Self {
-        Projection {
-            indices: (0..arity).collect(),
-        }
-    }
-
-    /// Build from column names against a schema.
-    pub fn by_names(schema: &Schema, names: &[&str]) -> Result<Self> {
-        let mut indices = Vec::with_capacity(names.len());
-        for n in names {
-            indices.push(schema.index_of(n)?);
-        }
-        Ok(Projection { indices })
-    }
-
-    pub fn indices(&self) -> &[usize] {
-        &self.indices
-    }
-
-    pub fn arity(&self) -> usize {
-        self.indices.len()
-    }
-
-    /// True if this projection keeps every column of an `arity`-wide schema
-    /// in order.
-    pub fn is_identity_for(&self, arity: usize) -> bool {
-        self.indices.len() == arity && self.indices.iter().copied().eq(0..arity)
-    }
-
-    pub fn apply(&self, row: &Row) -> Result<Row> {
-        row.project(&self.indices)
-    }
-
-    pub fn output_schema(&self, input: &Schema) -> Result<Schema> {
-        input.project(&self.indices)
-    }
-
-    /// Union of kept columns with another projection (sorted, deduped) —
-    /// used when merging auxiliary relations that serve several views.
-    pub fn union(&self, other: &Projection) -> Projection {
-        let mut v: Vec<usize> = self
-            .indices
-            .iter()
-            .chain(other.indices.iter())
-            .copied()
-            .collect();
-        v.sort_unstable();
-        v.dedup();
-        Projection { indices: v }
-    }
-
-    /// Whether every column this projection keeps is also kept by `other`.
-    pub fn subset_of(&self, other: &Projection) -> bool {
-        self.indices.iter().all(|i| other.indices.contains(i))
-    }
-
-    /// Position of original column `col` in the projected output, if kept.
-    pub fn position_of(&self, col: usize) -> Option<usize> {
-        self.indices.iter().position(|&i| i == col)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{row, Column};
+    use crate::row;
 
     #[test]
     fn predicate_eval() {
@@ -216,46 +123,5 @@ mod tests {
     fn out_of_range_column_is_false() {
         let r = row![1];
         assert!(!Predicate::cmp(5, CmpOp::Eq, 1).eval(&r));
-    }
-
-    #[test]
-    fn projection_apply() {
-        let r = row![1, "x", 2.0];
-        let p = Projection::new(vec![2, 0]);
-        assert_eq!(p.apply(&r).unwrap(), row![2.0, 1]);
-        assert!(Projection::new(vec![7]).apply(&r).is_err());
-    }
-
-    #[test]
-    fn projection_identity_and_union() {
-        assert!(Projection::all(3).is_identity_for(3));
-        assert!(!Projection::new(vec![0, 2]).is_identity_for(3));
-        let u = Projection::new(vec![2, 0]).union(&Projection::new(vec![1, 2]));
-        assert_eq!(u.indices(), &[0, 1, 2]);
-        assert!(Projection::new(vec![0]).subset_of(&u));
-        assert!(!Projection::new(vec![5]).subset_of(&u));
-    }
-
-    #[test]
-    fn projection_by_names() {
-        let s = Schema::new(vec![Column::int("a"), Column::int("b")]);
-        let p = Projection::by_names(&s, &["b"]).unwrap();
-        assert_eq!(p.indices(), &[1]);
-        assert!(Projection::by_names(&s, &["zz"]).is_err());
-    }
-
-    #[test]
-    fn selectivity_defaults() {
-        let p = Predicate::cmp(0, CmpOp::Eq, 1);
-        assert!((p.estimated_selectivity() - 0.1).abs() < 1e-12);
-        assert!((Predicate::always().estimated_selectivity() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn position_of_maps_columns() {
-        let p = Projection::new(vec![3, 1]);
-        assert_eq!(p.position_of(1), Some(1));
-        assert_eq!(p.position_of(3), Some(0));
-        assert_eq!(p.position_of(0), None);
     }
 }

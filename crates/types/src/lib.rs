@@ -18,7 +18,7 @@ pub mod value;
 
 pub use cost::{CostKind, CostLedger, CostSnapshot, IoWeights, LatencyProfile};
 pub use error::{PvmError, Result};
-pub use expr::{CmpOp, Predicate, Projection};
+pub use expr::{CmpOp, Predicate};
 pub use rid::{GlobalRid, NodeId, PageId, Rid, SlotId};
 pub use row::Row;
 pub use schema::{Column, Schema, SchemaRef};

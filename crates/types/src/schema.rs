@@ -82,11 +82,6 @@ impl Schema {
             .ok_or_else(|| PvmError::NotFound(format!("column '{name}'")))
     }
 
-    /// True if `name` is a column of this schema.
-    pub fn has_column(&self, name: &str) -> bool {
-        self.columns.iter().any(|c| c.name == name)
-    }
-
     /// Validate that `row` conforms to this schema (arity + types).
     pub fn check_row(&self, row: &Row) -> Result<()> {
         if row.arity() != self.arity() {
@@ -180,7 +175,6 @@ mod tests {
         let s = abc();
         assert_eq!(s.index_of("b").unwrap(), 1);
         assert!(s.index_of("zzz").is_err());
-        assert!(s.has_column("c"));
     }
 
     #[test]

@@ -94,14 +94,6 @@ impl Value {
         }
     }
 
-    /// Bool accessor; `None` if not a `Bool`.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// Estimated in-memory/stored size in bytes (used for page accounting
     /// and the MB figures of Table 1).
     pub fn byte_size(&self) -> usize {

@@ -1,5 +1,4 @@
-//! Generic synthetic relations with controlled join fan-out, and update
-//! streams.
+//! Generic synthetic relations with controlled join fan-out.
 //!
 //! The analytical model's central workload parameter is `N`, the number of
 //! matching tuples of `B` per join-attribute value. [`SyntheticRelation`]
@@ -9,7 +8,7 @@
 use pvm_engine::{Cluster, TableDef, TableId};
 use pvm_types::{row, Column, Result, Row, Schema};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use crate::dist::Distribution;
 
@@ -98,60 +97,6 @@ impl SyntheticRelation {
     }
 }
 
-/// A reproducible stream of insert/delete batches against one relation —
-/// the "stream of updates" of the paper's introduction.
-#[derive(Debug)]
-pub struct UpdateStream {
-    rng: StdRng,
-    next_id: i64,
-    distinct: u64,
-    payload_len: usize,
-    /// Rows inserted by this stream and not yet deleted.
-    live: Vec<Row>,
-}
-
-impl UpdateStream {
-    pub fn new(seed: u64, start_id: i64, distinct: u64, payload_len: usize) -> Self {
-        UpdateStream {
-            rng: StdRng::seed_from_u64(seed),
-            next_id: start_id,
-            distinct: distinct.max(1),
-            payload_len,
-            live: Vec::new(),
-        }
-    }
-
-    /// Next batch of `n` fresh inserts.
-    pub fn insert_batch(&mut self, n: usize) -> Vec<Row> {
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            let id = self.next_id;
-            self.next_id += 1;
-            let j = self.rng.gen_range(0..self.distinct) as i64;
-            let r = row![id, j, "u".repeat(self.payload_len)];
-            self.live.push(r.clone());
-            out.push(r);
-        }
-        out
-    }
-
-    /// Next batch of up to `n` deletes of previously inserted rows.
-    pub fn delete_batch(&mut self, n: usize) -> Vec<Row> {
-        let take = n.min(self.live.len());
-        let mut out = Vec::with_capacity(take);
-        for _ in 0..take {
-            let idx = self.rng.gen_range(0..self.live.len());
-            out.push(self.live.swap_remove(idx));
-        }
-        out
-    }
-
-    /// Rows inserted and not yet deleted.
-    pub fn live_count(&self) -> usize {
-        self.live.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,24 +133,5 @@ mod tests {
         for row in &d1 {
             assert!(row[0].as_int().unwrap() >= 50, "delta ids are fresh");
         }
-    }
-
-    #[test]
-    fn update_stream_roundtrip() {
-        let mut s = UpdateStream::new(7, 1000, 10, 8);
-        let ins = s.insert_batch(20);
-        assert_eq!(ins.len(), 20);
-        assert_eq!(s.live_count(), 20);
-        let del = s.delete_batch(5);
-        assert_eq!(del.len(), 5);
-        assert_eq!(s.live_count(), 15);
-        // Deletes come from the inserted set.
-        for d in &del {
-            assert!(ins.contains(d));
-        }
-        // Draining more than live yields what is left.
-        let rest = s.delete_batch(100);
-        assert_eq!(rest.len(), 15);
-        assert_eq!(s.live_count(), 0);
     }
 }

@@ -7,7 +7,7 @@
 //!   paper's exact match fan-outs: one order per customer key, four
 //!   lineitems per order), at configurable scale;
 //! * [`gen`] — generic synthetic relations with controlled join fan-out
-//!   `N` (the model's key parameter) and update streams;
+//!   `N` (the model's key parameter) and reproducible deltas against them;
 //! * [`dist`] — value distributions (uniform, Zipf) for join attributes.
 
 pub mod dist;
@@ -15,5 +15,5 @@ pub mod gen;
 pub mod tpcr;
 
 pub use dist::{Distribution, Uniform, Zipf};
-pub use gen::{SyntheticRelation, UpdateStream};
+pub use gen::SyntheticRelation;
 pub use tpcr::{TpcrDataset, TpcrScale, TpcrTables};
