@@ -417,7 +417,12 @@ fn fig09() -> Figure {
         .table(model)
         .head("Figure 9 (engine): metered busiest-node I/Os, 400-tuple txn, N = 1")
         .table(engine)
-        .note("\n(model with N = 1: aux-rel ≈ 3·400/L, naive ≈ 400 + 400/L, gi ≈ 4·400/L)")
+        .note(
+            "\n(engine, busiest node: aux-rel = 2r + d, naive = D + d, gi ≈ 2r + 2d, where\n \
+             D = 380 of the 400 delta rows' join values are distinct, and r ≈ 400/L delta\n \
+             rows and d ≈ D/L of those values hash to that node: a group probe charges one\n \
+             SEARCH per distinct value, an insert 2 I/Os, a FETCH 1)",
+        )
 }
 
 fn fig10() -> Figure {

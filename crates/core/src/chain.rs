@@ -25,6 +25,7 @@ use pvm_engine::{
     Backend, Cluster, MeterReport, NetPayload, NodeState, PartitionSpec, StepProgram, TableId,
 };
 use pvm_obs::{metric, MethodTag, Phase, TraceEvent, COORD};
+use pvm_storage::SeededMix;
 use pvm_types::{GlobalRid, NodeId, PvmError, Result, Row, Value};
 
 use crate::aggregate::AggShape;
@@ -625,7 +626,8 @@ fn hash_join_encoded<'a>(
     anchor_pos: usize,
 ) -> Result<Vec<Row>> {
     // Encoded anchor value → its slot in `matches`; NULL joins nothing.
-    let mut slot_of: HashMap<Vec<u8>, usize> = HashMap::with_capacity(partials.len());
+    let mut slot_of: HashMap<Vec<u8>, usize, SeededMix> =
+        HashMap::with_capacity_and_hasher(partials.len(), SeededMix);
     let mut slots = Vec::with_capacity(partials.len());
     for partial in partials {
         let v = partial.try_get(anchor_pos)?;
@@ -800,6 +802,7 @@ pub(crate) fn apply_shipped<B: Backend>(
     let l = backend.node_count();
     let per_node = backend.step(|ctx| {
         let mut out: Vec<Applied> = vec![(0, Vec::new()); sinks.len()];
+        let mut pending = PendingInserts::default();
         for env in ctx.drain() {
             let NetPayload::ResultRows { rows, .. } = env.payload else {
                 return Err(PvmError::InvalidOperation(
@@ -808,16 +811,18 @@ pub(crate) fn apply_shipped<B: Backend>(
             };
             for row in rows {
                 if let [sink] = sinks {
-                    sink.apply(ctx.node, row, insert, &mut out[0])?;
+                    sink.apply(ctx.node, row, insert, &mut out[0], &mut pending)?;
                     continue;
                 }
                 for (sink, out) in sinks.iter().zip(&mut out) {
                     if PartitionSpec::route_value(row.try_get(sink.route_pos)?, l)? == ctx.id() {
-                        sink.apply(ctx.node, row.project(&sink.cols)?, insert, out)?;
+                        let row = row.project(&sink.cols)?;
+                        sink.apply(ctx.node, row, insert, out, &mut pending)?;
                     }
                 }
             }
         }
+        pending.flush(ctx.node)?;
         let affected: u64 = out.iter().map(|(a, _)| a).sum();
         if affected > 0 {
             ctx.count_work(affected);
@@ -839,16 +844,48 @@ pub(crate) fn apply_shipped<B: Backend>(
     Ok(totals)
 }
 
+/// View or structure rows on their way into one table at one node, so a
+/// run of them goes in as one [`NodeState::insert_batch`]. Whatever else
+/// touches the node's storage flushes the run first, so pages are touched
+/// in the order inserting row by row touches them.
+#[derive(Default)]
+pub(crate) struct PendingInserts {
+    table: Option<TableId>,
+    rows: Vec<Row>,
+}
+
+impl PendingInserts {
+    /// Queue `row` for `table`, flushing a run into another table first.
+    pub(crate) fn push(&mut self, node: &mut NodeState, table: TableId, row: Row) -> Result<()> {
+        if self.table != Some(table) {
+            self.flush(node)?;
+            self.table = Some(table);
+        }
+        self.rows.push(row);
+        Ok(())
+    }
+
+    /// Insert the queued run.
+    pub(crate) fn flush(&mut self, node: &mut NodeState) -> Result<()> {
+        if let Some(table) = self.table.take() {
+            node.insert_batch(table, std::mem::take(&mut self.rows))?;
+        }
+        Ok(())
+    }
+}
+
 impl Sink<'_> {
     /// Apply one view row at `node`: drop it at a partial hole (noting the
     /// key for its `dropped_at` epoch), fold it into its aggregate group,
-    /// or insert / delete it — recording the change when capturing.
+    /// or insert (through `pending`) / delete it — recording the change
+    /// when capturing.
     fn apply(
         &self,
         node: &mut NodeState,
         row: Row,
         insert: bool,
         (affected, captured): &mut Applied,
+        pending: &mut PendingInserts,
     ) -> Result<()> {
         let (table, pcol) = (self.handle.view_table, self.handle.view_pcol);
         if let Some(g) = self.gates {
@@ -861,6 +898,7 @@ impl Sink<'_> {
         let captured = self.capture.then_some(captured);
         match &self.handle.agg {
             Some(shape) => {
+                pending.flush(node)?;
                 let sign = if insert { 1 } else { -1 };
                 fold_into_group(node, table, shape, &row, sign, captured)?;
             }
@@ -868,9 +906,10 @@ impl Sink<'_> {
                 if let Some(c) = captured {
                     c.push((row.clone(), true));
                 }
-                node.insert(table, row)?;
+                pending.push(node, table, row)?;
             }
             None => {
+                pending.flush(node)?;
                 if !node.delete_row(table, &row, &[pcol])? {
                     return Ok(());
                 }

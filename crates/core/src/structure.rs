@@ -105,11 +105,12 @@ impl Structure {
             kind.key_pos(),
         ))?;
         let s = Structure { table, col, kind };
-        // One base tuple decoded at a time, straight into its entry.
+        // Each base tuple straight into its entry, decoding only the
+        // columns the entry keeps.
         let mut entries = Vec::new();
         for n in cluster.nodes() {
             for (rid, tuple) in n.storage(base)?.scan_encoded() {
-                entries.push(s.entry(&Row::decode(tuple)?, GlobalRid::new(n.id(), rid))?);
+                entries.push(s.entry_encoded(tuple, GlobalRid::new(n.id(), rid))?);
             }
         }
         cluster.insert(table, entries)?;
@@ -127,6 +128,26 @@ impl Structure {
             StructureKind::Ar { keep_cols, .. } => row.project(keep_cols),
             StructureKind::Gi => Ok(Row::new(vec![
                 row.try_get(self.col)?.clone(),
+                Value::Int(grid.node.0 as i64),
+                Value::Int(grid.rid.page.0 as i64),
+                Value::Int(grid.rid.slot.0 as i64),
+            ])),
+        }
+    }
+
+    /// [`Structure::entry`] of a base tuple still encoded as
+    /// [`Row::encode`] wrote it: only the kept columns are decoded.
+    fn entry_encoded(&self, tuple: &[u8], grid: GlobalRid) -> Result<Row> {
+        let column = |c| Ok(Value::decode_from(Row::column_bytes(tuple, c)?)?.0);
+        match &self.kind {
+            StructureKind::Ar { keep_cols, .. } => Ok(Row::new(
+                keep_cols
+                    .iter()
+                    .map(|&c| column(c))
+                    .collect::<Result<_>>()?,
+            )),
+            StructureKind::Gi => Ok(Row::new(vec![
+                column(self.col)?,
                 Value::Int(grid.node.0 as i64),
                 Value::Int(grid.rid.page.0 as i64),
                 Value::Int(grid.rid.slot.0 as i64),
@@ -284,6 +305,7 @@ pub(crate) fn update<B: Backend>(
         let holes = gates.and_then(|g| g.structure_holes(s.table));
         program = program.local_stage(move |ctx, _| {
             let mut applied = 0u64;
+            let mut pending = chain::PendingInserts::default();
             for env in ctx.drain() {
                 let NetPayload::DeltaRows { table, rows } = env.payload else {
                     return Err(PvmError::InvalidOperation(
@@ -297,13 +319,14 @@ pub(crate) fn update<B: Backend>(
                         }
                     }
                     if insert {
-                        ctx.node.insert(table, r)?;
+                        pending.push(ctx.node, table, r)?;
                     } else {
                         ctx.node.delete_row(table, &r, &[key_pos])?;
                     }
                     applied += 1;
                 }
             }
+            pending.flush(ctx.node)?;
             if applied > 0 {
                 ctx.count_work(applied);
                 if ctx.tracing() {

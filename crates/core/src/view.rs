@@ -881,12 +881,14 @@ impl MaintainedView {
     /// database. A divergence names how many rows are missing from the
     /// view and how many it holds extra, with one of each.
     pub fn check_consistent(&self, cluster: &Cluster) -> Result<()> {
+        use pvm_storage::SeededMix;
         use std::borrow::Cow;
         use std::collections::HashMap;
 
         let stored = cluster.scan_all_encoded(self.handle.view_table)?;
         // Stored minus expected copies, per encoded row.
-        let mut counts: HashMap<Cow<[u8]>, i64> = HashMap::with_capacity(stored.len());
+        let mut counts: HashMap<Cow<[u8]>, i64, SeededMix> =
+            HashMap::with_capacity_and_hasher(stored.len(), SeededMix);
         for &tuple in &stored {
             *counts.entry(Cow::Borrowed(tuple)).or_default() += 1;
         }

@@ -11,6 +11,12 @@ use crate::message::NetPayload;
 use crate::meter::{MeterGuard, MeterReport};
 use crate::node::NodeState;
 
+/// Rows one [`Cluster::insert`] hands its nodes at a time: large enough
+/// that a node's pool lock and batch set-up are paid rarely, small enough
+/// that a bulk load drops its rows as they land instead of holding them
+/// all until the last is stored.
+const INSERT_CHUNK: usize = 1024;
+
 /// Cluster-wide configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct ClusterConfig {
@@ -315,23 +321,54 @@ impl Cluster {
     /// there. (Client→node delivery is not a metered inter-node SEND.)
     /// Returns the **primary** placement per row; heavy-light replicate
     /// tables additionally store copies at the rest of the spread set.
+    ///
+    /// Every row is routed and checked before the first is written, so a
+    /// refused insert changes nothing. Then each node gets its rows in
+    /// arrival order as [`NodeState::insert_batch`]es, a chunk of rows at
+    /// a time, which leave the node as inserting them one at a time would
+    /// (nodes share no state).
     pub fn insert(&mut self, id: TableId, rows: Vec<Row>) -> Result<Vec<(NodeId, pvm_types::Rid)>> {
-        let def = self.catalog.get(id)?.clone();
         let l = self.node_count();
-        let mut out = Vec::with_capacity(rows.len());
-        for row in rows {
-            let dsts = def.partitioning.route_all(&row, l, self.rr_seq)?;
-            self.rr_seq += 1;
-            // Primary first; the row moves into its last destination.
-            let (&last, rest) = dsts.split_last().expect("a row has a primary node");
-            let mut primary = None;
-            for &dst in rest {
-                let rid = self.nodes[dst.index()].insert(id, row.clone())?;
-                primary.get_or_insert((dst, rid));
+        let spec = &self.catalog.get(id)?.partitioning;
+        let mut homes = Vec::with_capacity(rows.len());
+        let mut seq = self.rr_seq;
+        for row in &rows {
+            let home = spec.route(row, l, seq)?;
+            seq += 1;
+            for n in std::iter::once(home).chain(spec.replicas(row, home, l)?) {
+                self.nodes[n.index()].storage(id)?.check_rows([row])?;
             }
-            let rid = self.nodes[last.index()].insert(id, row)?;
-            out.push(primary.unwrap_or((last, rid)));
+            homes.push(home);
         }
+        let mut out = Vec::with_capacity(rows.len());
+        let mut rows = rows.into_iter();
+        let mut batches: Vec<Vec<Row>> = vec![Vec::new(); l];
+        for chunk in homes.chunks(INSERT_CHUNK) {
+            // Per row, its place in its home's batch.
+            let mut at = Vec::with_capacity(chunk.len());
+            for (&home, row) in chunk.iter().zip(&mut rows) {
+                for copy in spec.replicas(&row, home, l)? {
+                    batches[copy.index()].push(row.clone());
+                }
+                at.push(batches[home.index()].len());
+                batches[home.index()].push(row);
+            }
+            let mut rids = Vec::with_capacity(l);
+            for (node, batch) in self.nodes.iter_mut().zip(&mut batches) {
+                rids.push(if batch.is_empty() {
+                    Vec::new()
+                } else {
+                    node.insert_batch(id, std::mem::take(batch))?
+                });
+            }
+            out.extend(
+                chunk
+                    .iter()
+                    .zip(at)
+                    .map(|(&home, i)| (home, rids[home.index()][i])),
+            );
+        }
+        self.rr_seq = seq;
         Ok(out)
     }
 
@@ -723,6 +760,170 @@ mod tests {
         c.insert(id, (0..8).map(|i| row![i, i]).collect()).unwrap();
         for n in c.nodes() {
             assert_eq!(n.storage(id).unwrap().row_count(), 2);
+        }
+    }
+
+    /// [`Cluster::insert`] as it stood before batches, kept as its oracle:
+    /// one [`NodeState::insert`] per row and destination, in arrival
+    /// order, the `TableDef` cloned and the route allocated per row.
+    fn insert_per_row(
+        c: &mut Cluster,
+        id: TableId,
+        rows: Vec<Row>,
+    ) -> Result<Vec<(NodeId, pvm_types::Rid)>> {
+        let def = c.catalog.get(id)?.clone();
+        let l = c.node_count();
+        let mut out = Vec::with_capacity(rows.len());
+        for row in rows {
+            let dsts = def.partitioning.route_all(&row, l, c.rr_seq)?;
+            c.rr_seq += 1;
+            let (&last, rest) = dsts.split_last().expect("a row has a primary node");
+            let mut primary = None;
+            for &dst in rest {
+                let rid = c.nodes[dst.index()].insert(id, row.clone())?;
+                primary.get_or_insert((dst, rid));
+            }
+            let rid = c.nodes[last.index()].insert(id, row)?;
+            out.push(primary.unwrap_or((last, rid)));
+        }
+        Ok(out)
+    }
+
+    /// Hash heap with a secondary index, hash clustered, round-robin,
+    /// and heavy-light replicated and salted over heavy values 0 and 1.
+    fn mixed_tables(c: &mut Cluster) -> Vec<TableId> {
+        use crate::partition::{PartitionSpec, SpreadMode};
+        let heavy = |mode| PartitionSpec::heavy_light(0, vec![0.into(), 1.into()], 3, mode);
+        let defs = [
+            TableDef::hash_heap("h", two_col_schema(), 0),
+            TableDef::hash_clustered("c", two_col_schema(), 1),
+            TableDef::new(
+                "r",
+                two_col_schema(),
+                PartitionSpec::RoundRobin,
+                pvm_storage::Organization::Heap,
+            ),
+            TableDef::new(
+                "hr",
+                two_col_schema(),
+                heavy(SpreadMode::Replicate),
+                pvm_storage::Organization::Heap,
+            ),
+            TableDef::new(
+                "hs",
+                two_col_schema(),
+                heavy(SpreadMode::Salt),
+                pvm_storage::Organization::Clustered { key: vec![0] },
+            ),
+        ];
+        let ids: Vec<TableId> = defs
+            .into_iter()
+            .map(|d| c.create_table(d).unwrap())
+            .collect();
+        c.create_secondary_index(ids[0], "h_c", vec![1]).unwrap();
+        ids
+    }
+
+    /// A node's counters, log and table sizes, read without a page touch.
+    fn node_counts(n: &NodeState) -> impl PartialEq + std::fmt::Debug {
+        let sizes: Vec<_> = n
+            .table_ids()
+            .into_iter()
+            .map(|t| {
+                let s = n.storage(t).unwrap();
+                (s.row_count(), s.total_pages())
+            })
+            .collect();
+        let pool = n.buffer().lock();
+        let pool = (
+            pool.hits(),
+            pool.misses(),
+            pool.io_snapshot(),
+            pool.recency().collect::<Vec<_>>(),
+        );
+        (sizes, n.ledger().snapshot(), n.log().to_vec(), pool)
+    }
+
+    /// A node as both insert paths must leave it: [`node_counts`], then
+    /// every stored tuple at its rid (the scan touches pages after the
+    /// counts are read).
+    fn node_image(n: &NodeState) -> impl PartialEq + std::fmt::Debug {
+        let counts = node_counts(n);
+        let tuples: Vec<Vec<_>> = n
+            .table_ids()
+            .into_iter()
+            .map(|t| {
+                let s = n.storage(t).unwrap();
+                s.scan_encoded().map(|(r, b)| (r, b.to_vec())).collect()
+            })
+            .collect();
+        (counts, tuples)
+    }
+
+    proptest::proptest! {
+        /// Batches of mixed tables against the per-row loop: the same
+        /// placements returned, and every node left the same.
+        #[test]
+        fn cluster_insert_batch_matches_per_row_loop(
+            l in 1usize..5,
+            batches in proptest::collection::vec(
+                (0usize..5, proptest::collection::vec((0i64..8, 0i64..1 << 20), 0..60)),
+                1..8,
+            ),
+        ) {
+            let config = ClusterConfig::new(l).with_buffer_pages(4).with_wal();
+            let (mut batched, mut per_row) = (Cluster::new(config), Cluster::new(config));
+            let (ids, _) = (mixed_tables(&mut batched), mixed_tables(&mut per_row));
+            for (t, rows) in batches {
+                let rows: Vec<Row> = rows.into_iter().map(|(k, v)| row![k, v]).collect();
+                let got = batched.insert(ids[t], rows.clone()).unwrap();
+                let want = insert_per_row(&mut per_row, ids[t], rows).unwrap();
+                proptest::prop_assert_eq!(got, want);
+                proptest::prop_assert_eq!(batched.rr_seq, per_row.rr_seq);
+                for (a, b) in batched.nodes().iter().zip(per_row.nodes()) {
+                    proptest::prop_assert!(node_image(a) == node_image(b), "node {} diverged", a.id());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn insert_batch_in_several_chunks_matches_the_per_row_loop() {
+        let config = ClusterConfig::new(3).with_buffer_pages(16).with_wal();
+        let (mut batched, mut per_row) = (Cluster::new(config), Cluster::new(config));
+        let (ids, _) = (mixed_tables(&mut batched), mixed_tables(&mut per_row));
+        let rows: Vec<Row> = (0..2 * INSERT_CHUNK as i64 + 77)
+            .map(|i| row![i * 7 % 11, i])
+            .collect();
+        for id in ids {
+            let got = batched.insert(id, rows.clone()).unwrap();
+            assert_eq!(got, insert_per_row(&mut per_row, id, rows.clone()).unwrap());
+        }
+        for (a, b) in batched.nodes().iter().zip(per_row.nodes()) {
+            assert!(node_image(a) == node_image(b), "node {} diverged", a.id());
+        }
+    }
+
+    #[test]
+    fn a_refused_insert_changes_no_node() {
+        let mut c = cluster(3);
+        let id = c
+            .create_table(TableDef::hash_clustered(
+                "t",
+                Schema::new(vec![Column::int("a"), Column::str("s")]).into_ref(),
+                0,
+            ))
+            .unwrap();
+        c.insert(id, vec![row![1, "x"]]).unwrap();
+        let before: Vec<_> = c.nodes().iter().map(node_counts).collect();
+        let seq = c.rr_seq;
+        let big = "x".repeat(pvm_storage::PAGE_SIZE / 2);
+        let rows = vec![row![2, "a"], row![3, big], row![4, "b"], row![5, "c"]];
+        assert!(c.insert(id, rows).is_err());
+        assert_eq!(c.row_count(id).unwrap(), 1);
+        assert_eq!(c.rr_seq, seq);
+        for (n, b) in c.nodes().iter().zip(before) {
+            assert!(node_counts(n) == b, "node {} changed", n.id());
         }
     }
 }

@@ -16,6 +16,7 @@
 
 use std::collections::HashMap;
 
+use pvm_storage::SeededMix;
 use pvm_types::{PvmError, Result, Row, Value};
 
 /// One equi-join edge of an n-ary join graph: `rels[left_rel].left_col =
@@ -132,7 +133,7 @@ struct Level<'t> {
     /// The prefix `(relation, column)` whose value is looked up.
     probe: (usize, usize),
     /// Encoded key → first and last tuple of its chain.
-    chains: HashMap<&'t [u8], (usize, usize)>,
+    chains: HashMap<&'t [u8], (usize, usize), SeededMix>,
     /// Per tuple, the next tuple with its key, in scan order.
     next: Vec<usize>,
     /// Every further attaching edge: `(prefix relation, its column, own
@@ -159,7 +160,7 @@ impl<'t> Level<'t> {
                 "join graph is disconnected at relation {i}"
             )));
         };
-        let mut chains: HashMap<&'t [u8], (usize, usize)> = HashMap::new();
+        let mut chains: HashMap<&'t [u8], (usize, usize), SeededMix> = HashMap::default();
         let mut next = vec![END; tuples.len()];
         for (at, &tuple) in tuples.iter().enumerate() {
             let key = Row::column_bytes(tuple, own)?;

@@ -239,6 +239,26 @@ impl NodeState {
         Ok(rid)
     }
 
+    /// [`NodeState::insert`] of each of `rows`, in order, as one
+    /// [`TableStorage::insert_batch`]: every row is checked before the
+    /// first is written, so a refused batch changes nothing.
+    pub fn insert_batch(&mut self, id: TableId, rows: Vec<Row>) -> Result<Vec<Rid>> {
+        let (t, ledger) = self.table(id)?;
+        let rids = t.insert_batch(&rows, ledger)?;
+        if self.logs() {
+            self.log.extend(
+                rows.into_iter()
+                    .zip(&rids)
+                    .map(|(row, &rid)| WalRecord::Insert {
+                        table: id,
+                        rid,
+                        row,
+                    }),
+            );
+        }
+        Ok(rids)
+    }
+
     /// Probe a local index (see [`TableStorage::index_search`] for the
     /// SEARCH/FETCH charging rules).
     pub fn index_search(

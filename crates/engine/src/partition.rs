@@ -1,5 +1,6 @@
 //! Horizontal partitioning of tables across data-server nodes.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use pvm_types::{NodeId, PvmError, Result, Row, Value};
@@ -146,6 +147,15 @@ impl PartitionSpec {
     /// set.
     pub fn route_all(&self, row: &Row, l: usize, seq: u64) -> Result<Vec<NodeId>> {
         let primary = self.route(row, l, seq)?;
+        let mut dsts = vec![primary];
+        dsts.extend(self.replicas(row, primary, l)?);
+        Ok(dsts)
+    }
+
+    /// The nodes besides its primary home `primary` that keep a copy of
+    /// `row`: the rest of a [`SpreadMode::Replicate`] heavy row's spread
+    /// set, in spread order; none (and no allocation) for any other row.
+    pub fn replicas(&self, row: &Row, primary: NodeId, l: usize) -> Result<Vec<NodeId>> {
         if let PartitionSpec::HeavyLight {
             column,
             spread,
@@ -155,16 +165,12 @@ impl PartitionSpec {
         {
             let v = row.try_get(*column)?;
             if self.is_heavy(v) {
-                let mut dsts = vec![primary];
-                for n in Self::spread_set(v, l, *spread) {
-                    if n != primary {
-                        dsts.push(n);
-                    }
-                }
-                return Ok(dsts);
+                let mut set = Self::spread_set(v, l, *spread);
+                set.retain(|&n| n != primary);
+                return Ok(set);
             }
         }
-        Ok(vec![primary])
+        Ok(Vec::new())
     }
 
     /// Nodes a probe for partitioning-attribute value `v` must visit to
@@ -217,16 +223,21 @@ impl PartitionSpec {
 
 /// FNV-1a over the order-preserving value encoding: deterministic across
 /// runs and platforms (the std hasher is randomized per process in some
-/// configurations, which would make experiments unrepeatable).
+/// configurations, which would make experiments unrepeatable). The
+/// encoding goes into a per-thread buffer, so routing a row allocates
+/// nothing.
 pub fn hash_value(v: &Value) -> u64 {
+    thread_local! {
+        static KEY: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+    }
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for b in v.encode_key() {
-        h ^= b as u64;
-        h = h.wrapping_mul(PRIME);
-    }
-    h
+    KEY.with_borrow_mut(|key| {
+        key.clear();
+        v.encode_into(key);
+        key.iter()
+            .fold(OFFSET, |h, &b| (h ^ u64::from(b)).wrapping_mul(PRIME))
+    })
 }
 
 /// FNV-1a over a whole row's encoding — the deterministic salt that
@@ -412,5 +423,27 @@ mod tests {
         assert_eq!(heavy.as_slice(), &[Value::Int(1), Value::Int(5)]);
         assert!(hl.is_heavy(&Value::Int(5)));
         assert!(!hl.is_heavy(&Value::Int(2)));
+    }
+
+    #[test]
+    fn hash_value_is_fnv_over_the_encoded_key() {
+        let values = [
+            Value::Null,
+            Value::Int(0),
+            Value::Int(-7),
+            Value::Float(2.5),
+            Value::Str(String::new()),
+            Value::Str("x".repeat(100)),
+            Value::Bool(true),
+        ];
+        for v in values {
+            let fnv = v
+                .encode_key()
+                .iter()
+                .fold(0xcbf2_9ce4_8422_2325, |h: u64, &b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+                });
+            assert_eq!(hash_value(&v), fnv, "{v}");
+        }
     }
 }

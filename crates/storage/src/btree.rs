@@ -35,10 +35,11 @@
 //! wrappers live in [`crate::index`].
 
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 use pvm_types::{PvmError, Result};
 
-use crate::buffer::{AccessMode, PageKey, SharedBufferPool};
+use crate::buffer::{AccessMode, BufferPool, PageKey, SharedBufferPool};
 use crate::page::PAGE_SIZE;
 use crate::FileId;
 
@@ -137,14 +138,13 @@ impl Packed {
     }
 
     fn cmp_slot(&self, s: Slot, key: &[u8], val: &[u8]) -> Ordering {
-        self.key_of(s)
-            .cmp(key)
-            .then_with(|| self.val_of(s).cmp(val))
+        cmp_bytes(self.key_of(s), key).then_with(|| cmp_bytes(self.val_of(s), val))
     }
 
     /// First position whose key is not below `key`.
     fn lower_bound_key(&self, key: &[u8]) -> usize {
-        self.slots.partition_point(|&s| self.key_of(s) < key)
+        self.slots
+            .partition_point(|&s| cmp_bytes(self.key_of(s), key).is_lt())
     }
 
     /// First position whose entry is not below `(key, val)`.
@@ -238,6 +238,55 @@ fn entry_size(k: &[u8], v: &[u8]) -> usize {
     k.len() + v.len() + ENTRY_OVERHEAD
 }
 
+/// `a.cmp(b)`, eight bytes at a time: for the short keys an index holds
+/// this is cheaper than a `memcmp` call per comparison.
+fn cmp_bytes(a: &[u8], b: &[u8]) -> Ordering {
+    let n = a.len().min(b.len());
+    let (mut aw, mut bw) = (a[..n].chunks_exact(8), b[..n].chunks_exact(8));
+    for (x, y) in (&mut aw).zip(&mut bw) {
+        let x = u64::from_be_bytes(x.try_into().expect("chunks of 8"));
+        let y = u64::from_be_bytes(y.try_into().expect("chunks of 8"));
+        if x != y {
+            return x.cmp(&y);
+        }
+    }
+    for (x, y) in aw.remainder().iter().zip(bw.remainder()) {
+        if x != y {
+            return x.cmp(y);
+        }
+    }
+    a.len().cmp(&b.len())
+}
+
+/// Refuse an entry of `len` key and value bytes, as
+/// [`BPlusTree::insert`] would.
+pub(crate) fn check_entry_len(len: usize) -> Result<()> {
+    let size = len + ENTRY_OVERHEAD;
+    if size > NODE_BYTE_BUDGET / 2 {
+        return Err(PvmError::CapacityExceeded(format!(
+            "index entry of {size} bytes exceeds half a page"
+        )));
+    }
+    Ok(())
+}
+
+/// Where the last insert went: its root-to-leaf path and the separators
+/// bounding that leaf. Only a split changes which leaf an insert reaches
+/// (deletes leave separators alone), and a split forgets the path, so an
+/// entry between the bounds reaches the same leaf along the same path.
+#[derive(Debug, Default)]
+struct LastInsert {
+    /// Root first, leaf last; empty before the first insert and after a
+    /// split.
+    path: Vec<NodeIdx>,
+    /// The separator the leaf's range starts at, as (internal node,
+    /// position): the deepest one left of the path.
+    lo: Option<(NodeIdx, usize)>,
+    /// The separator the leaf's range ends before: the deepest one right
+    /// of the path.
+    hi: Option<(NodeIdx, usize)>,
+}
+
 /// Where a descent goes when a separator equals its probe: copies of an
 /// entry can sit on both sides of a separator equal to it.
 #[derive(Debug, Clone, Copy)]
@@ -268,6 +317,7 @@ pub struct BPlusTree {
     root: NodeIdx,
     buffer: SharedBufferPool,
     len: u64,
+    last: LastInsert,
 }
 
 impl BPlusTree {
@@ -283,6 +333,7 @@ impl BPlusTree {
             root: 0,
             buffer,
             len: 0,
+            last: LastInsert::default(),
         }
     }
 
@@ -341,19 +392,6 @@ impl BPlusTree {
         }
     }
 
-    /// The internal nodes on the [`Tie::Right`] path to `(key, val)`,
-    /// root first, for a split to climb. Unmetered: it retraces nodes the
-    /// caller's descent just read.
-    fn path_to(&self, key: &[u8], val: &[u8]) -> Vec<NodeIdx> {
-        let mut path = Vec::new();
-        let mut idx = self.root;
-        while let Node::Internal { seps, children, .. } = &self.nodes[idx] {
-            path.push(idx);
-            idx = children[seps.upper_bound(key, val)];
-        }
-        path
-    }
-
     /// Whether a separator on the [`Tie::Right`] path to `(key, val)`
     /// equals it, so that copies may also sit left of where that path
     /// ends. Unmetered, like [`BPlusTree::path_to`].
@@ -372,24 +410,90 @@ impl BPlusTree {
     /// Insert an entry. Duplicates (same key, same or different value) are
     /// allowed; the tree is a multiset.
     pub fn insert(&mut self, key: &[u8], val: &[u8]) -> Result<()> {
-        if entry_size(key, val) > NODE_BYTE_BUDGET / 2 {
-            return Err(PvmError::CapacityExceeded(format!(
-                "index entry of {} bytes exceeds half a page",
-                entry_size(key, val)
-            )));
+        let buffer = Arc::clone(&self.buffer);
+        let mut pool = buffer.lock();
+        self.insert_locked(&mut pool, key, val)
+    }
+
+    /// [`BPlusTree::insert`] under a lock of this tree's pool that the
+    /// caller holds, so a run of inserts takes it once. It touches the
+    /// same pages in the same modes: an entry inside the bounds of the
+    /// last insert's leaf retraces that path's reads instead of searching
+    /// it, and one at or after the leaf's last entry is appended.
+    pub fn insert_locked(&mut self, pool: &mut BufferPool, key: &[u8], val: &[u8]) -> Result<()> {
+        debug_assert!(
+            self.buffer.try_lock().is_none(),
+            "the caller holds this tree's pool"
+        );
+        check_entry_len(key.len() + val.len())?;
+        if self.last_holds(key, val) {
+            for &idx in &self.last.path {
+                pool.access(self.page(idx), AccessMode::Read);
+            }
+        } else {
+            self.descend_for_insert(pool, key, val);
         }
-        let leaf = self.descend(key, val, Tie::Right);
-        self.touch(leaf, AccessMode::Write);
+        let leaf = *self.last.path.last().expect("a path ends at a leaf");
+        pool.access(self.page(leaf), AccessMode::Write);
         let Node::Leaf { entries, bytes, .. } = &mut self.nodes[leaf] else {
-            unreachable!("descend returns a leaf")
+            unreachable!("an insert path ends at a leaf")
         };
-        entries.insert(entries.upper_bound(key, val), key, val);
+        let pos = match entries.slots.last() {
+            Some(&s) if entries.cmp_slot(s, key, val).is_gt() => entries.upper_bound(key, val),
+            _ => entries.len(),
+        };
+        entries.insert(pos, key, val);
         *bytes += entry_size(key, val);
         self.len += 1;
         if self.overfull(leaf) {
-            self.split_up(leaf, self.path_to(key, val));
+            let mut path = std::mem::take(&mut self.last.path);
+            path.pop();
+            self.split_up(pool, leaf, &mut path);
+            path.clear();
+            self.last.path = path;
         }
         Ok(())
+    }
+
+    fn page(&self, node: NodeIdx) -> PageKey {
+        PageKey::new(self.file, node as u32)
+    }
+
+    /// Whether `(key, val)` lies within the last insert's leaf bounds.
+    fn last_holds(&self, key: &[u8], val: &[u8]) -> bool {
+        let sep = |(node, pos): (NodeIdx, usize)| match &self.nodes[node] {
+            Node::Internal { seps, .. } => seps.cmp_at(pos, key, val),
+            Node::Leaf { .. } => unreachable!("bounds are separators"),
+        };
+        !self.last.path.is_empty()
+            && self.last.lo.map_or(true, |lo| sep(lo).is_le())
+            && self.last.hi.map_or(true, |hi| sep(hi).is_gt())
+    }
+
+    /// [`BPlusTree::descend`] with [`Tie::Right`] under the caller's lock,
+    /// keeping the path and the leaf's bounds as the last insert's.
+    fn descend_for_insert(&mut self, pool: &mut BufferPool, key: &[u8], val: &[u8]) {
+        let last = &mut self.last;
+        last.path.clear();
+        (last.lo, last.hi) = (None, None);
+        let mut idx = self.root;
+        loop {
+            pool.access(PageKey::new(self.file, idx as u32), AccessMode::Read);
+            last.path.push(idx);
+            match &self.nodes[idx] {
+                Node::Leaf { .. } => return,
+                Node::Internal { seps, children, .. } => {
+                    let pos = seps.upper_bound(key, val);
+                    if pos > 0 {
+                        last.lo = Some((idx, pos - 1));
+                    }
+                    if pos < seps.len() {
+                        last.hi = Some((idx, pos));
+                    }
+                    idx = children[pos];
+                }
+            }
+        }
     }
 
     fn overfull(&self, idx: NodeIdx) -> bool {
@@ -399,14 +503,15 @@ impl BPlusTree {
         }
     }
 
-    /// Split the overfull node `idx`, then each parent on `path` that the
-    /// new separator overfills in turn.
-    fn split_up(&mut self, mut idx: NodeIdx, mut path: Vec<NodeIdx>) {
+    /// Split the overfull node `idx`, then each parent on `path` (the
+    /// internal nodes above it, root first) that the new separator
+    /// overfills in turn.
+    fn split_up(&mut self, pool: &mut BufferPool, mut idx: NodeIdx, path: &mut Vec<NodeIdx>) {
         loop {
-            let (sep, new_idx) = self.split(idx);
+            let (sep, new_idx) = self.split(pool, idx);
             match path.pop() {
                 Some(parent) => {
-                    self.touch(parent, AccessMode::Write);
+                    pool.access(self.page(parent), AccessMode::Write);
                     let Node::Internal {
                         seps,
                         children,
@@ -435,7 +540,7 @@ impl BPlusTree {
                     };
                     self.nodes.push(new_root);
                     self.root = self.nodes.len() - 1;
-                    self.touch(self.root, AccessMode::Write);
+                    pool.access(self.page(self.root), AccessMode::Write);
                     return;
                 }
             }
@@ -444,8 +549,8 @@ impl BPlusTree {
 
     /// Split node `idx` in half; returns `(separator, right node idx)`.
     /// The separator is the minimum entry of the right node.
-    fn split(&mut self, idx: NodeIdx) -> (Entry, NodeIdx) {
-        self.touch(idx, AccessMode::Write);
+    fn split(&mut self, pool: &mut BufferPool, idx: NodeIdx) -> (Entry, NodeIdx) {
+        pool.access(self.page(idx), AccessMode::Write);
         let new_idx = self.nodes.len();
         let (sep, right) = match &mut self.nodes[idx] {
             Node::Leaf {
@@ -487,7 +592,7 @@ impl BPlusTree {
             }
         };
         self.nodes.push(right);
-        self.touch(new_idx, AccessMode::Write);
+        pool.access(self.page(new_idx), AccessMode::Write);
         (sep, new_idx)
     }
 
@@ -730,7 +835,7 @@ impl Iterator for BTreeScan<'_> {
 /// carries the same rule for separators equal to a probe (reads go left
 /// of them; a delete that misses right of one retries from the left).
 #[cfg(test)]
-mod reference {
+pub(crate) mod reference {
     use pvm_types::{PvmError, Result};
 
     use super::{entry_size, NodeIdx, NODE_BYTE_BUDGET};
@@ -791,7 +896,7 @@ mod reference {
     /// One node as both trees can show it: kind, entries, children, leaf
     /// link and accounted bytes.
     #[derive(Debug, PartialEq)]
-    pub(super) struct NodeImage {
+    pub(crate) struct NodeImage {
         pub(super) leaf: bool,
         pub(super) entries: Vec<(Vec<u8>, Vec<u8>)>,
         pub(super) children: Vec<NodeIdx>,
@@ -1175,6 +1280,47 @@ mod reference {
 }
 
 #[cfg(test)]
+impl BPlusTree {
+    /// The root and every node, in arena order, in the oracle's terms.
+    pub(crate) fn image(&self) -> (NodeIdx, Vec<reference::NodeImage>) {
+        let pairs = |es: &Packed| {
+            (0..es.len())
+                .map(|i| (es.key(i).to_vec(), es.val(i).to_vec()))
+                .collect()
+        };
+        let nodes = self
+            .nodes
+            .iter()
+            .map(|n| match n {
+                Node::Leaf {
+                    entries,
+                    next,
+                    bytes,
+                } => reference::NodeImage {
+                    leaf: true,
+                    entries: pairs(entries),
+                    children: Vec::new(),
+                    next: *next,
+                    bytes: *bytes,
+                },
+                Node::Internal {
+                    seps,
+                    children,
+                    bytes,
+                } => reference::NodeImage {
+                    leaf: false,
+                    entries: pairs(seps),
+                    children: children.clone(),
+                    next: None,
+                    bytes: *bytes,
+                },
+            })
+            .collect();
+        (self.root, nodes)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use std::collections::VecDeque;
 
@@ -1510,44 +1656,6 @@ mod tests {
         t.check_invariants().unwrap();
     }
 
-    /// The packed tree's nodes in the oracle's terms.
-    fn image(t: &BPlusTree) -> (NodeIdx, Vec<reference::NodeImage>) {
-        let pairs = |es: &Packed| {
-            (0..es.len())
-                .map(|i| (es.key(i).to_vec(), es.val(i).to_vec()))
-                .collect()
-        };
-        let nodes = t
-            .nodes
-            .iter()
-            .map(|n| match n {
-                Node::Leaf {
-                    entries,
-                    next,
-                    bytes,
-                } => reference::NodeImage {
-                    leaf: true,
-                    entries: pairs(entries),
-                    children: Vec::new(),
-                    next: *next,
-                    bytes: *bytes,
-                },
-                Node::Internal {
-                    seps,
-                    children,
-                    bytes,
-                } => reference::NodeImage {
-                    leaf: false,
-                    entries: pairs(seps),
-                    children: children.clone(),
-                    next: None,
-                    bytes: *bytes,
-                },
-            })
-            .collect();
-        (t.root, nodes)
-    }
-
     /// Hits, misses, page reads and page writes so far.
     fn pool_counts(pool: &SharedBufferPool) -> (u64, u64, u64, u64) {
         let pool = pool.lock();
@@ -1646,11 +1754,100 @@ mod tests {
                     (packed.page_count(), packed.height()),
                     (oracle.page_count(), oracle.height())
                 );
-                prop_assert!(image(&packed) == oracle.image(), "nodes diverged after {:?}", op);
+                prop_assert!(packed.image() == oracle.image(), "nodes diverged after {:?}", op);
                 prop_assert_eq!(pool_counts(&packed_pool), pool_counts(&oracle_pool), "{:?}", op);
             }
             prop_assert_eq!(packed.len(), live.len() as u64);
             packed.check_invariants().unwrap();
+        }
+    }
+
+    /// A run of entries whose keys ascend, descend, are scrambled, or
+    /// come from five values (duplicate-heavy), with values of every size
+    /// up to the half-page bound, mostly short.
+    fn any_run() -> impl Strategy<Value = Vec<(Vec<u8>, Vec<u8>)>> {
+        let len = prop_oneof![0usize..24, 0usize..PAGE_SIZE / 2 - 16];
+        let entry = (0u64..1 << 20, len, any::<u8>());
+        (0u8..4, proptest::collection::vec(entry, 1..300)).prop_map(|(order, mut es)| {
+            match order {
+                0 => es.sort_by_key(|e| e.0),
+                1 => es.sort_by_key(|e| std::cmp::Reverse(e.0)),
+                2 => {}
+                _ => es.iter_mut().for_each(|e| e.0 %= 5),
+            }
+            es.into_iter()
+                .map(|(k, n, b)| (key(k), vec![b; n]))
+                .collect()
+        })
+    }
+
+    proptest! {
+        /// Runs of inserts under one held lock against the boxed-entry
+        /// oracle inserting one entry at a time, on pools of a few pages:
+        /// after each run (and after deleting some entries, which leaves
+        /// the last insert's path in place) both trees have the same
+        /// nodes and shape, and their pools the same counts and the same
+        /// recency order, so the same next victims.
+        #[test]
+        fn insert_runs_match_boxed_entry_oracle(
+            runs in proptest::collection::vec((any_run(), 0usize..40), 1..6),
+            capacity in 2usize..8,
+        ) {
+            let (packed_pool, oracle_pool) = (BufferPool::shared(capacity), BufferPool::shared(capacity));
+            let mut packed = BPlusTree::new(FileId(1), packed_pool.clone());
+            let mut oracle = reference::BPlusTree::new(FileId(1), oracle_pool.clone());
+            let mut live: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+            for (run, deletes) in runs {
+                {
+                    let mut pool = packed_pool.lock();
+                    for (k, v) in &run {
+                        packed.insert_locked(&mut pool, k, v).unwrap();
+                    }
+                }
+                for (k, v) in &run {
+                    oracle.insert(k, v).unwrap();
+                }
+                live.extend(run);
+                prop_assert_eq!(packed.len(), oracle.len());
+                prop_assert_eq!(
+                    (packed.page_count(), packed.height()),
+                    (oracle.page_count(), oracle.height())
+                );
+                prop_assert!(packed.image() == oracle.image(), "nodes diverged");
+                prop_assert_eq!(pool_counts(&packed_pool), pool_counts(&oracle_pool));
+                prop_assert_eq!(
+                    packed_pool.lock().recency().collect::<Vec<_>>(),
+                    oracle_pool.lock().recency().collect::<Vec<_>>()
+                );
+                for i in 0..deletes.min(live.len()) {
+                    let (k, v) = live.swap_remove(i * 7 % live.len());
+                    prop_assert!(packed.delete(&k, &v));
+                    prop_assert!(oracle.delete(&k, &v));
+                }
+            }
+            packed.check_invariants().unwrap();
+        }
+    }
+
+    #[test]
+    fn word_compare_is_byte_order() {
+        let words: Vec<Vec<u8>> = vec![
+            vec![],
+            vec![0],
+            vec![0, 0],
+            vec![1],
+            vec![0xff; 7],
+            vec![0xff; 8],
+            vec![0xff; 9],
+            [vec![7; 8], vec![1]].concat(),
+            [vec![7; 8], vec![2]].concat(),
+            [vec![7; 16], vec![0]].concat(),
+            [vec![7; 15], vec![8]].concat(),
+        ];
+        for a in &words {
+            for b in &words {
+                assert_eq!(cmp_bytes(a, b), a.cmp(b), "{a:?} vs {b:?}");
+            }
         }
     }
 }

@@ -32,10 +32,17 @@ use crate::FileId;
 use pvm_types::PageId;
 
 /// Key of one page frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct PageKey {
     pub file: FileId,
     pub page: PageId,
+}
+
+impl std::hash::Hash for PageKey {
+    /// Both halves as one word: one mix per frame lookup.
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        state.write_u64(u64::from(self.file.0) << 32 | u64::from(self.page.0));
+    }
 }
 
 impl PageKey {
@@ -115,6 +122,16 @@ impl BufferPool {
     /// Record an access to `key`; returns true on a cache hit.
     pub fn access(&mut self, key: PageKey, mode: AccessMode) -> bool {
         let write = mode == AccessMode::Write;
+        // Touching the most recent page again moves nothing: no lookup.
+        if let Some(head) = self
+            .frames
+            .get_mut(self.head as usize)
+            .filter(|f| f.key == key)
+        {
+            head.dirty |= write;
+            self.hits += 1;
+            return true;
+        }
         if let Some(&slot) = self.slots.get(&key) {
             self.unlink(slot);
             self.push_front(slot);
@@ -233,6 +250,17 @@ impl BufferPool {
 
     pub fn hits(&self) -> u64 {
         self.hits
+    }
+
+    /// Resident pages, most recently used first: the last one is the next
+    /// victim.
+    pub fn recency(&self) -> impl Iterator<Item = PageKey> + '_ {
+        let mut s = self.head;
+        std::iter::from_fn(move || {
+            let f = self.frames.get(s as usize)?;
+            s = f.next;
+            Some(f.key)
+        })
     }
 
     pub fn misses(&self) -> u64 {

@@ -2,7 +2,7 @@
 
 use pvm_types::{PvmError, Result, Rid};
 
-use crate::buffer::{AccessMode, PageKey, SharedBufferPool};
+use crate::buffer::{AccessMode, BufferPool, PageKey, SharedBufferPool};
 use crate::page::Page;
 use crate::FileId;
 
@@ -58,14 +58,27 @@ impl HeapFile {
             .access(PageKey::new(self.file, page), mode);
     }
 
-    /// Insert tuple bytes, returning the new RID.
-    pub fn insert(&mut self, tuple: &[u8]) -> Result<Rid> {
-        if tuple.len() > Page::max_tuple_len() {
+    /// Refuse a tuple of `len` bytes, as [`HeapFile::insert`] would.
+    pub(crate) fn check_tuple_len(len: usize) -> Result<()> {
+        if len > Page::max_tuple_len() {
             return Err(PvmError::CapacityExceeded(format!(
-                "tuple of {} bytes exceeds page capacity",
-                tuple.len()
+                "tuple of {len} bytes exceeds page capacity"
             )));
         }
+        Ok(())
+    }
+
+    /// Insert tuple bytes, returning the new RID.
+    pub fn insert(&mut self, tuple: &[u8]) -> Result<Rid> {
+        let buffer = self.buffer.clone();
+        let mut pool = buffer.lock();
+        self.insert_locked(&mut pool, tuple)
+    }
+
+    /// [`HeapFile::insert`] under a lock of this file's pool that the
+    /// caller holds.
+    pub(crate) fn insert_locked(&mut self, pool: &mut BufferPool, tuple: &[u8]) -> Result<Rid> {
+        Self::check_tuple_len(tuple.len())?;
         // Try the last page; compact it if dead space would make it fit
         // (not during a transaction: aborts may resurrect tombstones).
         if let Some(last) = self.pages.last_mut() {
@@ -78,7 +91,7 @@ impl HeapFile {
             if last.fits(tuple.len()) {
                 let page_no = (self.pages.len() - 1) as u32;
                 let slot = self.pages.last_mut().expect("non-empty").insert(tuple)?;
-                self.touch(page_no, AccessMode::Write);
+                pool.access(PageKey::new(self.file, page_no), AccessMode::Write);
                 self.live += 1;
                 return Ok(Rid {
                     page: pvm_types::PageId(page_no),
@@ -90,7 +103,7 @@ impl HeapFile {
         let slot = page.insert(tuple)?;
         self.pages.push(page);
         let page_no = (self.pages.len() - 1) as u32;
-        self.touch(page_no, AccessMode::Write);
+        pool.access(PageKey::new(self.file, page_no), AccessMode::Write);
         self.live += 1;
         Ok(Rid {
             page: pvm_types::PageId(page_no),
@@ -162,6 +175,23 @@ impl HeapFile {
             self.touch(pno as u32, AccessMode::Read);
             Self::tuples(pno, page)
         })
+    }
+
+    /// [`HeapFile::scan`] under a lock of this file's pool that the caller
+    /// holds: `visit` gets each live tuple, and the pool back, after the
+    /// read of its page.
+    pub(crate) fn scan_locked(
+        &self,
+        pool: &mut BufferPool,
+        mut visit: impl FnMut(&mut BufferPool, Rid, &[u8]) -> Result<()>,
+    ) -> Result<()> {
+        for (pno, page) in self.pages.iter().enumerate() {
+            pool.access(PageKey::new(self.file, pno as u32), AccessMode::Read);
+            for (rid, tuple) in Self::tuples(pno, page) {
+                visit(pool, rid, tuple)?;
+            }
+        }
+        Ok(())
     }
 
     /// [`HeapFile::scan`] without page accesses, under the

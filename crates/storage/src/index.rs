@@ -10,8 +10,8 @@
 
 use pvm_types::{Result, Rid, Row};
 
-use crate::btree::BPlusTree;
-use crate::buffer::SharedBufferPool;
+use crate::btree::{check_entry_len, BPlusTree};
+use crate::buffer::{BufferPool, SharedBufferPool};
 use crate::FileId;
 
 /// Flavor of an index.
@@ -94,6 +94,11 @@ fn probe_key(key_values: &Row) -> Vec<u8> {
     key
 }
 
+/// Bytes [`Row::encode_key_into`] writes for `row`'s `key` columns.
+fn key_len(row: &Row, key: &[usize]) -> Result<usize> {
+    key.iter().map(|&c| Ok(row.try_get(c)?.byte_size())).sum()
+}
+
 /// All matches of one probe, each decoded straight from its leaf.
 fn probe<T>(tree: &BPlusTree, key_values: &Row, decode: fn(&[u8]) -> Result<T>) -> Result<Vec<T>> {
     let mut out = Vec::new();
@@ -173,6 +178,25 @@ impl ClusteredIndex {
         self.tree.insert(&self.scratch_key, &self.scratch_val)
     }
 
+    /// [`ClusteredIndex::insert`] of `row`, already encoded as `encoded`,
+    /// under a lock of the index's pool that the caller holds.
+    pub(crate) fn insert_locked(
+        &mut self,
+        pool: &mut BufferPool,
+        row: &Row,
+        encoded: &[u8],
+    ) -> Result<()> {
+        self.scratch_key.clear();
+        row.encode_key_into(&self.key, &mut self.scratch_key)?;
+        self.tree.insert_locked(pool, &self.scratch_key, encoded)
+    }
+
+    /// Refuse `row`, whose encoding is `row_len` bytes, where
+    /// [`ClusteredIndex::insert`] would.
+    pub(crate) fn check(&self, row: &Row, row_len: usize) -> Result<()> {
+        check_entry_len(key_len(row, &self.key)? + row_len)
+    }
+
     /// Remove one copy of `row`. Returns true if present.
     pub fn delete(&mut self, row: &Row) -> Result<bool> {
         self.scratch_key.clear();
@@ -205,6 +229,11 @@ impl ClusteredIndex {
     #[doc(hidden)]
     pub fn check_invariants(&self) -> Result<()> {
         self.tree.check_invariants()
+    }
+
+    #[cfg(test)]
+    pub(crate) fn tree(&self) -> &BPlusTree {
+        &self.tree
     }
 }
 
@@ -248,6 +277,25 @@ impl NonClusteredIndex {
         self.tree.insert(&self.scratch_key, &rid.encode())
     }
 
+    /// [`NonClusteredIndex::insert`] under a lock of the index's pool
+    /// that the caller holds.
+    pub(crate) fn insert_locked(
+        &mut self,
+        pool: &mut BufferPool,
+        row: &Row,
+        rid: Rid,
+    ) -> Result<()> {
+        self.scratch_key.clear();
+        row.encode_key_into(&self.key, &mut self.scratch_key)?;
+        self.tree
+            .insert_locked(pool, &self.scratch_key, &rid.encode())
+    }
+
+    /// Refuse `row` where [`NonClusteredIndex::insert`] would.
+    pub(crate) fn check(&self, row: &Row) -> Result<()> {
+        check_entry_len(key_len(row, &self.key)? + Rid::default().encode().len())
+    }
+
     pub fn delete(&mut self, row: &Row, rid: Rid) -> Result<bool> {
         self.scratch_key.clear();
         row.encode_key_into(&self.key, &mut self.scratch_key)?;
@@ -269,6 +317,11 @@ impl NonClusteredIndex {
     #[doc(hidden)]
     pub fn check_invariants(&self) -> Result<()> {
         self.tree.check_invariants()
+    }
+
+    #[cfg(test)]
+    pub(crate) fn tree(&self) -> &BPlusTree {
+        &self.tree
     }
 }
 

@@ -25,6 +25,7 @@ pub mod stats;
 pub mod table;
 
 pub use buffer::{AccessMode, BufferPool, PageKey, SharedBufferPool};
+pub use hash::{MixHasher, SeededMix};
 pub use heap::HeapFile;
 pub use index::{ClusteredIndex, IndexDescriptor, IndexKind, NonClusteredIndex};
 pub use page::{Page, PAGE_SIZE};

@@ -190,9 +190,10 @@ impl TableStorage {
         let mut ix =
             NonClusteredIndex::new(FileId(self.next_file), key.clone(), self.buffer.clone());
         self.next_file += 1;
-        for (rid, bytes) in self.heap.scan() {
-            ix.insert(&Row::decode(bytes)?, rid)?;
-        }
+        self.heap
+            .scan_locked(&mut self.buffer.lock(), |pool, rid, bytes| {
+                ix.insert_locked(pool, &Row::decode(bytes)?, rid)
+            })?;
         self.secondary
             .push((IndexDescriptor::new(name, key, IndexKind::NonClustered), ix));
         Ok(())
@@ -234,21 +235,76 @@ impl TableStorage {
 
     /// Insert a row. Charges one `INSERT`.
     pub fn insert(&mut self, row: Row, ledger: &mut CostLedger) -> Result<Rid> {
-        self.schema.check_row(&row)?;
-        let bytes = row.encode();
-        let rid = self.heap.insert(&bytes)?;
-        if let Some(locator) = self.locator.get_mut() {
-            locator.insert((row_hash(&bytes), rid));
+        let mut rid = None;
+        self.insert_rows(std::slice::from_ref(&row), ledger, |r| rid = Some(r))?;
+        Ok(rid.expect("one row, one rid"))
+    }
+
+    /// Insert `rows` in order, charging one `INSERT` each: the rids, tree
+    /// shapes, page touches and charges of [`TableStorage::insert`] row
+    /// by row. Every row is checked first (schema, heap page, each
+    /// index's entry bound), so a refused batch writes nothing.
+    pub fn insert_batch(&mut self, rows: &[Row], ledger: &mut CostLedger) -> Result<Vec<Rid>> {
+        let mut rids = Vec::with_capacity(rows.len());
+        self.insert_rows(rows, ledger, |rid| rids.push(rid))?;
+        Ok(rids)
+    }
+
+    /// Refuse `rows` if [`TableStorage::insert_batch`] would.
+    pub fn check_rows<'r>(&self, rows: impl IntoIterator<Item = &'r Row>) -> Result<()> {
+        let columns = self.schema.columns();
+        for row in rows {
+            // One pass for the types and the encoded length (a row encodes
+            // to exactly its byte size); the schema names a misfit.
+            let (mut len, mut typed) = (2, row.arity() == columns.len());
+            for (v, c) in row.values().iter().zip(columns) {
+                typed &= v.conforms_to(c.dtype);
+                len += v.byte_size();
+            }
+            if !typed {
+                self.schema.check_row(row)?;
+            }
+            HeapFile::check_tuple_len(len)?;
+            if let Some(c) = &self.clustered {
+                c.check(row, len)?;
+            }
+            for (_, ix) in &self.secondary {
+                ix.check(row)?;
+            }
         }
-        if let Some(c) = &mut self.clustered {
-            c.insert(&row)?;
+        Ok(())
+    }
+
+    /// [`TableStorage::insert_batch`], handing each rid to `placed`. The
+    /// pool is locked once for the batch; each row is encoded once, for
+    /// the heap and the clustered index both.
+    fn insert_rows(
+        &mut self,
+        rows: &[Row],
+        ledger: &mut CostLedger,
+        mut placed: impl FnMut(Rid),
+    ) -> Result<()> {
+        self.check_rows(rows)?;
+        let mut pool = self.buffer.lock();
+        let mut bytes = Vec::new();
+        for row in rows {
+            bytes.clear();
+            row.encode_into(&mut bytes);
+            let rid = self.heap.insert_locked(&mut pool, &bytes)?;
+            if let Some(locator) = self.locator.get_mut() {
+                locator.insert((row_hash(&bytes), rid));
+            }
+            if let Some(c) = &mut self.clustered {
+                c.insert_locked(&mut pool, row, &bytes)?;
+            }
+            for (_, ix) in &mut self.secondary {
+                ix.insert_locked(&mut pool, row, rid)?;
+            }
+            self.stats.on_insert(row);
+            ledger.record(CostKind::Insert, 1);
+            placed(rid);
         }
-        for (_, ix) in &mut self.secondary {
-            ix.insert(&row, rid)?;
-        }
-        self.stats.on_insert(&row);
-        ledger.record(CostKind::Insert, 1);
-        Ok(rid)
+        Ok(())
     }
 
     /// Read the row at `rid` without abstract-op charge (physical page
@@ -524,6 +580,53 @@ impl TableStorage {
                 self.name
             ))),
         }
+    }
+}
+
+#[cfg(test)]
+impl TableStorage {
+    /// [`TableStorage::insert`] as it stood before batches, kept as the
+    /// oracle of [`TableStorage::insert_batch`]: the heap and each index
+    /// lock the pool per page touch, the row is encoded per structure,
+    /// and a row an index refuses stays in the heap.
+    pub(crate) fn insert_per_row(&mut self, row: Row, ledger: &mut CostLedger) -> Result<Rid> {
+        self.schema.check_row(&row)?;
+        let bytes = row.encode();
+        let rid = self.heap.insert(&bytes)?;
+        if let Some(locator) = self.locator.get_mut() {
+            locator.insert((row_hash(&bytes), rid));
+        }
+        if let Some(c) = &mut self.clustered {
+            c.insert(&row)?;
+        }
+        for (_, ix) in &mut self.secondary {
+            ix.insert(&row, rid)?;
+        }
+        self.stats.on_insert(&row);
+        ledger.record(CostKind::Insert, 1);
+        Ok(rid)
+    }
+
+    /// Everything a batch must leave as the per-row loop does, pages
+    /// and counters of the pool aside: heap tuples, every tree's nodes
+    /// and shape, statistics and the locator.
+    pub(crate) fn image(&self) -> impl PartialEq + std::fmt::Debug {
+        let trees: Vec<_> = self
+            .clustered
+            .iter()
+            .map(ClusteredIndex::tree)
+            .chain(self.secondary.iter().map(|(_, ix)| ix.tree()))
+            .map(|t| (t.image(), t.len(), t.page_count(), t.height()))
+            .collect();
+        let heap: Vec<(Rid, Vec<u8>)> =
+            self.heap.peek_all().map(|(r, b)| (r, b.to_vec())).collect();
+        (
+            heap,
+            self.heap.page_count(),
+            trees,
+            (self.stats.row_count(), self.stats.byte_size()),
+            self.locator.get().cloned(),
+        )
     }
 }
 
@@ -1056,5 +1159,158 @@ mod locator_equivalence {
         assert!(reads <= 8, "delete_row touched {reads} pages");
         let ops = l.snapshot();
         assert_eq!((ops.inserts, ops.searches, ops.fetches), (1, 0, 0));
+    }
+}
+
+#[cfg(test)]
+mod insert_batch_equivalence {
+    //! Model check: a batch must leave the table, its ledger and its pool
+    //! exactly as the per-row loop it replaced leaves them — rids, heap
+    //! tuples, every tree's nodes, statistics, the locator, charges, pool
+    //! counts and recency order (so the next eviction victims) — and a
+    //! batch holding one refused row must change nothing at all.
+
+    use super::*;
+    use crate::buffer::BufferPool;
+    use crate::PAGE_SIZE;
+    use proptest::prelude::*;
+    use pvm_types::{row, Column, Schema};
+
+    /// Longest payload every index of [`table`] takes: the clustered
+    /// entry is its 9-byte key, the 25 + `len`-byte row and 8 bytes of
+    /// overhead, within half a page.
+    const MAX_PAYLOAD: usize = PAGE_SIZE / 2 - 42;
+
+    /// Clustered on `k`, with secondaries on `c` and on the payload, so
+    /// the payload's size drives splits in all three trees.
+    fn table(pool: SharedBufferPool) -> TableStorage {
+        let schema = Schema::new(vec![
+            Column::int("k"),
+            Column::int("c"),
+            Column::str("payload"),
+        ]);
+        let mut t = TableStorage::new(
+            "t",
+            schema.into_ref(),
+            Organization::Clustered { key: vec![0] },
+            0,
+            pool,
+        );
+        t.create_secondary_index("t_c", vec![1]).unwrap();
+        t.create_secondary_index("t_payload", vec![2]).unwrap();
+        t
+    }
+
+    fn payload(len: usize, b: u8) -> String {
+        char::from(b'a' + b % 26).to_string().repeat(len)
+    }
+
+    /// Rows whose keys ascend, descend, scatter or repeat (five values),
+    /// with payloads of every size up to [`MAX_PAYLOAD`], mostly short.
+    fn any_batch() -> impl Strategy<Value = Vec<Row>> {
+        let len = prop_oneof![0usize..24, 0usize..MAX_PAYLOAD + 1, Just(MAX_PAYLOAD)];
+        let row = (0i64..1 << 16, len, any::<u8>());
+        (0u8..4, proptest::collection::vec(row, 0..120)).prop_map(|(order, mut rows)| {
+            match order {
+                0 => rows.sort_by_key(|r| r.0),
+                1 => rows.sort_by_key(|r| std::cmp::Reverse(r.0)),
+                2 => {}
+                _ => rows.iter_mut().for_each(|r| r.0 %= 5),
+            }
+            rows.into_iter()
+                .map(|(k, n, b)| row![k, k % 7, payload(n, b)])
+                .collect()
+        })
+    }
+
+    /// A row some check refuses: too long for the clustered index, or
+    /// not of the schema.
+    fn refused(kind: u8) -> Row {
+        match kind {
+            0 => row![1, 1, payload(MAX_PAYLOAD + 1, 0)],
+            _ => row![1, "not an int", "p"],
+        }
+    }
+
+    fn pool_state(
+        pool: &SharedBufferPool,
+    ) -> (u64, u64, pvm_types::CostSnapshot, Vec<crate::PageKey>) {
+        let pool = pool.lock();
+        (
+            pool.hits(),
+            pool.misses(),
+            pool.io_snapshot(),
+            pool.recency().collect(),
+        )
+    }
+
+    proptest! {
+        #[test]
+        fn insert_batch_matches_per_row_loop(
+            batches in proptest::collection::vec(
+                // One batch in five holds a refused row at a random place.
+                (any_batch(), (0u8..10, 0usize..1 << 16), 0usize..30),
+                1..6,
+            ),
+            capacity in 2usize..8,
+            locate_at in 0usize..6,
+        ) {
+            let (batch_pool, row_pool) = (BufferPool::shared(capacity), BufferPool::shared(capacity));
+            let (mut batched, mut per_row) = (table(batch_pool.clone()), table(row_pool.clone()));
+            let (mut lb, mut lr) = (CostLedger::new(), CostLedger::new());
+            let mut live: Vec<Rid> = Vec::new();
+            for (step, (mut rows, poison, deletes)) in batches.into_iter().enumerate() {
+                if step == locate_at {
+                    // Build both locators: later inserts must keep them.
+                    let probe = row![0, 0, ""];
+                    prop_assert_eq!(
+                        batched.find_rid(&probe, &[], &mut lb).unwrap(),
+                        per_row.find_rid(&probe, &[], &mut lr).unwrap()
+                    );
+                }
+                if poison.0 < 2 {
+                    rows.insert(poison.1 % (rows.len() + 1), refused(poison.0));
+                    prop_assert!(batched.insert_batch(&rows, &mut lb).is_err());
+                } else {
+                    let got = batched.insert_batch(&rows, &mut lb).unwrap();
+                    let want: Vec<Rid> = rows
+                        .into_iter()
+                        .map(|r| per_row.insert_per_row(r, &mut lr).unwrap())
+                        .collect();
+                    prop_assert_eq!(&got, &want);
+                    live.extend(got);
+                }
+                prop_assert!(batched.image() == per_row.image(), "tables diverged at step {}", step);
+                prop_assert_eq!(lb.snapshot(), lr.snapshot());
+                prop_assert_eq!(pool_state(&batch_pool), pool_state(&row_pool));
+                for i in 0..deletes.min(live.len()) {
+                    let rid = live.swap_remove(i * 7 % live.len());
+                    prop_assert_eq!(batched.delete(rid, &mut lb).unwrap(), per_row.delete(rid, &mut lr).unwrap());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_row_an_index_refuses_is_not_left_in_the_heap() {
+        let mut t = table(BufferPool::shared(16));
+        let mut l = CostLedger::new();
+        t.insert(row![1, 1, "a"], &mut l).unwrap();
+        let before = t.image();
+        let big = refused(0);
+        let err = t.insert(big.clone(), &mut l).unwrap_err();
+        assert!(
+            matches!(&err, PvmError::CapacityExceeded(m) if m.contains("exceeds half a page")),
+            "{err}"
+        );
+        assert!(t
+            .insert_batch(&[row![2, 2, "b"], big.clone()], &mut l)
+            .is_err());
+        assert_eq!(t.row_count(), 1);
+        assert!(t.image() == before, "a refused batch changed the table");
+        assert_eq!(l.snapshot().inserts, 1);
+        // The loop this replaced wrote the heap before the index refused.
+        assert!(t.insert_per_row(big, &mut l).is_err());
+        assert_eq!(t.row_count(), 2);
     }
 }

@@ -174,6 +174,57 @@ fn show_cost_reflects_method_difference() {
     );
 }
 
+#[test]
+fn a_refused_insert_leaves_tables_and_views_unchanged() {
+    // The middle row's clustered-index entry is over half a page. The
+    // whole statement is refused before any row is written: none lands
+    // in `t`'s heap without its index entry, and the view stays right.
+    let mut session = Session::new(ClusterConfig::new(3).with_buffer_pages(64));
+    session
+        .execute(
+            "CREATE TABLE t (k INT, v STR) PARTITION BY HASH(k) CLUSTERED; \
+             CREATE TABLE u (k INT, w INT) PARTITION BY HASH(k); \
+             INSERT INTO u VALUES (3, 3); \
+             INSERT INTO u VALUES (4, 4); \
+             CREATE VIEW jv USING NAIVE AS SELECT t.k, t.v, u.w FROM t, u WHERE t.k = u.k \
+                 PARTITION ON t.k;",
+        )
+        .unwrap();
+    let big = "x".repeat(5_000);
+    let err = session
+        .execute_one(&format!(
+            "INSERT INTO t VALUES (3, 'a'), (4, '{big}'), (5, 'b')"
+        ))
+        .unwrap_err();
+    assert!(
+        err.to_string()
+            .contains("index entry of 5033 bytes exceeds half a page"),
+        "{err}"
+    );
+    let t = session.cluster().table_id("t").unwrap();
+    assert_eq!(session.cluster().row_count(t).unwrap(), 0);
+    let rows = session
+        .execute_one("SELECT * FROM t")
+        .unwrap()
+        .rows
+        .unwrap()
+        .1;
+    assert!(rows.is_empty(), "{rows:?}");
+    session.execute_one("CHECK VIEW jv").unwrap();
+    // The statement without the oversized row goes through and joins.
+    session
+        .execute_one("INSERT INTO t VALUES (3, 'a'), (4, 'c'), (5, 'b')")
+        .unwrap();
+    session.execute_one("CHECK VIEW jv").unwrap();
+    let rows = session
+        .execute_one("SELECT * FROM jv")
+        .unwrap()
+        .rows
+        .unwrap()
+        .1;
+    assert_eq!(rows.len(), 2);
+}
+
 /// Every keyword the parser knows, plus the names, punctuation and
 /// literals (edge values included) that SQL text around them holds.
 const SQL_TOKENS: &str = "CREATE TABLE MATERIALIZED VIEW INSERT INTO VALUES DELETE FROM UPDATE \
